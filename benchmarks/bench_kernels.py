@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
-"""Time the numba hot loops against their pure-numpy fallbacks.
+"""Time each hot loop's fallback against its numba build.
 
     python3 benchmarks/bench_kernels.py [--repeats N]
 
-The library picks its implementation at import time (DWLAB_DISABLE_NUMBA=1
-forces the fallbacks); here both sides are imported explicitly and timed on
-identical inputs, so run this in an environment where numba imports.
-Reported numbers are best-of-N wall times after a warm-up call that absorbs
-JIT compilation.
+The fallback column is what the library runs without numba (or with
+DWLAB_DISABLE_NUMBA=1): vectorized numpy for Bessel I0 and the light-cone
+convolution, the Python-float loop for the ODI march.  The numba column is
+filled only where numba imports.  Reported numbers are best-of-N wall times
+after a warm-up call that absorbs JIT compilation.
 """
 import argparse
 import time
@@ -16,7 +16,7 @@ import numpy as np
 
 from dwlab._kernels import (HAVE_NUMBA, _i0_loop_jit, bessel_i0_numpy,
                             kernel_convolve_numba, kernel_convolve_numpy,
-                            odi_march_numba, odi_march_numpy)
+                            odi_march_numba, odi_march_python)
 from dwlab.grid import GridSpec
 from dwlab.propagators import (_cubic_lagrange_weights, _upsample,
                                kernel_quadrature)
@@ -71,8 +71,8 @@ def bench_odi(repeats):
     # ~300k-step march of the memory-kernel inequality
     args = (1e-4, 2.0, 0.0, 0.0, 1.0, 1.0, 4.0, 1.0 / 32.0, 32, 400_000,
             1e4, 10.0)
-    ref_v, ref_n, ref_blow = odi_march_numpy(*args)
-    t_np = best_of(lambda: odi_march_numpy(*args), repeats)
+    ref_v, ref_n, ref_blow = odi_march_python(*args)
+    t_np = best_of(lambda: odi_march_python(*args), repeats)
     if odi_march_numba is None:
         return "odi march", t_np, None, 0.0
     v, n, blow = odi_march_numba(*args)  # warm-up / compile
@@ -88,8 +88,8 @@ def main():
     ap.add_argument("--repeats", type=int, default=5)
     args = ap.parse_args()
     if not HAVE_NUMBA:
-        print("numba unavailable or disabled; timing numpy fallbacks only")
-    print(f"{'kernel':<20} {'numpy':>10} {'numba':>10} {'speedup':>8} "
+        print("numba unavailable or disabled; timing the fallbacks only")
+    print(f"{'kernel':<20} {'fallback':>10} {'numba':>10} {'speedup':>8} "
           f"{'max rel dev':>12}")
     for bench in (bench_bessel, bench_convolve, bench_odi):
         name, t_np, t_nb, dev = bench(args.repeats)

@@ -1,13 +1,24 @@
-"""Hot numerical kernels: numba-compiled loops with pure-numpy fallbacks.
+"""Hot numerical kernels, each with a numba-compiled loop and a fallback.
 
-Set DWLAB_DISABLE_NUMBA=1 to force the numpy paths (also used automatically
-when numba is not importable).  Both implementations of every kernel are
-exported so benchmarks/bench_kernels.py can time them side by side.
+numba is an optional extra: when it is not importable, or when
+DWLAB_DISABLE_NUMBA=1 is set, every kernel runs its fallback instead.
+
+* Bessel I0: ``bessel_i0_kernel``; the fallback ``bessel_i0_numpy`` is a
+  vectorized fixed-length series.
+* light-cone convolution: ``kernel_convolve``; the fallback
+  ``kernel_convolve_numpy`` gathers one quadrature node at a time.
+* ODI march: ``odi_march``; the fallback ``odi_march_python`` repeats the
+  arithmetic of ``_odi_march_loop`` (the numba source) on Python floats
+  and returns bit-for-bit the same output.
+
+benchmarks/bench_kernels.py times each fallback against its numba loop.
 """
 from __future__ import annotations
 
 import math
 import os
+from array import array
+from collections import deque
 
 import numpy as np
 
@@ -177,6 +188,8 @@ def kernel_convolve(fu, wk, mq, lag, R, n_out):
 #   C = trapz of F over [t0, t-1]
 # The (t - tau) weight never sees the current node (zero factor), so the
 # update is explicit.  Returns (v array, number of steps filled, blow index).
+# _odi_march_loop is the numba source and the tests' reference for
+# odi_march_python.
 # ----------------------------------------------------------------------
 
 
@@ -215,14 +228,69 @@ def _odi_march_loop(seed, p, beta, gamma, c1, c2, t0, dt, m, n_max,
 
 
 odi_march_numba = _maybe_jit(_odi_march_loop) if HAVE_NUMBA else None
-odi_march_numpy = _odi_march_loop  # inherently sequential; fallback runs the same loop in python
+
+
+def odi_march_python(seed, p, beta, gamma, c1, c2, t0, dt, m, n_max,
+                     blow_level, growth_limit):
+    """_odi_march_loop on Python floats, bit-for-bit the same output.
+
+    Every float operation of the array loop happens here too, on the same
+    operands and in the same order.  What differs is the bookkeeping: the
+    update only reads the two nodes that leave the window, so F and the
+    trapezoid's (tau/2)*F products live in queues of at most m values, and
+    v grows in an array('d') of n values.  float ** float raises
+    OverflowError where a numpy scalar returns inf; that case maps to inf so
+    the blow-up check fires as in the array loop.
+    """
+    nb = -beta
+    hdt = dt * 0.5
+    fprev = seed ** p * t0 ** nb
+    # F and (tau/2)*F at node k-1-m, the older node leaving the window
+    fa, ga = fprev, 0.5 * t0 * fprev
+    tprev, vprev = t0, seed
+    A = B = C = 0.0
+    v = array("d", (seed,))
+    vpush = v.append
+    fq, gq = deque(), deque()
+    fpop, gpop, fpush, gpush = fq.popleft, gq.popleft, fq.append, gq.append
+    for k in range(1, n_max):
+        t = t0 + k * dt
+        if k > m:
+            fb = fpop()
+            gb = gpop()
+            A += dt * (fprev - 0.5 * fa - 0.5 * fb)
+            B += dt * (tprev * fprev - ga - gb)
+            C += hdt * (fa + fb)
+            fa, ga = fb, gb
+        else:
+            # the window's first node has trapezoid weight 1/2
+            wdt = hdt if k == 1 else dt
+            A += wdt * fprev
+            B += wdt * tprev * fprev
+        grow = t ** gamma if gamma != 0.0 else 1.0
+        vk = seed + grow * (c1 * (t * A - B) + c2 * C)
+        try:
+            fk = vk ** p * t ** nb
+        except OverflowError:
+            fk = math.inf * t ** nb
+        vpush(vk)
+        if vk >= blow_level or vk > growth_limit * vprev:
+            return np.frombuffer(v), k + 1, k
+        fpush(fk)
+        gpush(0.5 * t * fk)
+        fprev, tprev, vprev = fk, t, vk
+    return np.frombuffer(v), len(v), -1
 
 
 def odi_march(seed, p, beta, gamma, c1, c2, t0, dt, m, n_max,
               blow_level, growth_limit):
+    """March the inequality; returns (v, n, blow index or -1).
+
+    The first n entries of v are filled; v may be longer.
+    """
     args = (float(seed), float(p), float(beta), float(gamma), float(c1),
             float(c2), float(t0), float(dt), int(m), int(n_max),
             float(blow_level), float(growth_limit))
     if odi_march_numba is not None:
         return odi_march_numba(*args)
-    return odi_march_numpy(*args)
+    return odi_march_python(*args)

@@ -40,7 +40,7 @@ import numpy as np
 
 from .fitting import fit_critical_lifespan, fit_loglog
 from .grid import GridSpec, moment
-from .odi import OdiConfig, odi_scaling_fit, odi_target_slope, simulate_odi
+from .odi import OdiConfig, odi_target_slope, simulate_odi
 from .propagators import (HEAT_EXPANSION_SLOPES, KernelRangeError, apply_S,
                           apply_S_kernel, apply_dtS, decay_scan,
                           linear_pair_matrix, residual_scan)
@@ -398,7 +398,11 @@ def run_odi(cfg: ExperimentConfig):
         fh.write("eps,blowup_time\n")
         for e, T in zip(eps, times):
             fh.write(f"{e:.17g},{T:.17g}\n")
-    fit = odi_scaling_fit(base, eps)
+    if len(eps) < 3:
+        raise ValueError("need at least 3 eps values")
+    # the same fit odi_scaling_fit makes, on the times already marched
+    fit = fit_loglog(eps, times, window=(float(np.min(eps)),
+                                         float(np.max(eps))))
     target = odi_target_slope(cfg.p, cfg.beta)
     record = {"p": cfg.p, "beta": cfg.beta, "gamma": cfg.gamma,
               "slope": fit.slope, "target_slope": target,

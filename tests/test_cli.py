@@ -3,8 +3,11 @@ import json
 import numpy as np
 import pytest
 
+import dwlab.cli
+import dwlab.odi
 from dwlab.cli import (ConfigError, ExperimentConfig, _config_record,
                        load_config, main, run_predict)
+from dwlab.odi import simulate_odi
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -132,11 +135,22 @@ def test_decay_requires_room_for_window(tmp_path):
     assert code == 2
 
 
-def test_odi_report_schema(tmp_path, capsys):
+def test_odi_report_schema(tmp_path, capsys, monkeypatch):
+    # the fit reuses the marched times: one march per eps, through either
+    # module's name for simulate_odi
+    marched = []
+
+    def counting(cfg):
+        marched.append(cfg.eps)
+        return simulate_odi(cfg)
+
+    monkeypatch.setattr(dwlab.cli, "simulate_odi", counting)
+    monkeypatch.setattr(dwlab.odi, "simulate_odi", counting)
     ini = tmp_path / "lab.ini"
     ini.write_text("[odi]\neps_list = 1e-2 3e-3 1e-3\nhorizon = 1e4\n")
     code = main(["odi", "--config", str(ini), "--out", str(tmp_path / "o")])
     assert code == 0
+    assert marched == [1e-2, 3e-3, 1e-3]
     fitrec = json.loads((tmp_path / "o" / "odi_fit.json").read_text())
     assert set(fitrec) == {"p", "beta", "gamma", "slope", "target_slope",
                            "r2"}

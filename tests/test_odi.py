@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from dwlab._kernels import _odi_march_loop, odi_march_python
 from dwlab.odi import (OdiConfig, OdiTrace, PlateauViolation, odi_scaling_fit,
                        odi_target_slope, simulate_odi, w_inequality_fit,
                        w_inequality_total_time)
@@ -127,6 +130,69 @@ def test_target_slope_table():
     assert odi_target_slope(1.5, 0.25) == pytest.approx(-2.0 / 3.0)
     with pytest.raises(ValueError):
         odi_target_slope(2.0, 1.0)
+
+
+# ----------------------------------------------------------------------
+# the Python-float march against the array loop it replaces
+# ----------------------------------------------------------------------
+
+
+def march_args(seed, p, beta, dt, horizon, gamma=0.0, blow_level=None):
+    """odi_march arguments as simulate_odi builds them."""
+    m = max(1, int(round(1.0 / dt)))
+    n_max = int(math.ceil((horizon - 4.0) * m)) + 1
+    level = 1e8 * seed if blow_level is None else blow_level
+    return (seed, p, beta, gamma, 1.0, 1.0, 4.0, 1.0 / m, m, n_max,
+            level, 10.0)
+
+
+def stop_cause(args, v, blow):
+    if blow < 0:
+        return "horizon"
+    return "level" if v[blow] >= args[10] else "growth"
+
+
+# name: (odi_march arguments, what ends the march)
+MARCHES = {
+    "p2_b0_m32": (march_args(1e-3, 2.0, 0.0, 1 / 32, 2000.0), "level"),
+    "p2_b0_m64": (march_args(1e-2, 2.0, 0.0, 1 / 64, 400.0), "growth"),
+    "p2_b0_m3": (march_args(5e-2, 2.0, 0.0, 0.3, 60.0), "growth"),
+    "p2_b0.5_m8": (march_args(3e-2, 2.0, 0.5, 1 / 8, 400.0), "growth"),
+    "p1.5_b0.25_m16": (march_args(1e-2, 1.5, 0.25, 1 / 16, 400.0),
+                       "level"),
+    "corridor_p1.25": (march_args(1e-5, 1.25, 0.75, 1 / 16, 60.0,
+                                  gamma=0.5), "horizon"),
+    "to_horizon": (march_args(1e-3, 2.0, 0.0, 1 / 32, 40.0), "horizon"),
+    "ends_inside_window": (march_args(1e-3, 2.0, 0.0, 1 / 32, 4.2),
+                           "horizon"),
+    "m1": (march_args(5e-2, 2.0, 0.0, 1.0, 200.0), "growth"),
+    "growth_only": (march_args(1e-1, 2.0, 0.0, 0.5, 200.0,
+                               blow_level=math.inf), "growth"),
+}
+
+
+@pytest.mark.parametrize("name", list(MARCHES))
+def test_float_march_is_bit_identical_to_array_loop(name):
+    args, cause = MARCHES[name]
+    ref_v, ref_n, ref_blow = _odi_march_loop(*args)
+    v, n, blow = odi_march_python(*args)
+    assert (n, blow) == (ref_n, ref_blow)
+    assert len(v) == n
+    assert np.array_equal(v, ref_v[:n])
+    assert stop_cause(args, v, blow) == cause
+
+
+def test_float_march_maps_overflow_to_inf():
+    # v^p overflows at the first step: numpy scalars return inf, Python
+    # floats raise; both loops must stop at the same node
+    args = march_args(1e100, 2.0, 0.0, 1 / 32, 1e4)
+    with np.errstate(over="ignore"):
+        ref_v, ref_n, ref_blow = _odi_march_loop(*args)
+    v, n, blow = odi_march_python(*args)
+    assert (n, blow) == (ref_n, ref_blow) == (2, 1)
+    assert np.array_equal(v, ref_v[:n])
+    tr = simulate_odi(OdiConfig(p=2.0, beta=0.0, eps=1e100))
+    assert tr.blowup_time == 4.03125
 
 
 # ----------------------------------------------------------------------
