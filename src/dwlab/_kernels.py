@@ -1,17 +1,18 @@
-"""Hot numerical kernels, each with a numba-compiled loop and a fallback.
+"""Hot numerical kernels, one implementation each.
 
-numba is an optional extra: when it is not importable, or when
-DWLAB_DISABLE_NUMBA=1 is set, every kernel runs its fallback instead.
+* Bessel I0: ``bessel_i0_numpy`` (also bound as ``bessel_i0_kernel``), a
+  vectorized fixed-length series / asymptotic sum.
+* light-cone convolution: ``kernel_convolve`` deposits the quadrature's
+  Simpson x cubic-Lagrange weights into one fine-grid stencil and applies
+  it with one circular FFT convolution.
+* ODI march: ``odi_march``.  numba is an optional extra and compiles only
+  this kernel; when it is not importable, or when DWLAB_DISABLE_NUMBA=1 is
+  set, ``odi_march_python`` repeats the arithmetic of ``_odi_march_loop``
+  (the numba source) on Python floats and returns bit-for-bit the same
+  output.
 
-* Bessel I0: ``bessel_i0_kernel``; the fallback ``bessel_i0_numpy`` is a
-  vectorized fixed-length series.
-* light-cone convolution: ``kernel_convolve``; the fallback
-  ``kernel_convolve_numpy`` gathers one quadrature node at a time.
-* ODI march: ``odi_march``; the fallback ``odi_march_python`` repeats the
-  arithmetic of ``_odi_march_loop`` (the numba source) on Python floats
-  and returns bit-for-bit the same output.
-
-benchmarks/bench_kernels.py times each fallback against its numba loop.
+benchmarks/bench_kernels.py times each kernel, and the march's numba build
+where numba imports.
 """
 from __future__ import annotations
 
@@ -35,12 +36,6 @@ except ImportError:
     HAVE_NUMBA = False
 
 
-def _maybe_jit(fn):
-    if HAVE_NUMBA:
-        return _njit(cache=True)(fn)
-    return fn
-
-
 # ----------------------------------------------------------------------
 # modified Bessel I0: power series for y <= 20, asymptotic beyond
 # ----------------------------------------------------------------------
@@ -48,52 +43,12 @@ def _maybe_jit(fn):
 I0_SERIES_CUT = 20.0
 
 
-def _i0_scalar(y):
-    if y <= I0_SERIES_CUT:
-        q = 0.25 * y * y
-        term = 1.0
-        s = 1.0
-        for k in range(1, 60):
-            term *= q / (k * k)
-            s += term
-            if term < 1e-18 * s:
-                break
-        return s
-    # I0(y) ~ e^y / sqrt(2 pi y) * sum c_k y^-k, c_k = c_{k-1} (2k-1)^2 / (8k)
-    s = 1.0
-    term = 1.0
-    for k in range(1, 30):
-        new = term * (2.0 * k - 1.0) ** 2 / (8.0 * k * y)
-        if new > term:  # asymptotic series started diverging
-            break
-        term = new
-        s += term
-        if term < 1e-18 * s:
-            break
-    return math.exp(y) / math.sqrt(2.0 * math.pi * y) * s
-
-
-def _i0_loop(y, out):
-    for i in range(y.shape[0]):
-        out[i] = _i0_scalar(y[i])
-    return out
-
-
-if HAVE_NUMBA:
-    _i0_scalar_jit = _njit(cache=True)(_i0_scalar)
-
-    @_njit(cache=True)
-    def _i0_loop_jit(y, out):
-        for i in range(y.shape[0]):
-            out[i] = _i0_scalar_jit(y[i])
-        return out
-else:
-    _i0_scalar_jit = _i0_scalar
-    _i0_loop_jit = None
-
-
 def bessel_i0_numpy(y: np.ndarray) -> np.ndarray:
-    """Vectorized fallback: fixed-length series / asymptotic sums."""
+    """I0 by fixed-length series (y <= 20) and asymptotic sums (y > 20).
+
+    Works elementwise on arrays of any shape, 0-d included; I0(0) is
+    exactly 1.0.
+    """
     y = np.asarray(y, dtype=np.float64)
     out = np.empty_like(y)
     lo = y <= I0_SERIES_CUT
@@ -107,6 +62,7 @@ def bessel_i0_numpy(y: np.ndarray) -> np.ndarray:
         out[lo] = s
     hi = ~lo
     if np.any(hi):
+        # I0(y) ~ e^y / sqrt(2 pi y) * sum c_k y^-k, c_k = c_{k-1} (2k-1)^2 / (8k)
         z = y[hi]
         s = np.ones_like(z)
         term = np.ones_like(z)
@@ -117,11 +73,8 @@ def bessel_i0_numpy(y: np.ndarray) -> np.ndarray:
     return out
 
 
-def bessel_i0_kernel(y: np.ndarray) -> np.ndarray:
-    y = np.ascontiguousarray(y, dtype=np.float64)
-    if HAVE_NUMBA:
-        return _i0_loop_jit(y, np.empty_like(y))
-    return bessel_i0_numpy(y)
+# the name the light-cone quadrature calls
+bessel_i0_kernel = bessel_i0_numpy
 
 
 # ----------------------------------------------------------------------
@@ -130,51 +83,25 @@ def bessel_i0_kernel(y: np.ndarray) -> np.ndarray:
 # out[i] = sum_q wk[q] * cubic-interpolation of fu at fine index i*R - s_q,
 # where fu is f spectrally upsampled by R and wk folds Simpson weight,
 # kernel value and the e^{-t/2}/2 prefactor.  shift_q = m_q - rho_q with
-# m_q integer, rho_q in [0,1); lag[q, 0:4] are the cubic Lagrange weights.
+# m_q integer, rho_q in [0,1); lag[q, 0:4] are the cubic Lagrange weights
+# on the taps fu[i*R - m_q + j - 1], j = 0..3.
 # ----------------------------------------------------------------------
 
 
-def _kernel_convolve_loop(fu, wk, mq, lag, R, n_out):
-    nf = fu.shape[0]
-    nq = wk.shape[0]
-    out = np.zeros(n_out)
-    for i in range(n_out):
-        base = i * R
-        acc = 0.0
-        for q in range(nq):
-            b = base - mq[q]
-            acc += wk[q] * (
-                lag[q, 0] * fu[(b - 1) % nf]
-                + lag[q, 1] * fu[b % nf]
-                + lag[q, 2] * fu[(b + 1) % nf]
-                + lag[q, 3] * fu[(b + 2) % nf]
-            )
-        out[i] = acc
-    return out
-
-
-kernel_convolve_numba = _maybe_jit(_kernel_convolve_loop) if HAVE_NUMBA else None
-
-
-def kernel_convolve_numpy(fu, wk, mq, lag, R, n_out):
-    nf = fu.shape[0]
-    base = np.arange(n_out) * R
-    out = np.zeros(n_out)
-    for q in range(wk.shape[0]):
-        b = base - mq[q]
-        out += wk[q] * (
-            lag[q, 0] * fu[(b - 1) % nf]
-            + lag[q, 1] * fu[b % nf]
-            + lag[q, 2] * fu[(b + 1) % nf]
-            + lag[q, 3] * fu[(b + 2) % nf]
-        )
-    return out
-
-
 def kernel_convolve(fu, wk, mq, lag, R, n_out):
-    if kernel_convolve_numba is not None:
-        return kernel_convolve_numba(fu, wk, mq, lag, R, n_out)
-    return kernel_convolve_numpy(fu, wk, mq, lag, R, n_out)
+    """Every R-th sample of the circular convolution of fu with the stencil.
+
+    fu is the fine grid of R * n_out points.  Tap j of node q reads fu at
+    offset -(m_q - (j - 1)), so its weight wk[q] * lag[q, j] is deposited
+    at stencil index (m_q - (j - 1)) mod nf; one rfft/irfft pair then
+    applies all nodes at every fine point.
+    """
+    nf = fu.shape[0]
+    idx = (mq[:, None] - np.arange(-1, 3)) % nf
+    stencil = np.bincount(idx.ravel(), weights=(wk[:, None] * lag).ravel(),
+                          minlength=nf)
+    full = np.fft.irfft(np.fft.rfft(stencil) * np.fft.rfft(fu), n=nf)
+    return full[: R * n_out : R]
 
 
 # ----------------------------------------------------------------------
@@ -227,7 +154,7 @@ def _odi_march_loop(seed, p, beta, gamma, c1, c2, t0, dt, m, n_max,
     return v, n, blow
 
 
-odi_march_numba = _maybe_jit(_odi_march_loop) if HAVE_NUMBA else None
+odi_march_numba = _njit(cache=True)(_odi_march_loop) if HAVE_NUMBA else None
 
 
 def odi_march_python(seed, p, beta, gamma, c1, c2, t0, dt, m, n_max,

@@ -380,10 +380,12 @@ def run_decay(cfg: ExperimentConfig):
 
 def run_odi(cfg: ExperimentConfig):
     """Blow-up times of the memory-kernel march across eps, plus the fit."""
+    eps = np.array(cfg.eps_list)
+    if len(eps) < 3:
+        raise ValueError("need at least 3 eps values")
     out = _ensure_out(cfg)
     base = OdiConfig(p=cfg.p, beta=cfg.beta, gamma=cfg.gamma, t0=cfg.t0,
                      eps=cfg.eps_list[0], dt=cfg.odi_dt, horizon=cfg.horizon)
-    eps = np.array(cfg.eps_list)
     lines = []
     times = []
     for e in eps:
@@ -398,8 +400,6 @@ def run_odi(cfg: ExperimentConfig):
         fh.write("eps,blowup_time\n")
         for e, T in zip(eps, times):
             fh.write(f"{e:.17g},{T:.17g}\n")
-    if len(eps) < 3:
-        raise ValueError("need at least 3 eps values")
     # the same fit odi_scaling_fit makes, on the times already marched
     fit = fit_loglog(eps, times, window=(float(np.min(eps)),
                                          float(np.max(eps))))

@@ -139,21 +139,6 @@ class GridFunction:
             for xi, vi in zip(x, self.values):
                 fh.write(f"{xi:.17g},{vi:.17g}\n")
 
-    @classmethod
-    def from_csv(cls, path) -> "GridFunction":
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-        if data.ndim != 2 or data.shape[1] != 2:
-            raise GridError(f"{path}: expected two columns x,value")
-        x, v = data[:, 0], data[:, 1]
-        n = len(x)
-        h = x[1] - x[0]
-        if not np.allclose(np.diff(x), h, rtol=1e-12, atol=1e-12):
-            raise GridError(f"{path}: nodes are not equispaced")
-        spec = GridSpec(-x[0], n)
-        if abs(spec.h - h) > 1e-12 * abs(h):
-            raise GridError(f"{path}: node layout is not -L + j*h")
-        return cls(spec, v)
-
 
 @dataclass(frozen=True)
 class MomentVector:

@@ -48,6 +48,7 @@ __all__ = [
 BLOW_FACTOR = 1e8
 GROWTH_LIMIT = 10.0
 _MAX_NODES = 20_000_000
+_CHECK_BLOCK = 1 << 16  # nodes per block of OdiTrace's monotonicity check
 
 
 class PlateauViolation(RuntimeError):
@@ -128,13 +129,15 @@ class OdiTrace:
             raise ValueError("times and v must be matching 1d arrays")
         if np.any(v < 0.0):
             raise ValueError("v must be non-negative")
-        mask = times >= times[0] + 1.0
-        if np.count_nonzero(mask) > 1:
-            seg = v[mask]
-            dips = np.diff(seg)
-            floor = -1e-9 * max(1.0, float(np.max(seg[np.isfinite(seg)], initial=1.0)))
-            if np.any(dips < floor):
-                raise ValueError("v decreases after the memory window fills")
+        # times ascend, so the filled window is the slice from the first
+        # t >= t0 + 1; the check walks it in blocks to keep temporaries small
+        seg = v[np.searchsorted(times, times[0] + 1.0):]
+        if len(seg) > 1:
+            top = float(np.max(seg, where=np.isfinite(seg), initial=1.0))
+            floor = -1e-9 * max(1.0, top)
+            for i in range(0, len(seg) - 1, _CHECK_BLOCK):
+                if np.any(np.diff(seg[i:i + _CHECK_BLOCK + 1]) < floor):
+                    raise ValueError("v decreases after the memory window fills")
         times.setflags(write=False)
         v.setflags(write=False)
         object.__setattr__(self, "times", times)
@@ -168,8 +171,11 @@ def _march(seed, p, beta, gamma, c1, c2, t0, dt, horizon):
     blow_level = BLOW_FACTOR * seed
     v, n, blow = odi_march(seed, p, beta, gamma, c1, c2, t0, dt, m, n_max,
                            blow_level, GROWTH_LIMIT)
-    times = t0 + dt * np.arange(n)
-    return times, v[:n].copy(), blow
+    # in place: one n-length array instead of three temporaries
+    times = np.arange(n, dtype=np.float64)
+    times *= dt
+    times += t0
+    return times, (v if len(v) == n else v[:n].copy()), blow
 
 
 def simulate_odi(cfg: OdiConfig) -> OdiTrace:

@@ -41,7 +41,6 @@ __all__ = [
     "decay_scan",
     "residual_scan",
     "HEAT_EXPANSION_SLOPES",
-    "PRINTED_SLOPES",
 ]
 
 
@@ -266,8 +265,7 @@ def apply_S_kernel(t: float, f: GridFunction, nodes_per_cell: int = 8) -> GridFu
     mq = np.ceil(s).astype(np.int64)
     rho = mq - s                    # in [0, 1)
     lag = _cubic_lagrange_weights(rho)
-    out = _kernels.kernel_convolve(fu, np.ascontiguousarray(wk), mq,
-                                   np.ascontiguousarray(lag), R, spec.points)
+    out = _kernels.kernel_convolve(fu, wk, mq, lag, R, spec.points)
     return GridFunction(spec, out)
 
 
@@ -276,15 +274,9 @@ def apply_S_kernel(t: float, f: GridFunction, nodes_per_cell: int = 8) -> GridFu
 # ----------------------------------------------------------------------
 
 # target slopes for ||S(t) f||_{L^p} with f = g, g', g'' in L^1:
-# heat-expansion rates -1/(2p') - k/2, and the looser printed convention
-# -1/p' - k/2 kept alongside for comparison.
+# heat-expansion rates -1/(2p') - k/2.
 def HEAT_EXPANSION_SLOPES(p: float):
     a = (p - 1.0) / (2.0 * p)
-    return (-a, -a - 0.5, -a - 1.0)
-
-
-def PRINTED_SLOPES(p: float):
-    a = (p - 1.0) / p
     return (-a, -a - 0.5, -a - 1.0)
 
 
@@ -322,21 +314,14 @@ def decay_scan(f: GridFunction, p: float, times, window=None, label: str = "") -
 
 def residual_scan(f: GridFunction, p: float, times, variant: str = "heat",
                   window=None, label: str = "") -> DecayReport:
-    """Decay of S(t)f minus its parabolic (and optionally wave) approximation.
+    """Decay of S(t)f minus its parabolic approximation.
 
-    variant "heat": ||S(t)f - e^{t Lap} f||_{L^p};
-    variant "heat_plus_wave": additionally subtracts e^{-t/2} W(t) f.
+    variant "heat" (the only one): ||S(t)f - e^{t Lap} f||_{L^p}.
     """
-    if variant not in ("heat", "heat_plus_wave"):
+    if variant != "heat":
         raise ValueError(f"unknown variant {variant!r}")
     times = np.asarray(times, dtype=float)
-    norms = np.empty_like(times)
-    for i, t in enumerate(times):
-        r = apply_S(t, f) - apply_heat(t, f)
-        if variant == "heat_plus_wave":
-            damp = math.exp(-0.5 * t) if t < 1400.0 else 0.0
-            if damp > 0.0:
-                r = r - apply_wave(t, f) * damp
-        norms[i] = lp_norm(r, p)
+    norms = np.array([lp_norm(apply_S(t, f) - apply_heat(t, f), p)
+                      for t in times])
     return DecayReport(times, norms, float(p), fit_loglog(times, norms, window),
                        label or variant)

@@ -52,9 +52,8 @@ def bessel_i0(y):
     arr = np.asarray(y, dtype=np.float64)
     if np.any(arr < 0.0):
         raise ValueError("bessel_i0 requires y >= 0")
-    if arr.ndim == 0:
-        return float(_kernels._i0_scalar_jit(float(arr)))
-    return _kernels.bessel_i0_kernel(np.ascontiguousarray(arr))
+    out = _kernels.bessel_i0_numpy(arr)
+    return float(out) if arr.ndim == 0 else out
 
 
 # ----------------------------------------------------------------------

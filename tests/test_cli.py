@@ -159,6 +159,18 @@ def test_odi_report_schema(tmp_path, capsys, monkeypatch):
     assert len(csv) == 4
 
 
+def test_odi_rejects_short_eps_list_before_marching(tmp_path, capsys,
+                                                  monkeypatch):
+    marched = []
+    monkeypatch.setattr(dwlab.cli, "simulate_odi", marched.append)
+    out = tmp_path / "o"
+    code = main(["odi", "--eps-list", "1e-2,1e-3", "--out", str(out)])
+    assert code == 2
+    assert "need at least 3 eps values" in capsys.readouterr().err
+    assert marched == []
+    assert not (out / "odi.csv").exists()
+
+
 def test_lifespan_records(tmp_path, capsys):
     ini = tmp_path / "lab.ini"
     ini.write_text("[lifespan]\np = 1.5\neps_list = 0.5\nhorizon = 40\n")

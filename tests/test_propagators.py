@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from dwlab._kernels import kernel_convolve
 from dwlab.grid import GridFunction, GridSpec, lp_norm, moment
 from dwlab.propagators import (HEAT_EXPANSION_SLOPES, KernelRangeError,
-                               TruncationError, apply_S, apply_S_kernel,
-                               apply_dtS, apply_heat, apply_wave,
-                               damped_symbol, decay_scan, kernel_quadrature,
-                               linear_pair_matrix, residual_scan)
+                               TruncationError, _cubic_lagrange_weights,
+                               apply_S, apply_S_kernel, apply_dtS, apply_heat,
+                               apply_wave, damped_symbol, decay_scan,
+                               kernel_quadrature, linear_pair_matrix,
+                               residual_scan)
 from dwlab.special import gaussian_derivative
 
 SPEC = GridSpec(64.0, 4096)
@@ -90,6 +92,55 @@ def test_kernel_multiplier_duality(j):
         mult = apply_S(t, f)
         err = np.max(np.abs(direct.values - mult.values))
         assert err <= 1e-6 * scale
+
+
+def _gather_convolve(fu, wk, mq, lag, R, n_out):
+    """Direct-sum reference: gather the four cubic taps of every node."""
+    nf = fu.shape[0]
+    out = np.zeros(n_out)
+    for i in range(n_out):
+        base = i * R
+        acc = 0.0
+        for q in range(wk.shape[0]):
+            b = base - mq[q]
+            acc += wk[q] * (
+                lag[q, 0] * fu[(b - 1) % nf]
+                + lag[q, 1] * fu[b % nf]
+                + lag[q, 2] * fu[(b + 1) % nf]
+                + lag[q, 3] * fu[(b + 2) % nf]
+            )
+        out[i] = acc
+    return out
+
+
+@pytest.mark.parametrize("R,n_out", [(1, 301), (2, 128), (8, 64)])
+def test_kernel_convolve_matches_direct_sum(R, n_out):
+    rng = np.random.default_rng(R)
+    nf = R * n_out
+    # shifts at and past both ends of the fine grid, negative ones included,
+    # so taps wrap in both directions
+    edge = [0, 1, -1, 2, -2, nf - 2, nf - 1, nf, nf + 1, -nf, -nf - 2]
+    mq = np.concatenate([edge, rng.integers(-nf - 3, nf + 4, 40)])
+    mq = mq.astype(np.int64)
+    wk = rng.standard_normal(len(mq))
+    lag = rng.standard_normal((len(mq), 4))
+    fu = rng.standard_normal(nf)
+    ref = _gather_convolve(fu, wk, mq, lag, R, n_out)
+    out = kernel_convolve(fu, wk, mq, lag, R, n_out)
+    assert out.shape == (n_out,)
+    assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_kernel_convolve_conserves_mass():
+    # cubic Lagrange weights sum to one, so a constant passes through scaled
+    # by the total quadrature weight
+    rng = np.random.default_rng(7)
+    R, n_out = 8, 64
+    mq = rng.integers(-2 * R * n_out, 2 * R * n_out, 50).astype(np.int64)
+    wk = rng.uniform(0.0, 1.0, len(mq))
+    lag = _cubic_lagrange_weights(rng.uniform(0.0, 1.0, len(mq)))
+    out = kernel_convolve(np.full(R * n_out, 2.5), wk, mq, lag, R, n_out)
+    assert_allclose(out, np.sum(wk) * 2.5, rtol=1e-13)
 
 
 def test_kernel_range_errors():
