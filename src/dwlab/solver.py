@@ -20,10 +20,17 @@ pointwise on a 2x-refined grid and spectrally restricted; exact
 dealiasing is impossible for non-polynomial powers, so the residual
 aliasing is controlled a posteriori by duhamel_residual.
 
-Blow-up runs march adaptively: dt is halved whenever the step-doubling
-error estimate exceeds tol or the sup norm doubles within a step, and a
-run is declared blown up once the sup norm passes the threshold and the
-extrapolated divergence time is bracketed to under one percent.
+Stages with the same input share one batched FFT pair: k1 and k3 depend
+on y alone (N has no u row), k2 and k4 on k1 and k3.
+
+Blow-up runs march adaptively with the embedded RK4(3) pair of Balac &
+Mahe (Comput. Phys. Commun. 184 (2013) 1211-1219): with k5 = N(y'), the
+order-3 partner differs from y' by dt/10 (k4 - k5) in the v row, and k5
+is the next step's k1 (first same as last), so an attempt costs four
+nonlinear evaluations.  dt is halved whenever that error estimate
+exceeds tol or the sup norm doubles within a step, and a run is declared
+blown up once the sup norm passes the threshold and the extrapolated
+divergence time is bracketed to under one percent.
 """
 
 from __future__ import annotations
@@ -111,7 +118,12 @@ class SolverState:
 
 @dataclass(frozen=True)
 class SolverControls:
-    """Tolerances and limits for the adaptive lifespan march."""
+    """Tolerances and limits for the adaptive lifespan march.
+
+    step_tol bounds the relative RMS, over (u, v) in Fourier space, of the
+    embedded gap dt/10 (k4 - k5) against the new state.  max_steps counts
+    step attempts, rejected ones included, not accepted steps.
+    """
 
     dt_init: float = 0.02
     dt_min: float = 1e-12
@@ -197,54 +209,74 @@ def _stage_ops(spec: GridSpec, dt: float):
 
 
 def _nl_hat(yu: np.ndarray, p: float) -> np.ndarray:
-    """rfft of |u|^p, u given by its rfft, antialiased via a 2x grid."""
-    m = len(yu) - 1
-    n = 2 * m
-    fh = np.zeros(n + 1, dtype=np.complex128)
-    fh[: m + 1] = yu
-    fh[m] *= 0.5
-    fine = np.fft.irfft(fh, 2 * n) * 2.0
-    w = np.abs(fine) ** p
-    wh = np.fft.rfft(w)
-    out = wh[: m + 1] * 0.5
-    out[m] = wh[m].real  # fold the fine mode at the coarse Nyquist index
+    """rfft of |u|^p, u given by its rfft, antialiased via a 2x grid.
+
+    yu may be a stack of spectra (one per row); the rows share one
+    irfft/rfft pair and each comes out bit-identical to a single call.
+    """
+    m = yu.shape[-1] - 1
+    fh = yu.copy()
+    fh[..., m] *= 0.5
+    fine = np.fft.irfft(fh, 4 * m)  # zero-padded to the 2x grid
+    fine *= 2.0
+    np.abs(fine, out=fine)
+    fine **= p
+    wh = np.fft.rfft(fine)
+    out = wh[..., : m + 1] * 0.5
+    # fold the fine mode at the coarse Nyquist index
+    out[..., m] = wh[..., m].real
     return out
 
 
-def _lawson_step(yu, yv, p, E, Eh, dt, nonlinear, w1=None):
+def _lawson_rk4(yu, yv, p, E, Eh, dt, nonlinear=True, w1=None):
+    """One Lawson RK4 step in Fourier space; returns (u', v', w4).
+
+    Stages with the same input share one batched _nl_hat call: (w1, w3)
+    then (w2, w4), or (w2, w3) then w4 when w1 = N(y) is passed in.
+    Overflow to inf/nan is the blow-up detector downstream, so callers
+    run this under np.errstate(over="ignore", invalid="ignore").
+    """
     a11, a12, a21, a22 = E
     eu = a11 * yu + a12 * yv
     ev = a21 * yu + a22 * yv
     if not nonlinear:
-        return eu, ev
+        return eu, ev, None
     b11, b12, b21, b22 = Eh
-    # overflow to inf/nan is the blow-up detector downstream, not an error
-    with np.errstate(over="ignore", invalid="ignore"):
-        if w1 is None:
-            w1 = _nl_hat(yu, p)
-        w2 = _nl_hat(b11 * yu + b12 * (yv + (0.5 * dt) * w1), p)
-        w3 = _nl_hat(b11 * yu + b12 * yv, p)
+    # N(y) has no u row, so the third stage input is Eh y whatever w2 is
+    in3 = b11 * yu + b12 * yv
+    if w1 is None:
+        w1, w3 = _nl_hat(np.array((yu, in3)), p)
+        w2, w4 = _nl_hat(np.array((b11 * yu + b12 * (yv + (0.5 * dt) * w1),
+                                   eu + (dt * b12) * w3)), p)
+    else:
+        w2, w3 = _nl_hat(np.array((b11 * yu + b12 * (yv + (0.5 * dt) * w1),
+                                   in3)), p)
         w4 = _nl_hat(eu + (dt * b12) * w3, p)
-        c = dt / 6.0
-        return (eu + c * (a12 * w1 + 2.0 * b12 * (w2 + w3)),
-                ev + c * (a22 * w1 + 2.0 * b22 * (w2 + w3) + w4))
+    c = dt / 6.0
+    return (eu + c * (a12 * w1 + 2.0 * b12 * (w2 + w3)),
+            ev + c * (a22 * w1 + 2.0 * b22 * (w2 + w3) + w4), w4)
 
 
-def _attempt(yu, yv, p, spec, dt, nonlinear):
-    """One dt step and two dt/2 steps; returns the fine pair and the gap."""
+def _attempt(yu, yv, w1, p, spec, dt):
+    """One RK4 step with its embedded order-3 error estimate.
+
+    w1 = N(y) comes in and w5 = N(y') goes out (FSAL).  The embedded
+    solution differs from y' by dt/10 (w4 - w5) in the v row only; the
+    gap is measured as relative RMS over (u, v) against y'.  Returns
+    (u', v', w5, err).
+    """
     E, Eh = _stage_ops(spec, dt)
-    w1 = _nl_hat(yu, p) if nonlinear else None
-    fu, fv = _lawson_step(yu, yv, p, E, Eh, dt, nonlinear, w1)
-    E2, E2h = _stage_ops(spec, 0.5 * dt)
-    gu, gv = _lawson_step(yu, yv, p, E2, E2h, 0.5 * dt, nonlinear, w1)
-    gu, gv = _lawson_step(gu, gv, p, E2, E2h, 0.5 * dt, nonlinear)
-    scale = max(float(np.max(np.abs(gu))), float(np.max(np.abs(gv))), 1e-300)
-    du = (gu - fu) / scale
-    dv = (gv - fv) / scale
-    num = math.sqrt(float(np.mean(np.abs(du) ** 2) + np.mean(np.abs(dv) ** 2)))
-    den = math.sqrt(float(np.mean(np.abs(gu / scale) ** 2)
-                          + np.mean(np.abs(gv / scale) ** 2))) + 1e-300
-    return gu, gv, num / den
+    gu, gv, w4 = _lawson_rk4(yu, yv, p, E, Eh, dt, True, w1)
+    w5 = _nl_hat(gu, p)
+    scale = max(float(np.abs(gu).max()), float(np.abs(gv).max()), 1e-300)
+    s = 1.0 / scale
+    dv = ((0.1 * dt) * s) * (w4 - w5)
+    su = s * gu
+    sv = s * gv
+    n = gu.shape[-1]
+    num = math.sqrt(np.vdot(dv, dv).real / n)
+    den = math.sqrt((np.vdot(su, su).real + np.vdot(sv, sv).real) / n) + 1e-300
+    return gu, gv, w5, num / den
 
 
 def step(state: SolverState, p: float, dt: float,
@@ -256,7 +288,8 @@ def step(state: SolverState, p: float, dt: float,
     yu = np.fft.rfft(state.u.values)
     yv = np.fft.rfft(state.v.values)
     E, Eh = _stage_ops(spec, float(dt))
-    zu, zv = _lawson_step(yu, yv, float(p), E, Eh, float(dt), nonlinear)
+    with np.errstate(over="ignore", invalid="ignore"):
+        zu, zv, _ = _lawson_rk4(yu, yv, float(p), E, Eh, float(dt), nonlinear)
     u = np.fft.irfft(zu, spec.points)
     v = np.fft.irfft(zv, spec.points)
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
@@ -286,7 +319,8 @@ def integrate(u0: GridFunction, v0: GridFunction, p: float, t_final: float,
     times = [0.0]
     states = [(u0, v0)]
     for k in range(1, n + 1):
-        yu, yv = _lawson_step(yu, yv, float(p), E, Eh, dt, nonlinear)
+        with np.errstate(over="ignore", invalid="ignore"):
+            yu, yv, _ = _lawson_rk4(yu, yv, float(p), E, Eh, dt, nonlinear)
         if k % store_every == 0 or k == n:
             u = np.fft.irfft(yu, spec.points)
             v = np.fft.irfft(yv, spec.points)
@@ -305,9 +339,9 @@ _CORRIDOR_MIN_POINTS = 8
 _CORRIDOR_T0 = 4.0
 
 
-def _sample_offgrid(f: GridFunction, xq: np.ndarray) -> np.ndarray:
+def _sample_offgrid(spec: GridSpec, values: np.ndarray,
+                    xq: np.ndarray) -> np.ndarray:
     """Cubic Lagrange evaluation between nodes, periodic indexing."""
-    spec = f.spec
     s = (np.asarray(xq, dtype=np.float64) + spec.half_width) / spec.h
     base = np.floor(s).astype(np.int64)
     r = s - base
@@ -316,29 +350,34 @@ def _sample_offgrid(f: GridFunction, xq: np.ndarray) -> np.ndarray:
                   (r + 1.0) * (r - 1.0) * (r - 2.0) / 2.0,
                   -(r + 1.0) * r * (r - 2.0) / 2.0,
                   (r + 1.0) * r * (r - 1.0) / 6.0], axis=1)
-    return (f.values[idx] * w).sum(axis=1)
+    return (values[idx] * w).sum(axis=1)
 
 
-def _region_inf(f: GridFunction, lo: float, hi: float, strict: bool) -> float:
-    """Infimum of f over an interval; interpolates when nodes are scarce."""
-    x = f.spec.nodes
+def _region_inf(spec: GridSpec, x: np.ndarray, values: np.ndarray,
+                lo: float, hi: float, strict: bool) -> float:
+    """Infimum of the samples over an interval; interpolates when nodes
+    are scarce.  x = spec.nodes, which ascend, so the nodes inside are
+    one slice."""
     if strict:
-        mask = (x > lo) & (x < hi)
+        i0 = np.searchsorted(x, lo, side="right")
+        i1 = np.searchsorted(x, hi, side="left")
     else:
-        mask = (x >= lo - 1e-12) & (x <= hi + 1e-12)
-    vals = f.values[mask]
+        i0 = np.searchsorted(x, lo - 1e-12, side="left")
+        i1 = np.searchsorted(x, hi + 1e-12, side="right")
+    vals = values[i0:max(i0, i1)]
     if vals.size < _CORRIDOR_MIN_POINTS:
         xq = np.linspace(lo, hi, _CORRIDOR_MIN_POINTS + 2)[1:-1]
-        vals = np.concatenate([vals, _sample_offgrid(f, xq)])
+        vals = np.concatenate([vals, _sample_offgrid(spec, values, xq)])
     return float(vals.min())
 
 
-def _functional_values(u: GridFunction, t: float):
+def _functional_values(spec: GridSpec, x: np.ndarray, values: np.ndarray,
+                       t: float):
     rt = math.sqrt(t)
-    uval = rt * _region_inf(u, -rt, rt, strict=False)
+    uval = rt * _region_inf(spec, x, values, -rt, rt, strict=False)
     if t >= _CORRIDOR_T0:
-        wp = t * _region_inf(u, 0.5 * rt, rt, strict=True)
-        wm = t * _region_inf(u, -rt, -0.5 * rt, strict=True)
+        wp = t * _region_inf(spec, x, values, 0.5 * rt, rt, strict=True)
+        wm = t * _region_inf(spec, x, values, -rt, -0.5 * rt, strict=True)
     else:
         wp = math.nan
         wm = math.nan
@@ -349,7 +388,8 @@ def track_functionals(state: SolverState):
     """(U, w_plus, w_minus) at state.t; the corridors need t >= 4."""
     if state.t < _CORRIDOR_T0:
         raise ValueError("corridor functionals are defined for t >= 4")
-    return _functional_values(state.u, state.t)
+    spec = state.spec
+    return _functional_values(spec, spec.nodes, state.u.values, state.t)
 
 
 # ----------------------------------------------------------------------
@@ -371,10 +411,14 @@ def _extrapolate_blowup(ts, ms, p: float):
     z = np.asarray(ms[-k:]) ** (-(p - 1.0) / 2.0)
     if not np.all(np.isfinite(z)):
         return None
-    a, b = np.polyfit(t, z, 1)
+    # least-squares line z = a t + b in centred form; its root is tm - zm/a
+    tm = float(t.mean())
+    zm = float(z.mean())
+    tc = t - tm
+    a = float(np.dot(tc, z - zm)) / float(np.dot(tc, tc))
     if not a < 0.0:
         return None
-    return max(float(-b / a), float(t[-1]))
+    return max(tm - zm / a, float(t[-1]))
 
 
 def _edge_amplitude(values: np.ndarray) -> float:
@@ -415,73 +459,80 @@ def solve_lifespan(data: DataFamily, p: float, eps=None, horizon: float = 200.0,
     u_cap = 1e250 ** (1.0 / p)
     yu = np.fft.rfft(u_phys)
     yv = np.fft.rfft(v_phys)
+    x = spec.nodes
     t = 0.0
     dt = float(np.clip(ctrl.dt_init, ctrl.dt_min, ctrl.dt_max))
     steps = 0
     since_reject = 0
     ts, us, wps, wms = [], [], [], []
-    samp_t, samp_m = [], []
+    samp_m = []
     status = None
     T_low = T_high = None
 
-    while True:
-        if steps >= ctrl.max_steps:
-            raise RuntimeError("step budget exceeded before a verdict")
-        remaining = horizon - t
-        if remaining <= ctrl.dt_min:
-            status = SURVIVED_HORIZON
-            T_low = T_high = horizon
-            break
-        dt_eff = min(dt, remaining)
-        gu, gv, err = _attempt(yu, yv, p, spec, dt_eff, True)
-        steps += 1
-        cand = np.fft.irfft(gu, spec.points)
-        cand_max = float(np.max(np.abs(cand)))
-        bad = (not math.isfinite(err)) or (not math.isfinite(cand_max)) \
-            or err > ctrl.step_tol or cand_max > 2.0 * max(maxu, 1e-300)
-        if bad and dt > ctrl.dt_min * 1.0000001:
-            dt = max(0.5 * dt, ctrl.dt_min)
-            since_reject = 0
-            continue
-        if not math.isfinite(cand_max):
-            # dt is already at the floor; the field left the finite range
-            status = BLOWN_UP
-            T_low = t
-            break
-        # accept (at dt_min even an out-of-tolerance step is taken)
-        t += dt_eff
-        yu, yv = gu, gv
-        maxu = cand_max
-        samp_t.append(t)
-        samp_m.append(maxu)
-        uval, wp, wm = _functional_values(GridFunction(spec, cand), t)
-        ts.append(t)
-        us.append(uval)
-        wps.append(wp)
-        wms.append(wm)
-        if ctrl.check_boundary and \
-                _edge_amplitude(cand) > ctrl.boundary_tol * max(maxu, 1e-300):
-            status = TRUNCATION_ABORT
-            T_low = T_high = t
-            break
-        if maxu >= u_cap:
-            status = BLOWN_UP
-            T_low = t
-            break
-        if maxu >= threshold:
-            root = _extrapolate_blowup(samp_t, samp_m, p)
-            if root is not None and root - t <= 0.005 * root:
+    # overflow to inf/nan is the blow-up detector, not an error
+    with np.errstate(over="ignore", invalid="ignore"):
+        w1 = _nl_hat(yu, p)  # then carried over from each accepted attempt
+        while True:
+            if steps >= ctrl.max_steps:
+                raise RuntimeError(
+                    f"step budget exceeded before a verdict: {steps} "
+                    f"attempts, t = {t:.9g}, dt = {dt:.3g}, "
+                    f"max|u| = {maxu:.3g}")
+            remaining = horizon - t
+            if remaining <= ctrl.dt_min:
+                status = SURVIVED_HORIZON
+                T_low = T_high = horizon
+                break
+            dt_eff = min(dt, remaining)
+            gu, gv, w5, err = _attempt(yu, yv, w1, p, spec, dt_eff)
+            steps += 1
+            cand = np.fft.irfft(gu, spec.points)
+            cand_max = float(np.abs(cand).max())
+            bad = (not math.isfinite(err)) or (not math.isfinite(cand_max)) \
+                or err > ctrl.step_tol or cand_max > 2.0 * max(maxu, 1e-300)
+            if bad and dt > ctrl.dt_min * 1.0000001:
+                dt = max(0.5 * dt, ctrl.dt_min)
+                since_reject = 0
+                continue
+            if not math.isfinite(cand_max):
+                # dt is already at the floor; the field left the finite range
                 status = BLOWN_UP
                 T_low = t
-                T_high = root
                 break
-        since_reject += 1
-        if since_reject >= 8 and err < ctrl.step_tol / 64.0 and dt < ctrl.dt_max:
-            dt = min(2.0 * dt, ctrl.dt_max)
-            since_reject = 0
+            # accept (at dt_min even an out-of-tolerance step is taken)
+            t += dt_eff
+            yu, yv, w1 = gu, gv, w5
+            maxu = cand_max
+            samp_m.append(maxu)
+            uval, wp, wm = _functional_values(spec, x, cand, t)
+            ts.append(t)
+            us.append(uval)
+            wps.append(wp)
+            wms.append(wm)
+            if ctrl.check_boundary and _edge_amplitude(cand) \
+                    > ctrl.boundary_tol * max(maxu, 1e-300):
+                status = TRUNCATION_ABORT
+                T_low = T_high = t
+                break
+            if maxu >= u_cap:
+                status = BLOWN_UP
+                T_low = t
+                break
+            if maxu >= threshold:
+                root = _extrapolate_blowup(ts, samp_m, p)
+                if root is not None and root - t <= 0.005 * root:
+                    status = BLOWN_UP
+                    T_low = t
+                    T_high = root
+                    break
+            since_reject += 1
+            if since_reject >= 8 and err < ctrl.step_tol / 64.0 \
+                    and dt < ctrl.dt_max:
+                dt = min(2.0 * dt, ctrl.dt_max)
+                since_reject = 0
 
     if status == BLOWN_UP and T_high is None:
-        root = _extrapolate_blowup(samp_t, samp_m, p)
+        root = _extrapolate_blowup(ts, samp_m, p)
         T_high = T_low if root is None else min(root, T_low * 1.005)
         T_high = max(T_high, T_low)
     est = LifespanEstimate(status, T_low, T_high, threshold, spec)

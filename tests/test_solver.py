@@ -1,10 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 
+import dwlab.solver as solver
 from dwlab.grid import GridFunction, GridSpec, lp_norm
 from dwlab.propagators import linear_pair_matrix
 from dwlab.solver import (BLOWN_UP, SURVIVED_HORIZON, TRUNCATION_ABORT,
@@ -82,6 +84,60 @@ def test_constant_mode_fourth_order():
     assert order > 3.7
 
 
+def _ref_nl_hat(yu, p):
+    """|u|^p on the 2x grid for one spectrum, without batching."""
+    m = len(yu) - 1
+    n = 2 * m
+    fh = np.zeros(n + 1, dtype=np.complex128)
+    fh[: m + 1] = yu
+    fh[m] *= 0.5
+    fine = np.fft.irfft(fh, 2 * n) * 2.0
+    wh = np.fft.rfft(np.abs(fine) ** p)
+    out = wh[: m + 1] * 0.5
+    out[m] = wh[m].real
+    return out
+
+
+def _ref_lawson_step(yu, yv, p, dt, spec, nonlinear):
+    """Reference Lawson RK4 step: one _nl_hat call per stage, in order."""
+    a11, a12, a21, a22 = linear_pair_matrix(dt, spec)
+    eu = a11 * yu + a12 * yv
+    ev = a21 * yu + a22 * yv
+    if not nonlinear:
+        return eu, ev
+    b11, b12, b21, b22 = linear_pair_matrix(0.5 * dt, spec)
+    w1 = _ref_nl_hat(yu, p)
+    w2 = _ref_nl_hat(b11 * yu + b12 * (yv + (0.5 * dt) * w1), p)
+    w3 = _ref_nl_hat(b11 * yu + b12 * yv, p)
+    w4 = _ref_nl_hat(eu + (dt * b12) * w3, p)
+    c = dt / 6.0
+    return (eu + c * (a12 * w1 + 2.0 * b12 * (w2 + w3)),
+            ev + c * (a22 * w1 + 2.0 * b22 * (w2 + w3) + w4))
+
+
+@pytest.mark.parametrize("spec", [TORUS, SPEC], ids=["N64", "N1024"])
+@pytest.mark.parametrize("p,nonlinear", [(2.0, True), (1.5, True),
+                                         (2.0, False)])
+def test_step_and_integrate_match_unbatched_reference(spec, p, nonlinear):
+    # the batched stages must not move a single bit of the fixed-step path
+    st = gauss_state(amp=0.4, spec=spec)
+    dt = 0.05
+    yu = np.fft.rfft(st.u.values)
+    yv = np.fft.rfft(st.v.values)
+    zu, zv = _ref_lawson_step(yu, yv, p, dt, spec, nonlinear)
+    out = step(st, p=p, dt=dt, nonlinear=nonlinear)
+    assert np.array_equal(out.u.values, np.fft.irfft(zu, spec.points))
+    assert np.array_equal(out.v.values, np.fft.irfft(zv, spec.points))
+    traj = integrate(st.u, st.v, p=p, t_final=0.5, dt=dt,
+                     nonlinear=nonlinear, store_every=5)
+    for k in range(1, 11):
+        yu, yv = _ref_lawson_step(yu, yv, p, dt, spec, nonlinear)
+        if k % 5 == 0:
+            u, v = traj.states[k // 5]
+            assert np.array_equal(u.values, np.fft.irfft(yu, spec.points))
+            assert np.array_equal(v.values, np.fft.irfft(yv, spec.points))
+
+
 def test_step_rejects_bad_dt_and_signals_blowup():
     st = gauss_state()
     with pytest.raises(ValueError):
@@ -129,6 +185,115 @@ def test_torus_lifespan_brackets_ode_oracle():
     assert est.T_low < T_ref < est.T_high
     assert abs(est.T_high - T_ref) / T_ref < 0.01
     assert len(trace.times) >= 1
+
+
+@pytest.mark.parametrize("p", [2.0, 1.5])
+def test_embedded_estimate_is_fourth_order(p):
+    # the gap dt/10 (w4 - w5) is the local error of the order-3 partner,
+    # so halving dt cuts it about 16x
+    st = gauss_state()
+    yu = np.fft.rfft(st.u.values)
+    yv = np.fft.rfft(st.v.values)
+    w1 = solver._nl_hat(yu, p)
+    e1 = solver._attempt(yu, yv, w1, p, SPEC, 0.04)[3]
+    e2 = solver._attempt(yu, yv, w1, p, SPEC, 0.02)[3]
+    assert 12.0 <= e1 / e2 <= 20.0
+
+
+def test_march_costs_four_rows_per_attempt(monkeypatch):
+    # one N(y) to start, then w2, w3, w4 and w5 per attempt; w5 becomes the
+    # next w1 on acceptance (FSAL) and w1 is reused after a rejection
+    rows = []
+    calls = []
+    real_nl_hat, real_attempt = solver._nl_hat, solver._attempt
+
+    def nl_hat(yu, p):
+        rows.append(1 if yu.ndim == 1 else yu.shape[0])
+        return real_nl_hat(yu, p)
+
+    def attempt(yu, yv, w1, p, spec, dt):
+        out = real_attempt(yu, yv, w1, p, spec, dt)
+        calls.append((yu, w1, out))
+        return out
+
+    monkeypatch.setattr(solver, "_nl_hat", nl_hat)
+    monkeypatch.setattr(solver, "_attempt", attempt)
+    est, trace = solve_lifespan(torus_family(), 2.0, horizon=20.0,
+                                ctrl=SolverControls(check_boundary=False))
+    assert est.status == BLOWN_UP
+    assert sum(rows) == 1 + 4 * len(calls)
+    rejected = 0
+    for (yu0, w0, out0), (yu1, w1, _) in zip(calls, calls[1:]):
+        if yu1 is yu0:
+            rejected += 1
+            assert w1 is w0
+        else:
+            assert yu1 is out0[0] and w1 is out0[2]
+    assert rejected > 0
+    assert len(trace.times) == len(calls) - rejected
+
+
+def _polyfit_root(ts, ms, p):
+    """The np.polyfit form of _extrapolate_blowup's line fit."""
+    t = np.asarray(ts[-20:])
+    z = np.asarray(ms[-20:]) ** (-(p - 1.0) / 2.0)
+    a, b = np.polyfit(t, z, 1)
+    return None if not a < 0.0 else max(float(-b / a), float(t[-1]))
+
+
+def _exact_root(ts, ms, p):
+    """The same least-squares root in rational arithmetic."""
+    t = [Fraction(x) for x in ts[-20:]]
+    z = [Fraction(x) for x in np.asarray(ms[-20:]) ** (-(p - 1.0) / 2.0)]
+    tm = sum(t) / len(t)
+    zm = sum(z) / len(z)
+    a = sum((x - tm) * (y - zm) for x, y in zip(t, z)) \
+        / sum((x - tm) ** 2 for x in t)
+    return None if not a < 0 else max(float(tm - zm / a), float(t[-1]))
+
+
+def test_extrapolate_blowup_matches_polyfit():
+    rng = np.random.default_rng(7)
+    for trial in range(400):
+        p = float(rng.choice([1.25, 1.5, 2.0, 2.5, 3.0]))
+        T = rng.uniform(2.0, 60.0)
+        k = int(rng.integers(3, 30))
+        if trial % 2:
+            # samples toward blow-up, noisy sup norms
+            gaps = np.sort(rng.uniform(1e-3, 1.0, k))[::-1]
+            noise = 1e-3
+        else:
+            # near-degenerate: k steps at the dt floor, a nearly exact line
+            d = 10.0 ** rng.uniform(-9.0, -5.0)
+            gaps = d * np.arange(k, 0, -1)
+            noise = 1e-6
+        ts = list(T - gaps)
+        ms = list((gaps ** (-2.0 / (p - 1.0)))
+                  * (1.0 + noise * rng.standard_normal(k)))
+        got = solver._extrapolate_blowup(ts, ms, p)
+        want = _polyfit_root(ts, ms, p)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got == pytest.approx(want, rel=1e-12)
+    # a nearly flat window puts the root far out, where np.polyfit loses
+    # digits: the closed form still matches the exact least-squares root
+    for trial in range(20):
+        ts = list(np.sort(rng.uniform(10.0, 11.0, 12)))
+        ms = list(1e4 * (1.0 + 1e-7 * (np.array(ts) - 10.0))
+                  * (1.0 + 1e-9 * rng.standard_normal(12)))
+        got = solver._extrapolate_blowup(ts, ms, 2.0)
+        want = _exact_root(ts, ms, 2.0)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got == pytest.approx(want, rel=1e-12)
+    assert solver._extrapolate_blowup([1.0, 2.0], [1.0, 2.0], 2.0) is None
+
+
+def test_step_budget_error_reports_the_state():
+    ctrl = SolverControls(check_boundary=False, max_steps=3)
+    msg = r"3 attempts, t = 0\.06, dt = 0\.02, max\|u\| = "
+    with pytest.raises(RuntimeError, match=msg):
+        solve_lifespan(torus_family(), 2.0, horizon=20.0, ctrl=ctrl)
 
 
 def test_threshold_insensitivity():
