@@ -6,16 +6,16 @@
 Bessel I0 and the light-cone convolution have one implementation each
 (vectorized numpy; the convolution is one FFT stencil convolution).  The
 ODI march has two: the time column is the Python-float loop the library
-runs without numba (or with DWLAB_DISABLE_NUMBA=1), and the numba column
-is filled only where numba imports.  Reported numbers are best-of-N
-wall times after a warm-up call that absorbs JIT compilation.
+runs without numba, and the numba column is filled only where numba
+imports.  Reported numbers are best-of-N wall times after a warm-up call
+that absorbs JIT compilation.
 """
 import argparse
 import time
 
 import numpy as np
 
-from dwlab._kernels import (HAVE_NUMBA, bessel_i0_numpy, kernel_convolve,
+from dwlab._kernels import (HAVE_NUMBA, bessel_i0_kernel, kernel_convolve,
                             odi_march_numba, odi_march_python)
 from dwlab.grid import GridSpec
 from dwlab.propagators import (_cubic_lagrange_weights, _upsample,
@@ -34,7 +34,7 @@ def best_of(fn, repeats):
 
 def bench_bessel(repeats):
     y = np.linspace(0.0, 600.0, 400_000)
-    return "bessel i0", best_of(lambda: bessel_i0_numpy(y), repeats), None, 0.0
+    return "bessel i0", best_of(lambda: bessel_i0_kernel(y), repeats), None, 0.0
 
 
 def bench_convolve(repeats):
@@ -72,7 +72,7 @@ def main():
     ap.add_argument("--repeats", type=int, default=5)
     args = ap.parse_args()
     if not HAVE_NUMBA:
-        print("numba unavailable or disabled; the ODI march runs its fallback")
+        print("numba unavailable; the ODI march runs its fallback")
     print(f"{'kernel':<20} {'time':>10} {'numba':>10} {'speedup':>8} "
           f"{'max rel dev':>12}")
     for bench in (bench_bessel, bench_convolve, bench_odi):

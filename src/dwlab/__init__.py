@@ -3,16 +3,11 @@
 from .grid import (
     GridSpec,
     GridFunction,
-    MomentVector,
     Trajectory,
-    make_grid,
     grid_for_horizon,
     lp_norm,
-    sobolev_norm,
     spectral_derivative,
     moment,
-    moments,
-    weighted_norm,
 )
 from .special import (
     bessel_i0,
@@ -34,7 +29,6 @@ from .propagators import (
     apply_dtS,
     apply_S_kernel,
     apply_heat,
-    apply_wave,
     DecayReport,
     decay_scan,
     residual_scan,
@@ -48,7 +42,6 @@ from .solver import (
     SamplingError,
     step,
     integrate,
-    track_functionals,
     solve_lifespan,
     duhamel_residual,
 )

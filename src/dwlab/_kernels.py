@@ -1,15 +1,14 @@
 """Hot numerical kernels, one implementation each.
 
-* Bessel I0: ``bessel_i0_numpy`` (also bound as ``bessel_i0_kernel``), a
-  vectorized fixed-length series / asymptotic sum.
+* Bessel I0: ``bessel_i0_kernel``, a vectorized fixed-length series /
+  asymptotic sum.
 * light-cone convolution: ``kernel_convolve`` deposits the quadrature's
   Simpson x cubic-Lagrange weights into one fine-grid stencil and applies
   it with one circular FFT convolution.
 * ODI march: ``odi_march``.  numba is an optional extra and compiles only
-  this kernel; when it is not importable, or when DWLAB_DISABLE_NUMBA=1 is
-  set, ``odi_march_python`` repeats the arithmetic of ``_odi_march_loop``
-  (the numba source) on Python floats and returns bit-for-bit the same
-  output.
+  this kernel; when it is not importable, ``odi_march_python`` repeats
+  the arithmetic of ``_odi_march_loop`` (the numba source) on Python
+  floats and returns bit-for-bit the same output.
 
 benchmarks/bench_kernels.py times each kernel, and the march's numba build
 where numba imports.
@@ -17,17 +16,12 @@ where numba imports.
 from __future__ import annotations
 
 import math
-import os
 from array import array
 from collections import deque
 
 import numpy as np
 
-_DISABLE = os.environ.get("DWLAB_DISABLE_NUMBA", "").strip().lower() in {"1", "true", "yes", "on"}
-
 try:
-    if _DISABLE:
-        raise ImportError("numba disabled by DWLAB_DISABLE_NUMBA")
     from numba import njit as _njit
 
     HAVE_NUMBA = True
@@ -43,7 +37,7 @@ except ImportError:
 I0_SERIES_CUT = 20.0
 
 
-def bessel_i0_numpy(y: np.ndarray) -> np.ndarray:
+def bessel_i0_kernel(y: np.ndarray) -> np.ndarray:
     """I0 by fixed-length series (y <= 20) and asymptotic sums (y > 20).
 
     Works elementwise on arrays of any shape, 0-d included; I0(0) is
@@ -71,10 +65,6 @@ def bessel_i0_numpy(y: np.ndarray) -> np.ndarray:
             s += term
         out[hi] = np.exp(z) / np.sqrt(2.0 * np.pi * z) * s
     return out
-
-
-# the name the light-cone quadrature calls
-bessel_i0_kernel = bessel_i0_numpy
 
 
 # ----------------------------------------------------------------------

@@ -5,11 +5,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .special import lambert_w0
 
-__all__ = ["ExponentFit", "fit_loglog", "fit_critical_lifespan", "critical_lifespan_model"]
+__all__ = ["ExponentFit", "fit_loglog", "fit_critical_lifespan"]
 
 R2_ACCEPT = 0.98
 
@@ -56,17 +55,31 @@ def fit_loglog(x, y, window=None, r2_min: float = R2_ACCEPT) -> ExponentFit:
                        bool(r2 >= r2_min))
 
 
-def critical_lifespan_model(eps, A: float, B: float):
-    """T(eps) = A * eps^{-2/3} * exp(2 W(B eps^{-1/2}) / 3)."""
-    eps = np.asarray(eps, dtype=float)
-    return A * eps ** (-2.0 / 3.0) * np.exp(2.0 * lambert_w0(B / np.sqrt(eps)) / 3.0)
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_min(f, a: float, b: float, xatol: float) -> float:
+    """Minimizer of a unimodal f on [a, b] by golden-section search."""
+    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > xatol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
 
 
 def fit_critical_lifespan(eps, T):
     """Two-parameter fit of the p = 3/2 law T * eps^{2/3} = A exp(2 W(B eps^{-1/2})/3).
 
-    B is found by a bounded 1-D search in log B (A is closed-form at fixed B,
-    the model being linear in log A).  Returns (A, B, r_squared).
+    B is found by a golden-section search in log B on [-15, 15] (A is
+    closed-form at fixed B, the model being linear in log A).  Returns
+    (A, B, r_squared).
     """
     eps = np.asarray(eps, dtype=float)
     T = np.asarray(T, dtype=float)
@@ -78,15 +91,14 @@ def fit_critical_lifespan(eps, T):
         logA = float(np.mean(y - w))
         return float(np.sum((y - logA - w) ** 2))
 
-    res = minimize_scalar(sse, bounds=(-15.0, 15.0), method="bounded",
-                          options={"xatol": 1e-10})
-    B = math.exp(res.x)
+    logB = _golden_min(sse, -15.0, 15.0, 1e-10)
+    B = math.exp(logB)
     w = (2.0 / 3.0) * lambert_w0(B * x)
     A = math.exp(float(np.mean(y - w)))
     # score the fit on log T itself, not on the detrended variable y,
     # so that a near-power-law data set is not penalized for its trend
     logT = np.log(T)
-    ss_res = sse(res.x)  # same residuals either way; the trend cancels
+    ss_res = sse(logB)  # same residuals either way; the trend cancels
     ss_tot = float(np.sum((logT - np.mean(logT)) ** 2))
     r2 = 1.0 if ss_tot <= 1e-300 else max(0.0, 1.0 - ss_res / ss_tot)
     return A, B, min(r2, 1.0)

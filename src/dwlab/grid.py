@@ -2,13 +2,12 @@
 
 Everything in the package lives on a truncated torus [-L, L) sampled at N
 equispaced nodes.  This module owns the grid description, sampled functions,
-trapezoidal quadrature, spectral derivatives, moment functionals and the
-weighted space-time norms used to monitor global solutions.
+trapezoidal quadrature, spectral derivatives and moment functionals.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,16 +16,11 @@ __all__ = [
     "MomentOrderError",
     "GridSpec",
     "GridFunction",
-    "MomentVector",
     "Trajectory",
-    "make_grid",
     "grid_for_horizon",
     "lp_norm",
     "spectral_derivative",
-    "sobolev_norm",
     "moment",
-    "moments",
-    "weighted_norm",
 ]
 
 
@@ -67,11 +61,6 @@ class GridSpec:
     def freqs(self) -> np.ndarray:
         """Real-FFT wavenumbers xi_k = pi*k/L, k = 0..N/2."""
         return 2.0 * np.pi * np.fft.rfftfreq(self.points, d=self.h)
-
-
-def make_grid(half_width: float, points: int) -> GridSpec:
-    """Validated GridSpec constructor."""
-    return GridSpec(half_width, points)
 
 
 def grid_for_horizon(horizon: float, data_radius: float, h_target: float,
@@ -141,19 +130,6 @@ class GridFunction:
 
 
 @dataclass(frozen=True)
-class MomentVector:
-    """Moments M_k = int x^k f dx for k = 0..K."""
-
-    m: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "m", np.asarray(self.m, dtype=np.float64))
-
-    def __getitem__(self, k: int) -> float:
-        return float(self.m[k])
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """Sampled solution history: times[i] paired with states[i] = (u, du/dt)."""
 
@@ -213,63 +189,9 @@ def spectral_derivative(f: GridFunction, order: int = 1) -> GridFunction:
     return GridFunction(f.spec, out)
 
 
-def sobolev_norm(f: GridFunction, p: float) -> float:
-    """W^{1,p} norm: ||f||_p + ||f'||_p with the spectral derivative."""
-    return lp_norm(f, p) + lp_norm(spectral_derivative(f), p)
-
-
 def moment(f: GridFunction, k: int) -> float:
     """M_k(f) = int x^k f dx, trapezoidal; k <= 4 only (x^k amplifies truncation)."""
     if not (0 <= int(k) <= 4):
         raise MomentOrderError(f"moment order must be 0..4, got {k}")
     x = f.spec.nodes
     return float(f.spec.h * np.sum((x ** int(k)) * f.values))
-
-
-def moments(f: GridFunction, k_max: int = 4) -> MomentVector:
-    return MomentVector(np.array([moment(f, k) for k in range(k_max + 1)]))
-
-
-_WEIGHTED_KINDS = ("X", "Y", "Z")
-
-
-def weighted_norm(traj: Trajectory, kind: str, p: float) -> float:
-    """Weighted space-time norm of a trajectory.
-
-    With p' = p/(p-1) and a = 1/(2p'), the three flavours are
-
-      X: sup_t [||u||_1 + (1+t)^a ||u||_p]
-         + sup_t (1+t)^{1/2} [||u_x||_1 + (1+t)^a ||u_x||_p]
-         + sup_t (1+t)      [||u_t||_1 + (1+t)^a ||u_t||_p]
-
-      Y: sup_t (1+t)^{1/2} [||u||_{W^{1,1}} + (1+t)^a ||u||_{W^{1,p}}]
-         + sup_t (1+t)     [||u_t||_1 + (1+t)^a ||u_t||_p]
-
-      Z: same as Y with both prefactors raised to (1+t).
-    """
-    if kind not in _WEIGHTED_KINDS:
-        raise ValueError(f"kind must be one of {_WEIGHTED_KINDS}, got {kind!r}")
-    p = float(p)
-    if not (1.0 < p <= 3.0):
-        raise ValueError(f"p must lie in (1, 3], got {p}")
-    a = (p - 1.0) / (2.0 * p)  # 1/(2 p')
-
-    s1 = s2 = s3 = 0.0
-    for t, (u, v) in zip(traj.times, traj.states):
-        w = 1.0 + t
-        ux = spectral_derivative(u)
-        u1, up = lp_norm(u, 1), lp_norm(u, p)
-        d1, dp = lp_norm(ux, 1), lp_norm(ux, p)
-        v1, vp = lp_norm(v, 1), lp_norm(v, p)
-        wa = w ** a
-        if kind == "X":
-            s1 = max(s1, u1 + wa * up)
-            s2 = max(s2, math.sqrt(w) * (d1 + wa * dp))
-            s3 = max(s3, w * (v1 + wa * vp))
-        elif kind == "Y":
-            s1 = max(s1, math.sqrt(w) * ((u1 + d1) + wa * (up + dp)))
-            s2 = max(s2, w * (v1 + wa * vp))
-        else:
-            s1 = max(s1, w * ((u1 + d1) + wa * (up + dp)))
-            s2 = max(s2, w * (v1 + wa * vp))
-    return s1 + s2 + s3

@@ -12,8 +12,8 @@ physical-space form of S(t) is the light-cone Bessel average
 
     S(t)f(x) = e^{-t/2} * (1/2) * int_{-t}^{t} I0(sqrt(t^2 - y^2)/2) f(x - y) dy,
 
-whose total mass is 1 - e^{-t}.  Heat and wave comparison operators share the
-same grid conventions so residuals can be formed directly.
+whose total mass is 1 - e^{-t}.  The heat comparison operator shares the same
+grid conventions so residuals can be formed directly.
 """
 from __future__ import annotations
 
@@ -36,7 +36,6 @@ __all__ = [
     "apply_dtS",
     "apply_S_kernel",
     "apply_heat",
-    "apply_wave",
     "DecayReport",
     "decay_scan",
     "residual_scan",
@@ -167,33 +166,6 @@ def apply_heat(t: float, f: GridFunction) -> GridFunction:
         raise ValueError("t must be >= 0")
     xi = f.spec.freqs
     return _apply_multiplier(f, np.exp(-t * xi * xi))
-
-
-def apply_wave(t: float, f: GridFunction) -> GridFunction:
-    """Sliding window W(t)f(x) = (1/2) int_{x-t}^{x+t} f(y) dy.
-
-    Midpoint-rule cumulative sum with linear interpolation between the
-    half-grid breakpoints; exact for constant f.
-    """
-    if t < 0.0:
-        raise ValueError("t must be >= 0")
-    spec = f.spec
-    h, N, L = spec.h, spec.points, spec.half_width
-    total = h * float(np.sum(f.values))
-    # cumulative integral at cell edges x_j + h/2 (midpoint rule per cell)
-    edges_val = np.concatenate([[0.0], np.cumsum(f.values) * h])
-
-    def cumulative(pos):
-        # integral of the periodized f from the left edge -L - h/2 to pos
-        rel = (pos - (-L - 0.5 * h))
-        wraps = np.floor(rel / (2.0 * L))
-        frac = rel - wraps * 2.0 * L
-        idx = np.minimum((frac / h).astype(int), N - 1)
-        local = edges_val[idx] + (frac - idx * h) * f.values[idx]
-        return wraps * total + local
-
-    x = spec.nodes
-    return GridFunction(spec, 0.5 * (cumulative(x + t) - cumulative(x - t)))
 
 
 # ----------------------------------------------------------------------

@@ -40,7 +40,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .grid import GridError, GridFunction, GridSpec, Trajectory
 from .propagators import apply_S, apply_dtS, damped_symbol, linear_pair_matrix
@@ -61,7 +60,6 @@ __all__ = [
     "integrate",
     "solve_lifespan",
     "duhamel_residual",
-    "track_functionals",
 ]
 
 BLOWN_UP = "blown_up"
@@ -384,14 +382,6 @@ def _functional_values(spec: GridSpec, x: np.ndarray, values: np.ndarray,
     return uval, wp, wm
 
 
-def track_functionals(state: SolverState):
-    """(U, w_plus, w_minus) at state.t; the corridors need t >= 4."""
-    if state.t < _CORRIDOR_T0:
-        raise ValueError("corridor functionals are defined for t >= 4")
-    spec = state.spec
-    return _functional_values(spec, spec.nodes, state.u.values, state.t)
-
-
 # ----------------------------------------------------------------------
 # lifespan march
 # ----------------------------------------------------------------------
@@ -546,16 +536,55 @@ def solve_lifespan(data: DataFamily, p: float, eps=None, horizon: float = 200.0,
 # ----------------------------------------------------------------------
 
 
+def _cubic_spline(x: np.ndarray, y: np.ndarray):
+    """Not-a-knot cubic spline through the rows of y at knots x (n >= 4).
+
+    The knot slopes solve the tridiagonal system of scipy's CubicSpline,
+    not-a-knot end rows included, so the two agree to roundoff.  Returns
+    a function of a 1-D array of query times; outside [x[0], x[-1]] the
+    end cubics extend.
+    """
+    n = len(x)
+    h = np.diff(x)
+    slope = np.diff(y, axis=0) / h[:, None]
+    A = np.zeros((n, n))
+    b = np.empty_like(y)
+    i = np.arange(1, n - 1)
+    A[i, i - 1] = h[1:]
+    A[i, i] = 2.0 * (h[:-1] + h[1:])
+    A[i, i + 1] = h[:-1]
+    b[1:-1] = 3.0 * (h[1:, None] * slope[:-1] + h[:-1, None] * slope[1:])
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    A[0, :2] = h[1], d0
+    b[0] = ((h[0] + 2.0 * d0) * h[1] * slope[0] + h[0] ** 2 * slope[1]) / d0
+    A[-1, -2:] = d1, h[-2]
+    b[-1] = (h[-1] ** 2 * slope[-2]
+             + (2.0 * d1 + h[-1]) * h[-2] * slope[-1]) / d1
+    s = np.linalg.solve(A, b)
+    # per interval, the cubic Hermite interpolant of (y, s) in t - x_k
+    c3 = (s[:-1] + s[1:] - 2.0 * slope) / h[:, None]
+    c2 = (slope - s[:-1]) / h[:, None] - c3
+    c3 /= h[:, None]
+
+    def evaluate(t):
+        k = np.clip(np.searchsorted(x, t, side="right") - 1, 0, n - 2)
+        r = (t - x[k])[:, None]
+        return ((c3[k] * r + c2[k]) * r + s[k]) * r + y[k]
+
+    return evaluate
+
+
 def duhamel_residual(traj: Trajectory, p: float, nodes: int = 64,
                      include_nonlinear: bool = True,
                      checkpoints=None) -> float:
     """Worst relative L2 gap between u(t) and its integral-equation form.
 
     The right-hand side S(t)(u0+u1) + dtS(t)u0 + int_0^t S(t-tau)|u|^p
-    is rebuilt with Gauss-Legendre quadrature in tau (u(tau) by cubic
-    spline in time), entirely through the linear propagators, so this is
-    independent of the stepper.  Checkpoints must be sample times; by
-    default the quarter points of the trajectory.
+    is rebuilt with Gauss-Legendre quadrature in tau, u(tau) by a
+    not-a-knot cubic spline through the u samples, entirely through the
+    linear propagators, so this is independent of the stepper.
+    Checkpoints must be sample times; by default the quarter points of
+    the trajectory.
     """
     if nodes < 64:
         raise SamplingError("at least 64 quadrature nodes are required")
@@ -575,7 +604,7 @@ def duhamel_residual(traj: Trajectory, p: float, nodes: int = 64,
                 raise ValueError("checkpoints must be positive sample times")
             idx.append(i)
     U = np.stack([s[0].values for s in traj.states])
-    spline = CubicSpline(times, U, axis=0) if include_nonlinear else None
+    spline = _cubic_spline(times, U) if include_nonlinear else None
     xg, wg = np.polynomial.legendre.leggauss(int(nodes))
     lin0 = u0 + v0
     worst = 0.0

@@ -52,7 +52,7 @@ def bessel_i0(y):
     arr = np.asarray(y, dtype=np.float64)
     if np.any(arr < 0.0):
         raise ValueError("bessel_i0 requires y >= 0")
-    out = _kernels.bessel_i0_numpy(arr)
+    out = _kernels.bessel_i0_kernel(arr)
     return float(out) if arr.ndim == 0 else out
 
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +13,22 @@ from dwlab.cli import (ConfigError, ExperimentConfig, _config_record,
 from dwlab.odi import simulate_odi
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy is a test-only oracle
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dwlab.cli.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, dwlab.cli; "
+            "print(dwlab.cli.__file__); "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.splitlines()
+    assert out[0] == dwlab.cli.__file__
+    assert out[1] == "[]"
 
 
 # ----------------------------------------------------------------------

@@ -10,9 +10,8 @@ from dwlab.grid import GridFunction, GridSpec, lp_norm, moment
 from dwlab.propagators import (HEAT_EXPANSION_SLOPES, KernelRangeError,
                                TruncationError, _cubic_lagrange_weights,
                                apply_S, apply_S_kernel, apply_dtS, apply_heat,
-                               apply_wave, damped_symbol, decay_scan,
-                               kernel_quadrature, linear_pair_matrix,
-                               residual_scan)
+                               damped_symbol, decay_scan, kernel_quadrature,
+                               linear_pair_matrix, residual_scan)
 from dwlab.special import gaussian_derivative
 
 SPEC = GridSpec(64.0, 4096)
@@ -170,23 +169,6 @@ def test_heat_semigroup_self_similarity():
     x = SPEC.nodes
     exact = (1.0 + t) ** -0.5 * np.exp(-0.25 * x * x / (1.0 + t))
     assert_allclose(out.values, exact, atol=1e-13)
-
-
-def test_wave_window_erf_oracle():
-    # W(t) f = (1/2) int_{x-t}^{x+t} f: erf closed form for a gaussian bump
-    from scipy.special import erf
-    spec = GridSpec(32.0, 4096)
-    x = spec.nodes
-    f = GridFunction(spec, np.exp(-4.0 * x * x))
-    t = 3.0
-    out = apply_wave(t, f)
-    exact = (math.sqrt(math.pi) / 8.0) * (erf(2.0 * (x + t))
-                                          - erf(2.0 * (x - t)))
-    assert np.max(np.abs(out.values - exact)) < 1e-4
-    # and exactness on constants
-    one = GridFunction(spec, np.ones(spec.points))
-    w1 = apply_wave(1.3, one)
-    assert_allclose(w1.values, 1.3, rtol=1e-13)
 
 
 def test_decay_scan_smoke_slopes():

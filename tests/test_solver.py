@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
+from scipy.interpolate import CubicSpline
 
 import dwlab.solver as solver
 from dwlab.grid import GridFunction, GridSpec, lp_norm
@@ -12,8 +13,8 @@ from dwlab.propagators import linear_pair_matrix
 from dwlab.solver import (BLOWN_UP, SURVIVED_HORIZON, TRUNCATION_ABORT,
                           BlowupSignal, FunctionalTrace, LifespanEstimate,
                           SamplingError, SolverControls, SolverState,
-                          duhamel_residual, integrate, solve_lifespan, step,
-                          track_functionals)
+                          _cubic_spline, _functional_values,
+                          duhamel_residual, integrate, solve_lifespan, step)
 from dwlab.special import DataFamily, make_data_family
 
 SPEC = GridSpec(32.0, 1024)
@@ -371,20 +372,11 @@ def test_lifespan_estimate_invariants():
 
 
 def test_functionals_on_constant_state():
-    one = GridFunction(SPEC, np.ones(SPEC.points))
-    zero = GridFunction(SPEC, np.zeros(SPEC.points))
-    st = SolverState(16.0, one, zero, 0.01)
-    U, wp, wm = track_functionals(st)
+    U, wp, wm = _functional_values(SPEC, SPEC.nodes, np.ones(SPEC.points),
+                                   16.0)
     assert U == pytest.approx(4.0, rel=1e-12)
     assert wp == pytest.approx(16.0, rel=1e-9)
     assert wm == pytest.approx(16.0, rel=1e-9)
-
-
-def test_functionals_reject_early_times():
-    one = GridFunction(SPEC, np.ones(SPEC.points))
-    zero = GridFunction(SPEC, np.zeros(SPEC.points))
-    with pytest.raises(ValueError):
-        track_functionals(SolverState(2.0, one, zero, 0.01))
 
 
 def test_corridor_signs_for_odd_data():
@@ -393,9 +385,8 @@ def test_corridor_signs_for_odd_data():
     u0, u1 = fam.initial_data()
     traj = integrate(u0, u1, p=2.0, t_final=30.0, dt=0.05,
                      nonlinear=False, store_every=len(range(0, 600)))
-    u_end, v_end = traj.states[-1]
-    st = SolverState(30.0, u_end, v_end, 0.05)
-    _, wp, wm = track_functionals(st)
+    u_end = traj.states[-1][0]
+    _, wp, wm = _functional_values(SPEC, SPEC.nodes, u_end.values, 30.0)
     assert wp < 0.0 < wm
 
 
@@ -433,6 +424,27 @@ def test_duhamel_residual_nonlinear_small():
     traj = integrate(st.u, st.v, p=2.0, t_final=4.0, dt=0.04)
     res = duhamel_residual(traj, p=2.0)
     assert res < 1e-8
+
+
+@pytest.mark.parametrize("knots", ["uniform", "nonuniform"])
+def test_cubic_spline_matches_scipy(knots):
+    # the oracle's time spline is scipy's not-a-knot CubicSpline to roundoff
+    rng = np.random.default_rng(3)
+    if knots == "uniform":
+        x = np.linspace(0.0, 4.0, 26)
+    else:
+        x = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 0.4, 19))])
+    U = np.sin(np.outer(x, np.linspace(0.5, 3.0, 7))) \
+        + 0.1 * rng.standard_normal((len(x), 7))
+    mid = x[:-1] + rng.uniform(0.0, 1.0, len(x) - 1) * np.diff(x)
+    ends = np.concatenate([x[0] + np.array([1e-3, 0.5]) * (x[1] - x[0]),
+                           x[-2] + np.array([0.5, 1.0 - 1e-3])
+                           * (x[-1] - x[-2])])
+    tq = np.concatenate([x, mid, ends])
+    ours = _cubic_spline(x, U)(tq)
+    ref = CubicSpline(x, U, axis=0)(tq)
+    assert np.max(np.abs(ours - ref)) <= 1e-12 * np.max(np.abs(U))
+    assert_allclose(ours[:len(x)], U, rtol=0.0, atol=1e-14)
 
 
 def test_duhamel_sampling_errors():
