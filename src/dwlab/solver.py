@@ -27,15 +27,22 @@ Blow-up runs march adaptively with the embedded RK4(3) pair of Balac &
 Mahe (Comput. Phys. Commun. 184 (2013) 1211-1219): with k5 = N(y'), the
 order-3 partner differs from y' by dt/10 (k4 - k5) in the v row, and k5
 is the next step's k1 (first same as last), so an attempt costs four
-nonlinear evaluations.  dt is halved whenever that error estimate
-exceeds tol or the sup norm doubles within a step, and a run is declared
-blown up once the sup norm passes the threshold and the extrapolated
-divergence time is bracketed to under one percent.
+nonlinear evaluations.  The step size follows the elementary controller
+of Hairer, Norsett & Wanner (Solving ODEs I, II.4), fac = min(2, max(0.2,
+0.9 (tol/err)^(1/4))), after an accepted step and after a rejection for
+tolerance; dt does not grow on the first accept after a rejection, and a
+doubling sup norm or a non-finite candidate halves it.  dt lives on the
+ladder dt_init 2^(k/4), clamped to [dt_min, dt_max]: the controller moves
+the integer k by floor(4 log2 fac) levels, so a run meets only a few dozen
+distinct step sizes and their stage operators stay cached.  A run is
+declared blown up once the sup norm passes the threshold and the
+extrapolated divergence time is bracketed to under one percent.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -119,8 +126,11 @@ class SolverControls:
     """Tolerances and limits for the adaptive lifespan march.
 
     step_tol bounds the relative RMS, over (u, v) in Fourier space, of the
-    embedded gap dt/10 (k4 - k5) against the new state.  max_steps counts
-    step attempts, rejected ones included, not accepted steps.
+    embedded gap dt/10 (k4 - k5) against the new state; the elementary
+    controller aims dt at 0.9 of it.  Every attempted dt is a level
+    dt_init 2^(k/4) of the step ladder, clamped to [dt_min, dt_max], or
+    the remainder up to the horizon.  max_steps counts step attempts,
+    rejected ones included, not accepted steps.
     """
 
     dt_init: float = 0.02
@@ -206,24 +216,47 @@ def _stage_ops(spec: GridSpec, dt: float):
     return _pair_ops(spec, dt), _pair_ops(spec, 0.5 * dt)
 
 
-def _nl_hat(yu: np.ndarray, p: float) -> np.ndarray:
+class _NlWork(threading.local):
+    """_nl_hat's work buffers, input shape -> (2x grid, its rfft).  Each
+    thread has its own, so concurrent marches never write into one."""
+
+    def __init__(self):
+        self.by_shape = {}
+
+
+_NL_WORK = _NlWork()
+
+
+def _nl_hat(yu: np.ndarray, p: float, field: bool = False):
     """rfft of |u|^p, u given by its rfft, antialiased via a 2x grid.
 
     yu may be a stack of spectra (one per row); the rows share one
     irfft/rfft pair and each comes out bit-identical to a single call.
+    With field=True the return is (rfft of |u|^p, u on the grid): u is
+    the even samples of the 2x grid, irfft(yu, N) up to rounding.  The
+    2x grid and its rfft are written into work buffers kept per thread
+    and input shape; no returned array aliases them.
     """
     m = yu.shape[-1] - 1
+    work = _NL_WORK.by_shape.get(yu.shape)
+    if work is None:
+        lead = yu.shape[:-1]
+        work = _NL_WORK.by_shape[yu.shape] = (
+            np.empty(lead + (4 * m,)),
+            np.empty(lead + (2 * m + 1,), dtype=np.complex128))
+    fine, wh = work
     fh = yu.copy()
     fh[..., m] *= 0.5
-    fine = np.fft.irfft(fh, 4 * m)  # zero-padded to the 2x grid
+    np.fft.irfft(fh, 4 * m, out=fine)  # zero-padded to the 2x grid
     fine *= 2.0
+    u = fine[..., ::2].copy() if field else None
     np.abs(fine, out=fine)
     fine **= p
-    wh = np.fft.rfft(fine)
+    np.fft.rfft(fine, out=wh)
     out = wh[..., : m + 1] * 0.5
     # fold the fine mode at the coarse Nyquist index
     out[..., m] = wh[..., m].real
-    return out
+    return (out, u) if field else out
 
 
 def _lawson_rk4(yu, yv, p, E, Eh, dt, nonlinear=True, w1=None):
@@ -261,11 +294,11 @@ def _attempt(yu, yv, w1, p, spec, dt):
     w1 = N(y) comes in and w5 = N(y') goes out (FSAL).  The embedded
     solution differs from y' by dt/10 (w4 - w5) in the v row only; the
     gap is measured as relative RMS over (u, v) against y'.  Returns
-    (u', v', w5, err).
+    (u', v', w5, err, u) with u the field of u' on the grid.
     """
     E, Eh = _stage_ops(spec, dt)
     gu, gv, w4 = _lawson_rk4(yu, yv, p, E, Eh, dt, True, w1)
-    w5 = _nl_hat(gu, p)
+    w5, u = _nl_hat(gu, p, True)
     scale = max(float(np.abs(gu).max()), float(np.abs(gv).max()), 1e-300)
     s = 1.0 / scale
     dv = ((0.1 * dt) * s) * (w4 - w5)
@@ -274,7 +307,7 @@ def _attempt(yu, yv, w1, p, spec, dt):
     n = gu.shape[-1]
     num = math.sqrt(np.vdot(dv, dv).real / n)
     den = math.sqrt((np.vdot(su, su).real + np.vdot(sv, sv).real) / n) + 1e-300
-    return gu, gv, w5, num / den
+    return gu, gv, w5, num / den, u
 
 
 def step(state: SolverState, p: float, dt: float,
@@ -415,6 +448,27 @@ def _edge_amplitude(values: np.ndarray) -> float:
     return float(np.max(np.abs(values[[0, 1, -2, -1]])))
 
 
+# the step ladder: 2^(j/4) for the four levels within an octave
+_LADDER = tuple(2.0 ** (j / 4.0) for j in range(4))
+
+
+def _ladder_dt(ctrl: SolverControls, k: int) -> float:
+    """Level k of the step ladder, dt_init 2^(k/4), clamped to
+    [dt_min, dt_max].  Levels k and k - 4 are exactly a factor 2 apart,
+    so the dt/2 stage operators of one level are the dt operators of
+    another."""
+    dt = math.ldexp(ctrl.dt_init * _LADDER[k % 4], k // 4)
+    return min(max(dt, ctrl.dt_min), ctrl.dt_max)
+
+
+def _ladder_move(err: float, tol: float) -> int:
+    """Ladder levels for the elementary controller's factor
+    fac = min(2, max(0.2, 0.9 (tol/err)^(1/4))): floor(4 log2 fac)."""
+    fac = 2.0 if err == 0.0 else \
+        min(2.0, max(0.2, 0.9 * (tol / err) ** 0.25))
+    return math.floor(4.0 * math.log2(fac))
+
+
 def solve_lifespan(data: DataFamily, p: float, eps=None, horizon: float = 200.0,
                    ctrl: SolverControls = None):
     """Adaptive march until blow-up, the horizon, or a truncation abort.
@@ -451,9 +505,13 @@ def solve_lifespan(data: DataFamily, p: float, eps=None, horizon: float = 200.0,
     yv = np.fft.rfft(v_phys)
     x = spec.nodes
     t = 0.0
-    dt = float(np.clip(ctrl.dt_init, ctrl.dt_min, ctrl.dt_max))
+    # dt is level k of the step ladder; past k_lo and k_hi the clamp holds
+    k = 0
+    k_lo = math.floor(4.0 * math.log2(ctrl.dt_min / ctrl.dt_init))
+    k_hi = math.ceil(4.0 * math.log2(ctrl.dt_max / ctrl.dt_init))
+    dt = _ladder_dt(ctrl, k)
     steps = 0
-    since_reject = 0
+    rejected = False
     ts, us, wps, wms = [], [], [], []
     samp_m = []
     status = None
@@ -474,15 +532,17 @@ def solve_lifespan(data: DataFamily, p: float, eps=None, horizon: float = 200.0,
                 T_low = T_high = horizon
                 break
             dt_eff = min(dt, remaining)
-            gu, gv, w5, err = _attempt(yu, yv, w1, p, spec, dt_eff)
+            gu, gv, w5, err, cand = _attempt(yu, yv, w1, p, spec, dt_eff)
             steps += 1
-            cand = np.fft.irfft(gu, spec.points)
             cand_max = float(np.abs(cand).max())
-            bad = (not math.isfinite(err)) or (not math.isfinite(cand_max)) \
-                or err > ctrl.step_tol or cand_max > 2.0 * max(maxu, 1e-300)
-            if bad and dt > ctrl.dt_min * 1.0000001:
-                dt = max(0.5 * dt, ctrl.dt_min)
-                since_reject = 0
+            halve = (not math.isfinite(err)) or (not math.isfinite(cand_max)) \
+                or cand_max > 2.0 * max(maxu, 1e-300)
+            if (halve or err > ctrl.step_tol) \
+                    and dt > ctrl.dt_min * 1.0000001:
+                k = max(k - 4 if halve else
+                        k + _ladder_move(err, ctrl.step_tol), k_lo)
+                dt = _ladder_dt(ctrl, k)
+                rejected = True
                 continue
             if not math.isfinite(cand_max):
                 # dt is already at the floor; the field left the finite range
@@ -515,11 +575,10 @@ def solve_lifespan(data: DataFamily, p: float, eps=None, horizon: float = 200.0,
                     T_low = t
                     T_high = root
                     break
-            since_reject += 1
-            if since_reject >= 8 and err < ctrl.step_tol / 64.0 \
-                    and dt < ctrl.dt_max:
-                dt = min(2.0 * dt, ctrl.dt_max)
-                since_reject = 0
+            move = _ladder_move(err, ctrl.step_tol)
+            k = min(max(k + (min(move, 0) if rejected else move), k_lo), k_hi)
+            dt = _ladder_dt(ctrl, k)
+            rejected = False
 
     if status == BLOWN_UP and T_high is None:
         root = _extrapolate_blowup(ts, samp_m, p)

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -208,9 +210,9 @@ def test_march_costs_four_rows_per_attempt(monkeypatch):
     calls = []
     real_nl_hat, real_attempt = solver._nl_hat, solver._attempt
 
-    def nl_hat(yu, p):
+    def nl_hat(yu, p, field=False):
         rows.append(1 if yu.ndim == 1 else yu.shape[0])
-        return real_nl_hat(yu, p)
+        return real_nl_hat(yu, p, field)
 
     def attempt(yu, yv, w1, p, spec, dt):
         out = real_attempt(yu, yv, w1, p, spec, dt)
@@ -219,8 +221,9 @@ def test_march_costs_four_rows_per_attempt(monkeypatch):
 
     monkeypatch.setattr(solver, "_nl_hat", nl_hat)
     monkeypatch.setattr(solver, "_attempt", attempt)
-    est, trace = solve_lifespan(torus_family(), 2.0, horizon=20.0,
-                                ctrl=SolverControls(check_boundary=False))
+    # from dt_init = dt_max the first attempts overshoot the tolerance
+    ctrl = SolverControls(check_boundary=False, dt_init=0.25)
+    est, trace = solve_lifespan(torus_family(), 2.0, horizon=20.0, ctrl=ctrl)
     assert est.status == BLOWN_UP
     assert sum(rows) == 1 + 4 * len(calls)
     rejected = 0
@@ -232,6 +235,125 @@ def test_march_costs_four_rows_per_attempt(monkeypatch):
             assert yu1 is out0[0] and w1 is out0[2]
     assert rejected > 0
     assert len(trace.times) == len(calls) - rejected
+
+
+def _unbuffered_nl_hat(yu, p, field=False):
+    """_nl_hat with fresh arrays for the 2x grid and its rfft."""
+    m = yu.shape[-1] - 1
+    fh = yu.copy()
+    fh[..., m] *= 0.5
+    fine = np.fft.irfft(fh, 4 * m)
+    fine *= 2.0
+    u = fine[..., ::2].copy()
+    wh = np.fft.rfft(np.abs(fine) ** p)
+    out = wh[..., : m + 1] * 0.5
+    out[..., m] = wh[..., m].real
+    return (out, u) if field else out
+
+
+def _random_spectra(n, rows, seed):
+    rng = np.random.default_rng(seed)
+    shape = (n,) if rows is None else (rows, n)
+    return np.fft.rfft(rng.standard_normal(shape) + 0.5)
+
+
+@pytest.mark.parametrize("n", [64, 1024])
+@pytest.mark.parametrize("rows", [None, 2], ids=["row", "stacked"])
+def test_nl_hat_field_is_the_grid_field(n, rows):
+    # the even samples of the 2x grid are irfft(yu, N) up to rounding
+    yu = _random_spectra(n, rows, 3)
+    _, u = solver._nl_hat(yu, 1.5, True)
+    want = np.fft.irfft(yu, n)
+    assert u.shape == want.shape
+    assert np.max(np.abs(u - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [64, 1024])
+@pytest.mark.parametrize("rows", [None, 2], ids=["row", "stacked"])
+def test_nl_hat_buffers_change_no_bit(n, rows):
+    first = _random_spectra(n, rows, 5)
+    second = _random_spectra(n, rows, 6)
+    for p in (1.25, 2.0):
+        assert np.array_equal(solver._nl_hat(first, p),
+                              _unbuffered_nl_hat(first, p))
+        out, u = solver._nl_hat(first, p, True)
+        want_out, want_u = _unbuffered_nl_hat(first, p, True)
+        assert np.array_equal(out, want_out)
+        assert np.array_equal(u, want_u)
+        # a later call on the same shape reuses the buffers, not the outputs
+        solver._nl_hat(second, p, True)
+        assert np.array_equal(out, want_out)
+        assert np.array_equal(u, want_u)
+        for buf in solver._NL_WORK.by_shape[first.shape]:
+            assert not np.shares_memory(out, buf)
+            assert not np.shares_memory(u, buf)
+
+
+def test_nl_hat_buffers_are_per_thread():
+    # threads calling _nl_hat on the same shape must not share its buffers
+    spectra = [_random_spectra(1024, 2, seed) for seed in range(4)]
+    want = [_unbuffered_nl_hat(yu, 1.5, True) for yu in spectra]
+    bad = []
+
+    def run(i):
+        for _ in range(200):
+            out, u = solver._nl_hat(spectra[i], 1.5, True)
+            if not (np.array_equal(out, want[i][0])
+                    and np.array_equal(u, want[i][1])):
+                bad.append(i)
+                return
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert bad == []
+
+
+@pytest.mark.parametrize("dt_init,step_tol", [(0.02, 1e-8), (0.25, 1e-8),
+                                               (0.02, 1e-2)])
+def test_controller_stays_on_the_dt_ladder(monkeypatch, dt_init, step_tol):
+    # dt_init = dt_max starts with tolerance rejections; the loose
+    # tolerance halves on sup-norm doubling, where the next err is small
+    calls = []
+    real_attempt = solver._attempt
+
+    def attempt(yu, yv, w1, p, spec, dt):
+        out = real_attempt(yu, yv, w1, p, spec, dt)
+        calls.append((yu, dt, out[0]))
+        return out
+
+    monkeypatch.setattr(solver, "_attempt", attempt)
+    ctrl = SolverControls(check_boundary=False, dt_init=dt_init,
+                          step_tol=step_tol)
+    horizon = 20.0
+    misses = solver._pair_ops.cache_info().misses
+    est, _ = solve_lifespan(torus_family(), 2.0, horizon=horizon, ctrl=ctrl)
+    assert est.status == BLOWN_UP
+    assert solver._pair_ops.cache_info().misses - misses <= 64
+    rejected = [cur[0] is nxt[0] for cur, nxt in zip(calls, calls[1:])]
+    t = 0.0
+    for i, (_, dt, _) in enumerate(calls):
+        level = 4.0 * math.log2(dt / dt_init)
+        assert (abs(level - round(level)) < 1e-9
+                or dt in (ctrl.dt_min, ctrl.dt_max)
+                or dt == pytest.approx(horizon - t, abs=1e-12))
+        if i < len(rejected) and not rejected[i]:
+            t += dt
+        if i >= 1 and rejected[i - 1]:
+            # a rejection shrinks dt, and its next accept does not grow it
+            assert dt < calls[i - 1][1]
+            if i + 1 < len(calls) and not rejected[i]:
+                assert calls[i + 1][1] <= dt
+    if (dt_init, step_tol) != (0.02, 1e-8):
+        assert any(rejected)
 
 
 def _polyfit_root(ts, ms, p):
@@ -292,7 +414,7 @@ def test_extrapolate_blowup_matches_polyfit():
 
 def test_step_budget_error_reports_the_state():
     ctrl = SolverControls(check_boundary=False, max_steps=3)
-    msg = r"3 attempts, t = 0\.06, dt = 0\.02, max\|u\| = "
+    msg = r"3 attempts, t = 0\.0765685425, dt = 0\.0283, max\|u\| = "
     with pytest.raises(RuntimeError, match=msg):
         solve_lifespan(torus_family(), 2.0, horizon=20.0, ctrl=ctrl)
 
