@@ -26,17 +26,21 @@ on y alone (N has no u row), k2 and k4 on k1 and k3.
 Blow-up runs march adaptively with the embedded RK4(3) pair of Balac &
 Mahe (Comput. Phys. Commun. 184 (2013) 1211-1219): with k5 = N(y'), the
 order-3 partner differs from y' by dt/10 (k4 - k5) in the v row, and k5
-is the next step's k1 (first same as last), so an attempt costs four
-nonlinear evaluations.  The step size follows the elementary controller
-of Hairer, Norsett & Wanner (Solving ODEs I, II.4), fac = min(2, max(0.2,
-0.9 (tol/err)^(1/4))), after an accepted step and after a rejection for
-tolerance; dt does not grow on the first accept after a rejection, and a
-doubling sup norm or a non-finite candidate halves it.  dt lives on the
-ladder dt_init 2^(k/4), clamped to [dt_min, dt_max]: the controller moves
-the integer k by floor(4 log2 fac) levels, so a run meets only a few dozen
-distinct step sizes and their stage operators stay cached.  A run is
-declared blown up once the sup norm passes the threshold and the
-extrapolated divergence time is bracketed to under one percent.
+is the next step's k1 (first same as last).  An attempt makes two batched
+nonlinear calls, four rows: (k2, k4), then (k5, the next attempt's k3
+guessed at the same dt).  One more single-row call rebuilds k3 only when
+the next dt differs: after a rejection, a ladder move, or on the
+remainder up to the horizon.  The step size follows the elementary
+controller of Hairer, Norsett & Wanner (Solving ODEs I, II.4), fac =
+min(2, max(0.2, 0.9 (tol/err)^(1/4))), after an accepted step and after
+a rejection for tolerance; dt does not grow on the first accept after a
+rejection, and a doubling sup norm or a non-finite candidate halves it.
+dt lives on the ladder dt_init 2^(k/4), clamped to [dt_min, dt_max]: the
+controller moves the integer k by 4 log2 fac rounded to the nearest
+integer, so a run meets only a few dozen distinct step sizes and their
+stage operators stay cached.  A run is declared blown up once the sup norm
+passes the threshold and the extrapolated divergence time is bracketed
+to under one percent.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ import math
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -127,10 +132,12 @@ class SolverControls:
 
     step_tol bounds the relative RMS, over (u, v) in Fourier space, of the
     embedded gap dt/10 (k4 - k5) against the new state; the elementary
-    controller aims dt at 0.9 of it.  Every attempted dt is a level
-    dt_init 2^(k/4) of the step ladder, clamped to [dt_min, dt_max], or
-    the remainder up to the horizon.  max_steps counts step attempts,
-    rejected ones included, not accepted steps.
+    controller aims dt at 0.9 of it and moves to the nearest ladder level.
+    Every attempted dt is a level dt_init 2^(k/4) of the step ladder,
+    clamped to [dt_min, dt_max], or the remainder up to the horizon.  An
+    attempt costs two batched nonlinear calls, four rows, plus one row
+    when its dt differs from the previous attempt's.  max_steps counts
+    step attempts, rejected ones included, not accepted steps.
     """
 
     dt_init: float = 0.02
@@ -212,8 +219,27 @@ def _pair_ops(spec: GridSpec, t: float):
     return linear_pair_matrix(t, spec)
 
 
-def _stage_ops(spec: GridSpec, dt: float):
-    return _pair_ops(spec, dt), _pair_ops(spec, 0.5 * dt)
+class _StageOps(NamedTuple):
+    """The operators of one step size dt: E = M(dt), the rows of
+    Eh = M(dt/2) that the stages use, and their products with the step's
+    constants."""
+
+    a11: np.ndarray
+    a12: np.ndarray
+    a21: np.ndarray
+    a22: np.ndarray
+    b11: np.ndarray
+    b12: np.ndarray
+    b12x2: np.ndarray  # 2 b12
+    b22x2: np.ndarray  # 2 b22
+    b12dt: np.ndarray  # dt b12
+
+
+@lru_cache(maxsize=256)
+def _stage_ops(spec: GridSpec, dt: float) -> _StageOps:
+    b11, b12, _, b22 = _pair_ops(spec, 0.5 * dt)
+    return _StageOps(*_pair_ops(spec, dt), b11, b12, 2.0 * b12, 2.0 * b22,
+                     dt * b12)
 
 
 class _NlWork(threading.local):
@@ -232,10 +258,10 @@ def _nl_hat(yu: np.ndarray, p: float, field: bool = False):
 
     yu may be a stack of spectra (one per row); the rows share one
     irfft/rfft pair and each comes out bit-identical to a single call.
-    With field=True the return is (rfft of |u|^p, u on the grid): u is
-    the even samples of the 2x grid, irfft(yu, N) up to rounding.  The
-    2x grid and its rfft are written into work buffers kept per thread
-    and input shape; no returned array aliases them.
+    With field=True the return is (rfft of |u|^p, u on the grid), u of
+    the first row only: the even samples of the 2x grid, irfft(yu, N) up
+    to rounding.  The 2x grid and its rfft are written into work buffers
+    kept per thread and input shape; no returned array aliases them.
     """
     m = yu.shape[-1] - 1
     work = _NL_WORK.by_shape.get(yu.shape)
@@ -249,7 +275,7 @@ def _nl_hat(yu: np.ndarray, p: float, field: bool = False):
     fh[..., m] *= 0.5
     np.fft.irfft(fh, 4 * m, out=fine)  # zero-padded to the 2x grid
     fine *= 2.0
-    u = fine[..., ::2].copy() if field else None
+    u = (fine[0] if fine.ndim > 1 else fine)[::2].copy() if field else None
     np.abs(fine, out=fine)
     fine **= p
     np.fft.rfft(fine, out=wh)
@@ -259,46 +285,61 @@ def _nl_hat(yu: np.ndarray, p: float, field: bool = False):
     return (out, u) if field else out
 
 
-def _lawson_rk4(yu, yv, p, E, Eh, dt, nonlinear=True, w1=None):
+def _head(yu, yv, p, ops: _StageOps, field=False):
+    """N(y) and N(Eh y) in one 2-row _nl_hat call.
+
+    They are w1 and w3 of a step from y: N(y) has no u row, so the third
+    stage input is Eh y whatever w2 is.  At the end of an attempt they
+    are w5 = N(y') and the next attempt's w3, guessed at the same dt.
+    """
+    rows = np.empty((2,) + yu.shape, dtype=np.complex128)
+    rows[0] = yu
+    np.add(ops.b11 * yu, ops.b12 * yv, out=rows[1])
+    return _nl_hat(rows, p, field)
+
+
+def _lawson_rk4(yu, yv, w1, w3, p, ops: _StageOps, dt):
     """One Lawson RK4 step in Fourier space; returns (u', v', w4).
 
-    Stages with the same input share one batched _nl_hat call: (w1, w3)
-    then (w2, w4), or (w2, w3) then w4 when w1 = N(y) is passed in.
-    Overflow to inf/nan is the blow-up detector downstream, so callers
-    run this under np.errstate(over="ignore", invalid="ignore").
+    w1 = N(y) and w3 = N(Eh y) come in (see _head); w2 and w4 share one
+    batched _nl_hat call.  Overflow to inf/nan is the blow-up detector
+    downstream, so callers run this under np.errstate(over="ignore",
+    invalid="ignore").
     """
-    a11, a12, a21, a22 = E
+    a11, a12, a21, a22, b11, b12, b12x2, b22x2, b12dt = ops
     eu = a11 * yu + a12 * yv
     ev = a21 * yu + a22 * yv
-    if not nonlinear:
-        return eu, ev, None
-    b11, b12, b21, b22 = Eh
-    # N(y) has no u row, so the third stage input is Eh y whatever w2 is
-    in3 = b11 * yu + b12 * yv
-    if w1 is None:
-        w1, w3 = _nl_hat(np.array((yu, in3)), p)
-        w2, w4 = _nl_hat(np.array((b11 * yu + b12 * (yv + (0.5 * dt) * w1),
-                                   eu + (dt * b12) * w3)), p)
-    else:
-        w2, w3 = _nl_hat(np.array((b11 * yu + b12 * (yv + (0.5 * dt) * w1),
-                                   in3)), p)
-        w4 = _nl_hat(eu + (dt * b12) * w3, p)
+    rows = np.empty((2,) + yu.shape, dtype=np.complex128)
+    np.add(b11 * yu, b12 * (yv + (0.5 * dt) * w1), out=rows[0])
+    np.add(eu, b12dt * w3, out=rows[1])
+    w2, w4 = _nl_hat(rows, p)
+    w23 = w2 + w3
     c = dt / 6.0
-    return (eu + c * (a12 * w1 + 2.0 * b12 * (w2 + w3)),
-            ev + c * (a22 * w1 + 2.0 * b22 * (w2 + w3) + w4), w4)
+    return (eu + c * (a12 * w1 + b12x2 * w23),
+            ev + c * (a22 * w1 + b22x2 * w23 + w4), w4)
 
 
-def _attempt(yu, yv, w1, p, spec, dt):
+def _fixed_step(yu, yv, p, ops: _StageOps, dt, nonlinear):
+    """One step of the fixed-step march: two 2-row _nl_hat calls."""
+    if not nonlinear:
+        return ops.a11 * yu + ops.a12 * yv, ops.a21 * yu + ops.a22 * yv
+    w1, w3 = _head(yu, yv, p, ops)
+    return _lawson_rk4(yu, yv, w1, w3, p, ops, dt)[:2]
+
+
+def _attempt(yu, yv, w1, w3, p, spec, dt):
     """One RK4 step with its embedded order-3 error estimate.
 
-    w1 = N(y) comes in and w5 = N(y') goes out (FSAL).  The embedded
+    w1 = N(y) and w3 = N(Eh y) at this dt come in; w5 = N(y') and the
+    guess w3' = N(Eh y') at the same dt go out, from one batched call.
+    w5 is the next attempt's w1 (first same as last).  The embedded
     solution differs from y' by dt/10 (w4 - w5) in the v row only; the
     gap is measured as relative RMS over (u, v) against y'.  Returns
-    (u', v', w5, err, u) with u the field of u' on the grid.
+    (u', v', w5, w3', err, u) with u the field of u' on the grid.
     """
-    E, Eh = _stage_ops(spec, dt)
-    gu, gv, w4 = _lawson_rk4(yu, yv, p, E, Eh, dt, True, w1)
-    w5, u = _nl_hat(gu, p, True)
+    ops = _stage_ops(spec, dt)
+    gu, gv, w4 = _lawson_rk4(yu, yv, w1, w3, p, ops, dt)
+    (w5, w3_next), u = _head(gu, gv, p, ops, True)
     scale = max(float(np.abs(gu).max()), float(np.abs(gv).max()), 1e-300)
     s = 1.0 / scale
     dv = ((0.1 * dt) * s) * (w4 - w5)
@@ -307,7 +348,7 @@ def _attempt(yu, yv, w1, p, spec, dt):
     n = gu.shape[-1]
     num = math.sqrt(np.vdot(dv, dv).real / n)
     den = math.sqrt((np.vdot(su, su).real + np.vdot(sv, sv).real) / n) + 1e-300
-    return gu, gv, w5, num / den, u
+    return gu, gv, w5, w3_next, num / den, u
 
 
 def step(state: SolverState, p: float, dt: float,
@@ -318,9 +359,9 @@ def step(state: SolverState, p: float, dt: float,
     spec = state.spec
     yu = np.fft.rfft(state.u.values)
     yv = np.fft.rfft(state.v.values)
-    E, Eh = _stage_ops(spec, float(dt))
+    ops = _stage_ops(spec, float(dt))
     with np.errstate(over="ignore", invalid="ignore"):
-        zu, zv, _ = _lawson_rk4(yu, yv, float(p), E, Eh, float(dt), nonlinear)
+        zu, zv = _fixed_step(yu, yv, float(p), ops, float(dt), nonlinear)
     u = np.fft.irfft(zu, spec.points)
     v = np.fft.irfft(zv, spec.points)
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
@@ -346,12 +387,12 @@ def integrate(u0: GridFunction, v0: GridFunction, p: float, t_final: float,
     spec = u0.spec
     yu = np.fft.rfft(u0.values)
     yv = np.fft.rfft(v0.values)
-    E, Eh = _stage_ops(spec, dt)
+    ops = _stage_ops(spec, dt)
     times = [0.0]
     states = [(u0, v0)]
     for k in range(1, n + 1):
         with np.errstate(over="ignore", invalid="ignore"):
-            yu, yv, _ = _lawson_rk4(yu, yv, float(p), E, Eh, dt, nonlinear)
+            yu, yv = _fixed_step(yu, yv, float(p), ops, dt, nonlinear)
         if k % store_every == 0 or k == n:
             u = np.fft.irfft(yu, spec.points)
             v = np.fft.irfft(yv, spec.points)
@@ -390,11 +431,11 @@ def _region_inf(spec: GridSpec, x: np.ndarray, values: np.ndarray,
     are scarce.  x = spec.nodes, which ascend, so the nodes inside are
     one slice."""
     if strict:
-        i0 = np.searchsorted(x, lo, side="right")
-        i1 = np.searchsorted(x, hi, side="left")
+        i0 = x.searchsorted(lo, side="right")
+        i1 = x.searchsorted(hi, side="left")
     else:
-        i0 = np.searchsorted(x, lo - 1e-12, side="left")
-        i1 = np.searchsorted(x, hi + 1e-12, side="right")
+        i0 = x.searchsorted(lo - 1e-12, side="left")
+        i1 = x.searchsorted(hi + 1e-12, side="right")
     vals = values[i0:max(i0, i1)]
     if vals.size < _CORRIDOR_MIN_POINTS:
         xq = np.linspace(lo, hi, _CORRIDOR_MIN_POINTS + 2)[1:-1]
@@ -435,8 +476,8 @@ def _extrapolate_blowup(ts, ms, p: float):
     if not np.all(np.isfinite(z)):
         return None
     # least-squares line z = a t + b in centred form; its root is tm - zm/a
-    tm = float(t.mean())
-    zm = float(z.mean())
+    tm = float(t.sum()) / k
+    zm = float(z.sum()) / k
     tc = t - tm
     a = float(np.dot(tc, z - zm)) / float(np.dot(tc, tc))
     if not a < 0.0:
@@ -445,7 +486,8 @@ def _extrapolate_blowup(ts, ms, p: float):
 
 
 def _edge_amplitude(values: np.ndarray) -> float:
-    return float(np.max(np.abs(values[[0, 1, -2, -1]])))
+    return float(max(abs(values[0]), abs(values[1]), abs(values[-2]),
+                     abs(values[-1])))
 
 
 # the step ladder: 2^(j/4) for the four levels within an octave
@@ -463,10 +505,13 @@ def _ladder_dt(ctrl: SolverControls, k: int) -> float:
 
 def _ladder_move(err: float, tol: float) -> int:
     """Ladder levels for the elementary controller's factor
-    fac = min(2, max(0.2, 0.9 (tol/err)^(1/4))): floor(4 log2 fac)."""
+    fac = min(2, max(0.2, 0.9 (tol/err)^(1/4))): 4 log2 fac rounded to the
+    nearest level.  Rounding up scales dt by at most 2^(1/8), so the
+    predicted error stays at or below (0.9 2^(1/8))^4 tol, about 0.92 tol:
+    the factor 0.9 remains the only safety margin."""
     fac = 2.0 if err == 0.0 else \
         min(2.0, max(0.2, 0.9 * (tol / err) ** 0.25))
-    return math.floor(4.0 * math.log2(fac))
+    return round(4.0 * math.log2(fac))
 
 
 def solve_lifespan(data: DataFamily, p: float, eps=None, horizon: float = 200.0,
@@ -519,7 +564,10 @@ def solve_lifespan(data: DataFamily, p: float, eps=None, horizon: float = 200.0,
 
     # overflow to inf/nan is the blow-up detector, not an error
     with np.errstate(over="ignore", invalid="ignore"):
-        w1 = _nl_hat(yu, p)  # then carried over from each accepted attempt
+        # w1 = N(y) and w3 = N(Eh y) for the step w3_dt; after an accepted
+        # attempt both come from its second _nl_hat call
+        w3_dt = min(dt, horizon)
+        w1, w3 = _head(yu, yv, p, _stage_ops(spec, w3_dt))
         while True:
             if steps >= ctrl.max_steps:
                 raise RuntimeError(
@@ -532,7 +580,14 @@ def solve_lifespan(data: DataFamily, p: float, eps=None, horizon: float = 200.0,
                 T_low = T_high = horizon
                 break
             dt_eff = min(dt, remaining)
-            gu, gv, w5, err, cand = _attempt(yu, yv, w1, p, spec, dt_eff)
+            if dt_eff != w3_dt:
+                # after a rejection, a ladder move or on the horizon
+                # remainder the guessed w3 is for another step size
+                ops = _stage_ops(spec, dt_eff)
+                w3 = _nl_hat(ops.b11 * yu + ops.b12 * yv, p)
+                w3_dt = dt_eff
+            gu, gv, w5, w3_next, err, cand = _attempt(yu, yv, w1, w3, p,
+                                                      spec, dt_eff)
             steps += 1
             cand_max = float(np.abs(cand).max())
             halve = (not math.isfinite(err)) or (not math.isfinite(cand_max)) \
@@ -551,7 +606,7 @@ def solve_lifespan(data: DataFamily, p: float, eps=None, horizon: float = 200.0,
                 break
             # accept (at dt_min even an out-of-tolerance step is taken)
             t += dt_eff
-            yu, yv, w1 = gu, gv, w5
+            yu, yv, w1, w3 = gu, gv, w5, w3_next
             maxu = cand_max
             samp_m.append(maxu)
             uval, wp, wm = _functional_values(spec, x, cand, t)

@@ -197,26 +197,30 @@ def test_embedded_estimate_is_fourth_order(p):
     st = gauss_state()
     yu = np.fft.rfft(st.u.values)
     yv = np.fft.rfft(st.v.values)
-    w1 = solver._nl_hat(yu, p)
-    e1 = solver._attempt(yu, yv, w1, p, SPEC, 0.04)[3]
-    e2 = solver._attempt(yu, yv, w1, p, SPEC, 0.02)[3]
-    assert 12.0 <= e1 / e2 <= 20.0
+
+    def err(dt):
+        w1, w3 = solver._head(yu, yv, p, solver._stage_ops(SPEC, dt))
+        return solver._attempt(yu, yv, w1, w3, p, SPEC, dt)[4]
+    assert 12.0 <= err(0.04) / err(0.02) <= 20.0
 
 
 def test_march_costs_four_rows_per_attempt(monkeypatch):
-    # one N(y) to start, then w2, w3, w4 and w5 per attempt; w5 becomes the
-    # next w1 on acceptance (FSAL) and w1 is reused after a rejection
-    rows = []
+    # one 2-row call for N(y), N(Eh y) to start; per attempt (w2, w4), then
+    # (w5, w3') with w3' = N(Eh y') guessed at the same dt.  w5 becomes the
+    # next w1 on acceptance (FSAL), w1 is reused after a rejection, and the
+    # carried w3 is rebuilt by one 1-row call only when dt changes
+    events = []
     calls = []
     real_nl_hat, real_attempt = solver._nl_hat, solver._attempt
 
     def nl_hat(yu, p, field=False):
-        rows.append(1 if yu.ndim == 1 else yu.shape[0])
+        events.append(1 if yu.ndim == 1 else yu.shape[0])
         return real_nl_hat(yu, p, field)
 
-    def attempt(yu, yv, w1, p, spec, dt):
-        out = real_attempt(yu, yv, w1, p, spec, dt)
-        calls.append((yu, w1, out))
+    def attempt(yu, yv, w1, w3, p, spec, dt):
+        events.append("attempt")
+        out = real_attempt(yu, yv, w1, w3, p, spec, dt)
+        calls.append((yu, w1, w3, dt, out))
         return out
 
     monkeypatch.setattr(solver, "_nl_hat", nl_hat)
@@ -225,16 +229,79 @@ def test_march_costs_four_rows_per_attempt(monkeypatch):
     ctrl = SolverControls(check_boundary=False, dt_init=0.25)
     est, trace = solve_lifespan(torus_family(), 2.0, horizon=20.0, ctrl=ctrl)
     assert est.status == BLOWN_UP
-    assert sum(rows) == 1 + 4 * len(calls)
-    rejected = 0
-    for (yu0, w0, out0), (yu1, w1, _) in zip(calls, calls[1:]):
+    # rows per _nl_hat call: the first pair, then per attempt its two calls
+    # followed by the rebuild, if any, before the next attempt
+    segments = [[]]
+    for e in events:
+        if e == "attempt":
+            segments.append([])
+        else:
+            segments[-1].append(e)
+    assert segments[0] == [2]
+    assert all(seg[:2] == [2, 2] for seg in segments[1:])
+    rebuilds = rejected = reused = 0
+    for i, (yu1, w1, w3, dt1, _) in enumerate(calls[1:], 1):
+        yu0, w1_0, w3_0, dt0, out0 = calls[i - 1]
+        moved = dt1 != dt0
+        assert segments[i][2:] == ([1] if moved else [])
+        rebuilds += moved
         if yu1 is yu0:
             rejected += 1
-            assert w1 is w0
+            assert w1 is w1_0
+            carried = w3_0
         else:
             assert yu1 is out0[0] and w1 is out0[2]
-    assert rejected > 0
+            carried = out0[3]
+        if moved:
+            assert w3 is not carried
+        else:
+            reused += 1
+            assert w3 is carried
+    assert rejected > 0 and reused > 0 and rebuilds > 0
     assert len(trace.times) == len(calls) - rejected
+    rows = [e for e in events if e != "attempt"]
+    assert len(rows) == 1 + 2 * len(calls) + rebuilds
+    assert sum(rows) == 2 + 4 * len(calls) + rebuilds
+
+
+@pytest.mark.parametrize("case", ["torus_rejections", "horizon_remainder"])
+def test_march_attempts_match_unbatched_reference(monkeypatch, case):
+    # every attempt of the march, carried w1/w3 and rebuilds included, is
+    # bit for bit the reference step that evaluates each stage afresh
+    calls = []
+    real_attempt = solver._attempt
+
+    def attempt(yu, yv, w1, w3, p, spec, dt):
+        out = real_attempt(yu, yv, w1, w3, p, spec, dt)
+        calls.append((yu, yv, dt, out[0], out[1]))
+        return out
+
+    monkeypatch.setattr(solver, "_attempt", attempt)
+    if case == "torus_rejections":
+        spec, p, horizon = TORUS, 2.0, 20.0
+        fam = torus_family()
+        ctrl = SolverControls(check_boundary=False, dt_init=0.25)
+    else:
+        spec, p, horizon = SPEC, 2.0, 1.1
+        st = gauss_state()
+        fam = DataFamily(st.u, st.v, "M0_nonzero", "gaussian", 1.0)
+        ctrl = SolverControls()
+    est, trace = solve_lifespan(fam, p, horizon=horizon, ctrl=ctrl)
+    for yu, yv, dt, gu, gv in calls:
+        zu, zv = _ref_lawson_step(yu, yv, p, dt, spec, True)
+        assert np.array_equal(gu, zu) and np.array_equal(gv, zv)
+    dts = [c[2] for c in calls]
+    if case == "torus_rejections":
+        assert est.status == BLOWN_UP
+        assert any(a[0] is b[0] for a, b in zip(calls, calls[1:]))
+        assert len(set(dts)) > 8
+    else:
+        assert est.status == SURVIVED_HORIZON
+        # the last step is the remainder up to the horizon, off the ladder
+        assert dts[-1] == pytest.approx(horizon - trace.times[-2], abs=1e-12)
+        level = 4.0 * math.log2(dts[-1] / ctrl.dt_init)
+        assert abs(level - round(level)) > 1e-6
+        assert dts[-1] < dts[-2]
 
 
 def _unbuffered_nl_hat(yu, p, field=False):
@@ -244,7 +311,7 @@ def _unbuffered_nl_hat(yu, p, field=False):
     fh[..., m] *= 0.5
     fine = np.fft.irfft(fh, 4 * m)
     fine *= 2.0
-    u = fine[..., ::2].copy()
+    u = (fine[0] if fine.ndim > 1 else fine)[::2].copy()
     wh = np.fft.rfft(np.abs(fine) ** p)
     out = wh[..., : m + 1] * 0.5
     out[..., m] = wh[..., m].real
@@ -260,10 +327,11 @@ def _random_spectra(n, rows, seed):
 @pytest.mark.parametrize("n", [64, 1024])
 @pytest.mark.parametrize("rows", [None, 2], ids=["row", "stacked"])
 def test_nl_hat_field_is_the_grid_field(n, rows):
-    # the even samples of the 2x grid are irfft(yu, N) up to rounding
+    # the even samples of the 2x grid are irfft(yu, N) up to rounding, for
+    # the first row of a stack
     yu = _random_spectra(n, rows, 3)
     _, u = solver._nl_hat(yu, 1.5, True)
-    want = np.fft.irfft(yu, n)
+    want = np.fft.irfft(yu if rows is None else yu[0], n)
     assert u.shape == want.shape
     assert np.max(np.abs(u - want)) <= 1e-14 * np.max(np.abs(want))
 
@@ -325,8 +393,8 @@ def test_controller_stays_on_the_dt_ladder(monkeypatch, dt_init, step_tol):
     calls = []
     real_attempt = solver._attempt
 
-    def attempt(yu, yv, w1, p, spec, dt):
-        out = real_attempt(yu, yv, w1, p, spec, dt)
+    def attempt(yu, yv, w1, w3, p, spec, dt):
+        out = real_attempt(yu, yv, w1, w3, p, spec, dt)
         calls.append((yu, dt, out[0]))
         return out
 
