@@ -10,8 +10,8 @@
   the arithmetic of ``_odi_march_loop`` (the numba source) on Python
   floats and returns bit-for-bit the same output.
 
-benchmarks/bench_kernels.py times each kernel, and the march's numba build
-where numba imports.
+``perfbench/run.py --trace 1`` reports each kernel's time as a traced
+span of the benchmark workloads that call it.
 """
 from __future__ import annotations
 

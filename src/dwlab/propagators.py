@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -54,24 +55,33 @@ class KernelRangeError(ValueError):
 _SEAM_Z = 0.1  # switch to the Taylor series when |t| * sqrt(|1/4 - xi^2|) < this
 
 
-def _symbol_pair(t: float, xi: np.ndarray):
-    """(sigma, d sigma/dt) at time t on an arbitrary wavenumber array."""
-    t = float(t)
-    if t < 0.0:
-        raise ValueError("t must be >= 0")
-    w = 0.25 - xi * xi
-    sigma = np.empty_like(xi)
-    sigma_t = np.empty_like(xi)
+def _symbol_pair(t, xi: np.ndarray):
+    """(sigma, d sigma/dt) at time t on an arbitrary wavenumber array.
 
-    z = t * np.sqrt(np.abs(w))
-    seam = z < _SEAM_Z
+    t may also be a 1-D array of times; each output then has one row per
+    time, and every row equals the scalar call at that time bit for bit.
+    """
+    ts = np.asarray(t, dtype=float)
+    if np.any(ts < 0.0):
+        raise ValueError("t must be >= 0")
+    shape = ts.shape + xi.shape
+    col = ts.shape + (1,) * xi.ndim
+    w = 0.25 - xi * xi
+    # e^{-t/2} from math.exp, one value per time, as the scalar call takes it
+    damp = np.array([math.exp(-0.5 * s) for s in ts.flat]).reshape(col)
+    T, W, D = (np.broadcast_to(a, shape) for a in (ts.reshape(col), w, damp))
+    sigma = np.empty(shape)
+    sigma_t = np.empty(shape)
+
+    seam = T * np.sqrt(np.abs(w)) < _SEAM_Z   # z = t sqrt|w|
     hyp = (w > 0.0) & ~seam
     trig = (w < 0.0) & ~seam
 
     if np.any(seam):
         # sinh(t mu)/mu and cosh(t mu) are entire in w = mu^2; six terms of
         # the Taylor series in w t^2 are exact to 1e-16 for |z| < 0.1
-        q = w[seam] * t * t
+        ti, di = T[seam], D[seam]
+        q = W[seam] * ti * ti
         s = np.zeros_like(q)   # sinh(t mu)/(t mu)
         c = np.zeros_like(q)   # cosh(t mu)
         qk = np.ones_like(q)
@@ -79,25 +89,26 @@ def _symbol_pair(t: float, xi: np.ndarray):
             s += qk / math.factorial(2 * m + 1)
             c += qk / math.factorial(2 * m)
             qk = qk * q
-        damp = math.exp(-0.5 * t)
-        sigma[seam] = damp * t * s
-        sigma_t[seam] = damp * c - 0.5 * sigma[seam]
+        sig = di * ti * s
+        sigma[seam] = sig
+        sigma_t[seam] = di * c - 0.5 * sig
 
     if np.any(hyp):
-        mu = np.sqrt(w[hyp])
+        ti = T[hyp]
+        mu = np.sqrt(W[hyp])
         # e^{-t/2} folded into the exponentials keeps everything in [0, 1]
-        ep = np.exp(t * (mu - 0.5))
-        em = np.exp(-t * (mu + 0.5))
+        ep = np.exp(ti * (mu - 0.5))
+        em = np.exp(-ti * (mu + 0.5))
         sig = (ep - em) / (2.0 * mu)
         sigma[hyp] = sig
         sigma_t[hyp] = 0.5 * (ep + em) - 0.5 * sig
 
     if np.any(trig):
-        nu = np.sqrt(-w[trig])
-        damp = math.exp(-0.5 * t)
-        sig = damp * np.sin(t * nu) / nu
+        ti, di = T[trig], D[trig]
+        nu = np.sqrt(-W[trig])
+        sig = di * np.sin(ti * nu) / nu
         sigma[trig] = sig
-        sigma_t[trig] = damp * np.cos(t * nu) - 0.5 * sig
+        sigma_t[trig] = di * np.cos(ti * nu) - 0.5 * sig
 
     return sigma, sigma_t
 
@@ -162,10 +173,13 @@ def apply_dtS(t: float, f: GridFunction, check_boundary: bool = True) -> GridFun
 
 def apply_heat(t: float, f: GridFunction) -> GridFunction:
     """Heat semigroup e^{t Lap} f via the multiplier e^{-t xi^2}."""
+    return _apply_multiplier(f, _heat_symbol(t, f.spec.freqs))
+
+
+def _heat_symbol(t: float, xi: np.ndarray) -> np.ndarray:
     if t < 0.0:
         raise ValueError("t must be >= 0")
-    xi = f.spec.freqs
-    return _apply_multiplier(f, np.exp(-t * xi * xi))
+    return np.exp(-t * xi * xi)
 
 
 # ----------------------------------------------------------------------
@@ -277,10 +291,25 @@ class DecayReport:
         }
 
 
+@lru_cache(maxsize=1)
+def _scan_sigmas(spec: GridSpec, times: tuple) -> tuple:
+    """sigma(t) on spec for each scan time; the scans of one input share it."""
+    return tuple(damped_symbol(t, spec).sigma for t in times)
+
+
+def _scan_terms(f: GridFunction, times: np.ndarray):
+    """Once per scan: the boundary check, rfft(f) and the S(t) multipliers."""
+    _check_boundary(f)
+    return np.fft.rfft(f.values), _scan_sigmas(f.spec, tuple(times.tolist()))
+
+
 def decay_scan(f: GridFunction, p: float, times, window=None, label: str = "") -> DecayReport:
     """||S(t) f||_{L^p} over the given times with a log-log fit."""
     times = np.asarray(times, dtype=float)
-    norms = np.array([lp_norm(apply_S(t, f), p) for t in times])
+    fh, sigmas = _scan_terms(f, times)
+    n = f.spec.points
+    norms = np.array([lp_norm(GridFunction(f.spec, np.fft.irfft(fh * sig, n=n)), p)
+                      for sig in sigmas])
     return DecayReport(times, norms, float(p), fit_loglog(times, norms, window), label)
 
 
@@ -293,7 +322,13 @@ def residual_scan(f: GridFunction, p: float, times, variant: str = "heat",
     if variant != "heat":
         raise ValueError(f"unknown variant {variant!r}")
     times = np.asarray(times, dtype=float)
-    norms = np.array([lp_norm(apply_S(t, f) - apply_heat(t, f), p)
-                      for t in times])
+    fh, sigmas = _scan_terms(f, times)
+    n, xi = f.spec.points, f.spec.freqs
+    norms = []
+    for t, sig in zip(times, sigmas):
+        heat = np.fft.irfft(fh * _heat_symbol(t, xi), n=n)
+        gap = np.fft.irfft(fh * sig, n=n) - heat
+        norms.append(lp_norm(GridFunction(f.spec, gap), p))
+    norms = np.array(norms)
     return DecayReport(times, norms, float(p), fit_loglog(times, norms, window),
                        label or variant)

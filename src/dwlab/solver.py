@@ -54,7 +54,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .grid import GridError, GridFunction, GridSpec, Trajectory
-from .propagators import apply_S, apply_dtS, damped_symbol, linear_pair_matrix
+from .propagators import _symbol_pair, damped_symbol, linear_pair_matrix
 from .special import DataFamily
 
 __all__ = [
@@ -720,23 +720,26 @@ def duhamel_residual(traj: Trajectory, p: float, nodes: int = 64,
     U = np.stack([s[0].values for s in traj.states])
     spline = _cubic_spline(times, U) if include_nonlinear else None
     xg, wg = np.polynomial.legendre.leggauss(int(nodes))
-    lin0 = u0 + v0
+    n = spec.points
+    lin0h = np.fft.rfft((u0 + v0).values)
+    u0h = np.fft.rfft(u0.values)
     worst = 0.0
     for i in idx:
         tc = float(times[i])
         target = U[i]
-        rhs = apply_S(tc, lin0, check_boundary=False).values \
-            + apply_dtS(tc, u0, check_boundary=False).values
+        sym = damped_symbol(tc, spec)
+        rhs = np.fft.irfft(lin0h * sym.sigma, n=n) \
+            + np.fft.irfft(u0h * sym.sigma_t, n=n)
         if include_nonlinear:
             tau = 0.5 * tc * (xg + 1.0)
             wq = 0.5 * tc * wg
             nl = np.abs(spline(tau)) ** p
             nlh = np.fft.rfft(nl, axis=1)
-            acc = np.zeros(spec.points // 2 + 1, dtype=np.complex128)
+            sig = _symbol_pair(tc - tau, spec.freqs)[0]   # row q: sigma(tc - tau_q)
+            acc = np.zeros(n // 2 + 1, dtype=np.complex128)
             for q in range(len(tau)):
-                sig = damped_symbol(tc - tau[q], spec).sigma
-                acc += wq[q] * sig * nlh[q]
-            rhs = rhs + np.fft.irfft(acc, spec.points)
+                acc += wq[q] * sig[q] * nlh[q]
+            rhs = rhs + np.fft.irfft(acc, n)
         gap = np.linalg.norm(target - rhs)
         ref = np.linalg.norm(target)
         if ref == 0.0:

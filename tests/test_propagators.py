@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import dwlab.propagators as propagators
 from dwlab._kernels import kernel_convolve
 from dwlab.grid import GridFunction, GridSpec, lp_norm, moment
 from dwlab.propagators import (HEAT_EXPANSION_SLOPES, KernelRangeError,
@@ -45,6 +46,31 @@ def test_symbol_against_mpmath(t, xi):
     ref_s, ref_d = _mp_sigma(t, xi)
     assert_allclose(sig[0], ref_s, rtol=5e-14, atol=1e-300)
     assert_allclose(dsig[0], ref_d, rtol=5e-14, atol=5e-14)
+
+
+def test_symbol_pair_rows_match_scalar_calls():
+    # one batched call, each row bit-identical to the scalar call: t = 0, a
+    # t with every mode on the seam, one where z crosses _SEAM_Z, and times
+    # with both the hyperbolic and the trigonometric branch
+    from dwlab.propagators import _SEAM_Z, _symbol_pair
+    spec = GridSpec(64.0, 1024)
+    xi = spec.freqs
+    root_w = np.sqrt(np.abs(0.25 - xi * xi))
+    all_seam, crossing = 1e-3, 0.01
+    assert np.all(all_seam * root_w < _SEAM_Z)
+    assert np.any(crossing * root_w < _SEAM_Z)
+    assert np.any(crossing * root_w > _SEAM_Z)
+    for t in (3.0, 200.0):
+        off_seam = t * root_w >= _SEAM_Z
+        assert np.any(off_seam & (xi < 0.5)) and np.any(off_seam & (xi > 0.5))
+    times = np.array([0.0, all_seam, crossing, 3.0, 200.0])
+    sigma, sigma_t = _symbol_pair(times, xi)
+    assert sigma.shape == sigma_t.shape == (len(times), len(xi))
+    for k, t in enumerate(times):
+        s, st = _symbol_pair(float(t), xi)
+        assert np.array_equal(sigma[k], s) and np.array_equal(sigma_t[k], st)
+    with pytest.raises(ValueError):
+        _symbol_pair(np.array([1.0, -1e-9]), xi)
 
 
 def test_symbol_mass_mode_anchor():
@@ -198,3 +224,48 @@ def test_decay_report_csv(tmp_path):
     assert len(lines) == 6
     rec = rep.fit_record()
     assert rec["label"] == "probe" and rec["p"] == 2.0
+
+
+@pytest.mark.parametrize("j", [0, 1, 2])
+def test_scans_match_per_time_reference(j):
+    # bit-identical to one apply_S / apply_heat per time; the second and
+    # third scans change the times and then the grid, so a shared symbol
+    # keyed without either would fail here
+    p = 2.0
+    cases = [(GridSpec(64.0, 1024), np.geomspace(1.0, 40.0, 6)),
+             (GridSpec(64.0, 1024), np.geomspace(2.0, 30.0, 6)),
+             (GridSpec(48.0, 1024), np.geomspace(2.0, 30.0, 6))]
+    for spec, times in cases:
+        f = gaussian_derivative(j, spec)
+        rep = decay_scan(f, p, times)
+        res = residual_scan(f, p, times)
+        ref = [lp_norm(apply_S(t, f), p) for t in times]
+        ref_res = [lp_norm(apply_S(t, f) - apply_heat(t, f), p) for t in times]
+        assert np.array_equal(rep.norms, ref)
+        assert np.array_equal(res.norms, ref_res)
+
+
+def test_scans_build_each_symbol_once(monkeypatch):
+    spec = GridSpec(64.0, 1024)
+    times = np.geomspace(1.5, 35.0, 7)
+    f = gaussian_derivative(1, spec)
+    propagators._scan_sigmas.cache_clear()
+    calls = {"symbol": 0, "rfft": 0}
+    symbol, rfft = propagators.damped_symbol, np.fft.rfft
+
+    def counted_symbol(*args, **kw):
+        calls["symbol"] += 1
+        return symbol(*args, **kw)
+
+    def counted_rfft(*args, **kw):
+        calls["rfft"] += 1
+        return rfft(*args, **kw)
+
+    monkeypatch.setattr(propagators, "damped_symbol", counted_symbol)
+    monkeypatch.setattr(np.fft, "rfft", counted_rfft)
+    decay_scan(f, 2.0, times)
+    assert calls == {"symbol": len(times), "rfft": 1}
+    residual_scan(f, 2.0, times)
+    assert calls == {"symbol": len(times), "rfft": 2}
+    with pytest.raises(TruncationError):
+        decay_scan(GridFunction(spec, np.ones(spec.points)), 2.0, times)

@@ -11,7 +11,8 @@ from scipy.interpolate import CubicSpline
 
 import dwlab.solver as solver
 from dwlab.grid import GridFunction, GridSpec, lp_norm
-from dwlab.propagators import linear_pair_matrix
+from dwlab.propagators import (apply_dtS, apply_S, damped_symbol,
+                               linear_pair_matrix)
 from dwlab.solver import (BLOWN_UP, SURVIVED_HORIZON, TRUNCATION_ABORT,
                           BlowupSignal, FunctionalTrace, LifespanEstimate,
                           SamplingError, SolverControls, SolverState,
@@ -614,6 +615,84 @@ def test_duhamel_residual_nonlinear_small():
     traj = integrate(st.u, st.v, p=2.0, t_final=4.0, dt=0.04)
     res = duhamel_residual(traj, p=2.0)
     assert res < 1e-8
+
+
+def _ref_duhamel_residual(traj, p, nodes=64, include_nonlinear=True,
+                          checkpoints=None):
+    """The oracle as one apply_S, one apply_dtS and one damped_symbol per
+    quadrature node at every checkpoint."""
+    times, spec = traj.times, traj.spec
+    u0, v0 = traj.states[0]
+    if checkpoints is None:
+        idx = sorted({int(round(f * (len(times) - 1)))
+                      for f in (0.25, 0.5, 0.75, 1.0)} - {0})
+    else:
+        idx = [int(np.argmin(np.abs(times - tc))) for tc in checkpoints]
+    U = np.stack([s[0].values for s in traj.states])
+    spline = _cubic_spline(times, U) if include_nonlinear else None
+    xg, wg = np.polynomial.legendre.leggauss(int(nodes))
+    lin0 = u0 + v0
+    worst = 0.0
+    for i in idx:
+        tc = float(times[i])
+        target = U[i]
+        rhs = apply_S(tc, lin0, check_boundary=False).values \
+            + apply_dtS(tc, u0, check_boundary=False).values
+        if include_nonlinear:
+            tau = 0.5 * tc * (xg + 1.0)
+            wq = 0.5 * tc * wg
+            nl = np.abs(spline(tau)) ** p
+            nlh = np.fft.rfft(nl, axis=1)
+            acc = np.zeros(spec.points // 2 + 1, dtype=np.complex128)
+            for q in range(len(tau)):
+                sig = damped_symbol(tc - tau[q], spec).sigma
+                acc += wq[q] * sig * nlh[q]
+            rhs = rhs + np.fft.irfft(acc, spec.points)
+        gap = np.linalg.norm(target - rhs)
+        ref = np.linalg.norm(target)
+        if ref == 0.0:
+            continue
+        worst = max(worst, float(gap / ref))
+    return worst
+
+
+@pytest.fixture(scope="module")
+def small_traj():
+    st = gauss_state(amp=0.05)
+    return integrate(st.u, st.v, p=2.0, t_final=4.0, dt=0.04)
+
+
+@pytest.mark.parametrize("include_nonlinear", [True, False])
+@pytest.mark.parametrize("checkpoints", [None, "explicit"])
+def test_duhamel_residual_matches_per_node_reference(small_traj,
+                                                     include_nonlinear,
+                                                     checkpoints):
+    if checkpoints == "explicit":
+        checkpoints = [float(small_traj.times[i]) for i in (7, 38, 61)]
+    got = duhamel_residual(small_traj, p=2.0,
+                           include_nonlinear=include_nonlinear,
+                           checkpoints=checkpoints)
+    ref = _ref_duhamel_residual(small_traj, p=2.0,
+                                include_nonlinear=include_nonlinear,
+                                checkpoints=checkpoints)
+    assert got == ref
+
+
+def test_duhamel_residual_one_symbol_per_checkpoint(monkeypatch, small_traj):
+    calls = []
+    symbol = solver.damped_symbol
+
+    def counted(t, spec):
+        calls.append(t)
+        return symbol(t, spec)
+
+    monkeypatch.setattr(solver, "damped_symbol", counted)
+    duhamel_residual(small_traj, p=2.0)
+    assert len(calls) == 4          # the quarter points
+    checkpoints = [float(small_traj.times[i]) for i in (7, 38, 61)]
+    calls.clear()
+    duhamel_residual(small_traj, p=2.0, checkpoints=checkpoints)
+    assert calls == checkpoints
 
 
 @pytest.mark.parametrize("knots", ["uniform", "nonuniform"])
