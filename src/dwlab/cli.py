@@ -4,8 +4,9 @@ Commands
 
 * decay               linear L^p decay and residual slopes for the three
                       Gaussian-derivative families
-* lifespan            solve_lifespan per eps, one JSON record and one
-                      functional-trace CSV per run
+* lifespan            solve_lifespan per eps, one JSON record (bracket and
+                      the march's counts) and one functional-trace CSV per
+                      run
 * sweep               lifespan runs plus a log-log exponent fit (or the
                       two-parameter Lambert form at the p = 3/2 borderline)
                       and a pass/fail/unconverged verdict
@@ -207,6 +208,8 @@ def _lifespan_worker(args):
         "status": est.status, "T_low": est.T_low, "T_high": est.T_high,
         "steps": len(trace.times),
     }
+    # the march's deterministic counts; attempts lands beside steps
+    record.update(asdict(est.stats))
     return record, trace
 
 
@@ -234,7 +237,7 @@ def run_lifespan(cfg: ExperimentConfig):
         lines.append(
             f"eps={record['eps']:.6g} status={record['status']} "
             f"T_low={record['T_low']:.8g} T_high={record['T_high']:.8g} "
-            f"steps={record['steps']}")
+            f"steps={record['steps']} attempts={record['attempts']}")
     statuses = [r["status"] for r, _ in results]
     verdict = UNCONVERGED if TRUNCATION_ABORT in statuses else PASS
     lines.append(f"verdict: {verdict}")

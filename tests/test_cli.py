@@ -198,9 +198,14 @@ def test_lifespan_records(tmp_path, capsys):
     assert code == 0
     rec = json.loads((tmp_path / "o" / "run_000.json").read_text())
     for key in ("p", "eps", "class", "N", "L", "dt_min", "status",
-                "T_low", "T_high", "steps"):
+                "T_low", "T_high", "steps", "attempts", "rejected_tol",
+                "rejected_growth", "rejected_nonfinite", "nl_rows",
+                "accepted_dt_min", "accepted_dt_max", "edge_ratio",
+                "tail_ratio", "termination", "bracket"):
         assert key in rec
     assert rec["status"] == "blown_up"
+    assert rec["termination"] == "extrapolated_root"
+    assert rec["attempts"] >= rec["steps"] > 0
     trace = (tmp_path / "o" / "trace_000.csv").read_text().splitlines()
     assert trace[0] == "t,U,w_plus,w_minus"
     assert len(trace) == rec["steps"] + 1

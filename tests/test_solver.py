@@ -263,6 +263,12 @@ def test_march_costs_four_rows_per_attempt(monkeypatch):
     rows = [e for e in events if e != "attempt"]
     assert len(rows) == 1 + 2 * len(calls) + rebuilds
     assert sum(rows) == 2 + 4 * len(calls) + rebuilds
+    # the march's own record counts the same attempts, rejections and rows
+    stats = est.stats
+    assert stats.attempts == len(calls)
+    assert (stats.rejected_tol + stats.rejected_growth
+            + stats.rejected_nonfinite) == rejected
+    assert stats.nl_rows == sum(rows)
 
 
 @pytest.mark.parametrize("case", ["torus_rejections", "horizon_remainder"])
@@ -482,8 +488,9 @@ def test_extrapolate_blowup_matches_polyfit():
 
 
 def test_step_budget_error_reports_the_state():
+    # at the default step_tol: one step of dt_init 0.02, then two at 0.04
     ctrl = SolverControls(check_boundary=False, max_steps=3)
-    msg = r"3 attempts, t = 0\.0765685425, dt = 0\.0283, max\|u\| = "
+    msg = r"3 attempts, t = 0\.1, dt = 0\.04, max\|u\| = "
     with pytest.raises(RuntimeError, match=msg):
         solve_lifespan(torus_family(), 2.0, horizon=20.0, ctrl=ctrl)
 
@@ -545,6 +552,73 @@ def test_truncation_abort_on_undersized_box():
     fam = make_data_family("M0_nonzero", 0.5, small)
     est, _ = solve_lifespan(fam, 2.2, horizon=100.0)
     assert est.status == TRUNCATION_ABORT
+
+
+@pytest.mark.parametrize("kw,cause", [
+    (dict(dt_init=0.25), "rejected_tol"),
+    (dict(step_tol=1e-2), "rejected_growth")])
+def test_march_stats_record_the_run(kw, cause):
+    # from dt_init = dt_max the first attempts miss the tolerance; the
+    # loose tolerance is rejected for sup-norm doubling instead
+    ctrl = SolverControls(check_boundary=False, **kw)
+    est, trace = solve_lifespan(torus_family(), 2.0, horizon=20.0, ctrl=ctrl)
+    st = est.stats
+    assert est.status == BLOWN_UP
+    assert (st.termination, st.bracket) == (solver.ROOT, "extrapolated")
+    assert getattr(st, cause) > 0
+    assert st.attempts == len(trace.times) + st.rejected_tol \
+        + st.rejected_growth + st.rejected_nonfinite
+    dts = np.diff(np.concatenate([[0.0], trace.times]))
+    assert st.accepted_dt_min == pytest.approx(dts.min(), rel=1e-9)
+    assert st.accepted_dt_max == pytest.approx(dts.max(), rel=1e-9)
+    # constant data: the edge is the maximum and no mode but 0 is present
+    assert st.edge_ratio == 1.0
+    assert st.tail_ratio < 1e-12
+    # a second run gives the same record
+    assert solve_lifespan(torus_family(), 2.0, horizon=20.0,
+                          ctrl=ctrl)[0].stats == st
+
+
+def test_march_stats_name_every_termination():
+    fam = torus_family()
+    # without a verdict threshold the march runs into u_cap, or into
+    # overflow once dt sits at its floor; either clamps T_high to T_low
+    for dt_min, cause in ((1e-3, solver.U_CAP), (1e-4, solver.DT_FLOOR)):
+        ctrl = SolverControls(check_boundary=False, threshold=1e300,
+                              dt_min=dt_min)
+        est, _ = solve_lifespan(fam, 2.0, horizon=20.0, ctrl=ctrl)
+        assert est.status == BLOWN_UP
+        assert (est.stats.termination, est.stats.bracket) == (cause,
+                                                             "clamped")
+        assert est.stats.accepted_dt_min == dt_min
+    est, _ = solve_lifespan(fam, 2.0, horizon=2.0,
+                            ctrl=SolverControls(check_boundary=False))
+    assert est.status == SURVIVED_HORIZON
+    assert (est.stats.termination, est.stats.bracket) == (solver.HORIZON,
+                                                         "none")
+    small = GridSpec(8.0, 256)
+    est, _ = solve_lifespan(make_data_family("M0_nonzero", 0.5, small),
+                            2.2, horizon=100.0)
+    assert est.status == TRUNCATION_ABORT
+    assert est.stats.termination == solver.TRUNCATION
+    assert est.stats.edge_ratio > SolverControls().boundary_tol
+    est, _ = solve_lifespan(make_data_family("M0_nonzero", 0.0, SPEC), 2.0,
+                            horizon=5.0)
+    assert est.stats.attempts == est.stats.nl_rows == 0
+    assert est.stats.accepted_dt_min is None
+    assert (est.stats.termination, est.stats.bracket) == (solver.HORIZON,
+                                                         "none")
+
+
+def test_guard_margin_at_the_default_tolerance():
+    # criterion 07's M0_M1_zero eps 0.2 run: at step_tol 1e-7 the edge
+    # ratio climbs to 1.03e-8 and the guard aborts at t = 1.129; at the
+    # default it must blow up with the edge ratio 3x below boundary_tol
+    ctrl = SolverControls()
+    fam = make_data_family("M0_M1_zero", 0.2, GridSpec(64.0, 2048))
+    est, _ = solve_lifespan(fam, 1.25, horizon=200.0, ctrl=ctrl)
+    assert est.status == BLOWN_UP
+    assert est.stats.edge_ratio <= ctrl.boundary_tol / 3.0
 
 
 def test_lifespan_estimate_invariants():
