@@ -224,6 +224,14 @@ def _run_all_lifespans(cfg: ExperimentConfig):
     return results
 
 
+def _abort_note(record) -> str:
+    """What tripped a truncation abort: the time, and the edge ratio that
+    passed the guard's boundary_tol.  Printed only, never written to the
+    output files."""
+    return (f"t={record['T_low']:.6g} edge_ratio={record['edge_ratio']:.3g}"
+            f" > boundary_tol={SolverControls.boundary_tol:g}")
+
+
 def run_lifespan(cfg: ExperimentConfig):
     """One record and one trace CSV per eps; verdict is pass unless any
     run aborted on the truncation rule."""
@@ -234,10 +242,12 @@ def run_lifespan(cfg: ExperimentConfig):
         record["config"] = _config_record(cfg)
         _write_json(os.path.join(out, f"run_{i:03d}.json"), record)
         trace.to_csv(os.path.join(out, f"trace_{i:03d}.csv"))
-        lines.append(
-            f"eps={record['eps']:.6g} status={record['status']} "
-            f"T_low={record['T_low']:.8g} T_high={record['T_high']:.8g} "
-            f"steps={record['steps']} attempts={record['attempts']}")
+        line = (f"eps={record['eps']:.6g} status={record['status']} "
+                f"T_low={record['T_low']:.8g} T_high={record['T_high']:.8g} "
+                f"steps={record['steps']} attempts={record['attempts']}")
+        if record["status"] == TRUNCATION_ABORT:
+            line += f" truncation at {_abort_note(record)}"
+        lines.append(line)
     statuses = [r["status"] for r, _ in results]
     verdict = UNCONVERGED if TRUNCATION_ABORT in statuses else PASS
     lines.append(f"verdict: {verdict}")
@@ -287,7 +297,9 @@ def run_sweep(cfg: ExperimentConfig):
                   "config": _config_record(cfg)}
     if TRUNCATION_ABORT in statuses:
         verdict = UNCONVERGED
-        lines.append("verdict: unconverged (truncation abort)")
+        notes = "; ".join(f"eps={r['eps']:.6g} {_abort_note(r)}"
+                          for r in rows if r["status"] == TRUNCATION_ABORT)
+        lines.append(f"verdict: unconverged (truncation abort: {notes})")
         fit_record["verdict"] = verdict
         _write_json(os.path.join(out, "fit.json"), fit_record)
         return verdict, lines

@@ -144,23 +144,31 @@ class SolverControls:
     when its dt differs from the previous attempt's.  max_steps counts
     step attempts, rejected ones included, not accepted steps.
 
-    The default step_tol, 3e-8, takes about 24% fewer attempts on the
-    lifespan ladders than 1e-8 did.  Against 1e-8 it moves T_high by at
-    most 5.2e-7 relative on the default sweep (p = 1.25, N = 2048) and
-    4.0e-6 on the criterion 06 and 08 ladders.  The largest edge ratio
-    that the truncation guard sees on those ladders and criterion 07's
-    is 3.07e-9 (1.94e-9 at 1e-8), 3.3x below boundary_tol.  A looser
-    tolerance reaches the guard: at 1e-7 criterion 07's M0_M1_zero run at
-    eps 0.2 reaches the edge ratio 1.03e-8 and aborts at t = 1.129.
+    check_boundary turns on the truncation guard: a run aborts once the
+    edge amplitude of u on an accepted step exceeds boundary_tol max|u|.
+
+    The defaults, step_tol 3e-7 and boundary_tol 1e-6, were 3e-8 and 1e-8.
+    On the gate ladders (criteria 06, 07, 08, 10) and the default sweep
+    they take 25-45% fewer attempts and move T_high by at most 1.4e-5
+    relative (default sweep 2.0e-6, criterion 06 1.1e-5, criterion 08
+    1.4e-5, criterion 10 2.8e-7).  T_high then lies 2.7e-7 to 2.1e-5 from
+    a step_tol 1e-9 run, against 2.6e-8 to 7.7e-6 at 3e-8.  The largest
+    edge ratio on those ladders is 5.1e-9, 190x below boundary_tol; the
+    old 1e-8 sat on the step error's own contribution to the edge, which
+    at step_tol 1e-6 lifts it past 1e-8.  The guard's calibration: with
+    the guard off at step_tol 1e-9 on half and quarter domains at the same
+    h, edge ratios up to 1e-2 moved T_high by at most 3.0e-7, and the
+    smallest edge ratio that moved it by more than 1e-6 was 3.8e-2, so
+    boundary_tol sits more than four decades below it (README table).
     """
 
     dt_init: float = 0.02
     dt_min: float = 1e-12
     dt_max: float = 0.25
-    step_tol: float = 3e-8
+    step_tol: float = 3e-7
     threshold: float = None  # type: ignore[assignment]  # None -> max(1e6*eps, 1e4)
     check_boundary: bool = True
-    boundary_tol: float = 1e-8
+    boundary_tol: float = 1e-6
     max_steps: int = 2_000_000
 
     def __post_init__(self):
@@ -176,10 +184,11 @@ class MarchStats:
 
     Every field is deterministic for given inputs.  Rejections are counted
     by cause: err over step_tol, a sup norm more than doubling, or a
-    non-finite candidate.  nl_rows counts the nonlinear evaluations, the
-    rows of the _nl_hat calls.  The dt range and the two ratios cover
-    accepted steps only; accepted_dt_min/max are None when none was
-    accepted.  edge_ratio is the largest _edge_amplitude(u) / max|u|, the
+    non-finite candidate.  forced_accepts counts the steps accepted with
+    dt at dt_min that any of those causes would otherwise have rejected.
+    nl_rows counts the nonlinear evaluations, the rows of the _nl_hat
+    calls.  The dt range and the two ratios cover accepted steps only;
+    accepted_dt_min/max are None when none was accepted.  edge_ratio is the largest _edge_amplitude(u) / max|u|, the
     quantity the truncation guard compares with boundary_tol.  tail_ratio
     is the largest (2/N) sum |u_k| over the top third k >= N/3 of the
     rfft modes of u, a bound on what those modes add to any grid value,
@@ -187,14 +196,17 @@ class MarchStats:
     termination is one of ROOT, U_CAP, DT_FLOOR, HORIZON, TRUNCATION.
     bracket says where a blow-up's T_high came from: "extrapolated" when
     it is the extrapolated root, above T_low; "clamped" when the root is
-    missing, falls at or before the last sample (T_high = T_low) or lies
-    past 1.005 T_low.  It is "none" when the run did not blow up.
+    missing, falls at or before the last sample (T_high = T_low), lies
+    past 1.005 T_low, or when any step was a forced accept, whose error
+    the bracket does not cover.  It is "none" when the run did not blow
+    up.
     """
 
     attempts: int
     rejected_tol: int
     rejected_growth: int
     rejected_nonfinite: int
+    forced_accepts: int
     nl_rows: int
     accepted_dt_min: float
     accepted_dt_max: float
@@ -589,7 +601,7 @@ def solve_lifespan(data: DataFamily, p: float, eps=None, horizon: float = 200.0,
     v_phys = u1.values
     maxu = float(np.max(np.abs(u_phys)))
     if maxu == 0.0 and not np.any(v_phys):
-        stats = MarchStats(0, 0, 0, 0, 0, None, None, 0.0, 0.0, HORIZON,
+        stats = MarchStats(0, 0, 0, 0, 0, 0, None, None, 0.0, 0.0, HORIZON,
                            "none")
         est = LifespanEstimate(SURVIVED_HORIZON, horizon, horizon,
                                threshold, spec, stats)
@@ -609,7 +621,7 @@ def solve_lifespan(data: DataFamily, p: float, eps=None, horizon: float = 200.0,
     k_lo = math.floor(4.0 * math.log2(ctrl.dt_min / ctrl.dt_init))
     k_hi = math.ceil(4.0 * math.log2(ctrl.dt_max / ctrl.dt_init))
     dt = _ladder_dt(ctrl, k)
-    attempts = rej_tol = rej_growth = rej_nonfinite = rebuilds = 0
+    attempts = rej_tol = rej_growth = rej_nonfinite = forced = rebuilds = 0
     dt_lo, dt_hi = math.inf, 0.0
     edge_max = tail_max = 0.0
     tail0 = math.ceil(spec.points / 3)   # modes k >= N/3: the top third
@@ -669,6 +681,7 @@ def solve_lifespan(data: DataFamily, p: float, eps=None, horizon: float = 200.0,
                 T_low = t
                 break
             # accept (at dt_min even an out-of-tolerance step is taken)
+            forced += nonfinite or growth or err > ctrl.step_tol
             t += dt_eff
             dt_lo = min(dt_lo, dt_eff)
             dt_hi = max(dt_hi, dt_eff)
@@ -712,8 +725,9 @@ def solve_lifespan(data: DataFamily, p: float, eps=None, horizon: float = 200.0,
         T_high = T_low if root is None else min(root, T_low * 1.005)
         T_high = max(T_high, T_low)
     bracket = "none" if status != BLOWN_UP else \
-        "extrapolated" if T_low < T_high == root else "clamped"
-    stats = MarchStats(attempts, rej_tol, rej_growth, rej_nonfinite,
+        "extrapolated" if T_low < T_high == root and not forced else \
+        "clamped"
+    stats = MarchStats(attempts, rej_tol, rej_growth, rej_nonfinite, forced,
                        2 + 4 * attempts + rebuilds,
                        dt_lo if ts else None, dt_hi if ts else None,
                        edge_max, tail_max, cause, bracket)

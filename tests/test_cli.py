@@ -199,16 +199,40 @@ def test_lifespan_records(tmp_path, capsys):
     rec = json.loads((tmp_path / "o" / "run_000.json").read_text())
     for key in ("p", "eps", "class", "N", "L", "dt_min", "status",
                 "T_low", "T_high", "steps", "attempts", "rejected_tol",
-                "rejected_growth", "rejected_nonfinite", "nl_rows",
-                "accepted_dt_min", "accepted_dt_max", "edge_ratio",
-                "tail_ratio", "termination", "bracket"):
+                "rejected_growth", "rejected_nonfinite", "forced_accepts",
+                "nl_rows", "accepted_dt_min", "accepted_dt_max",
+                "edge_ratio", "tail_ratio", "termination", "bracket"):
         assert key in rec
     assert rec["status"] == "blown_up"
     assert rec["termination"] == "extrapolated_root"
     assert rec["attempts"] >= rec["steps"] > 0
+    assert rec["forced_accepts"] == 0
     trace = (tmp_path / "o" / "trace_000.csv").read_text().splitlines()
     assert trace[0] == "t,U,w_plus,w_minus"
     assert len(trace) == rec["steps"] + 1
+
+
+def test_truncation_abort_names_what_tripped(tmp_path, capsys):
+    # a box too small for the spreading bulk: both commands print when the
+    # guard tripped, the edge ratio and boundary_tol, on stdout only
+    ini = tmp_path / "lab.ini"
+    ini.write_text("[DEFAULT]\np = 2.2\nclass = M0_nonzero\neps_list = 0.5\n"
+                   "half_width = 8\npoints = 256\nhorizon = 100\n")
+    for command in ("lifespan", "sweep"):
+        out = tmp_path / command
+        code = main([command, "--config", str(ini), "--out", str(out)])
+        assert code == 2
+        rec = json.loads((out / "run_000.json").read_text())
+        assert rec["termination"] == "truncation"
+        note = (f"t={rec['T_low']:.6g} edge_ratio={rec['edge_ratio']:.3g} "
+                f"> boundary_tol=1e-06")
+        stdout = capsys.readouterr().out.splitlines()
+        if command == "lifespan":
+            assert stdout[0].endswith(f" truncation at {note}")
+        else:
+            assert stdout[-1] == ("verdict: unconverged (truncation abort: "
+                                  f"eps=0.5 {note})")
+        assert "boundary_tol" not in (out / "run_000.json").read_text()
 
 
 def test_sweep_outputs_match_across_worker_counts(tmp_path):

@@ -488,9 +488,10 @@ def test_extrapolate_blowup_matches_polyfit():
 
 
 def test_step_budget_error_reports_the_state():
-    # at the default step_tol: one step of dt_init 0.02, then two at 0.04
+    # at the default step_tol: one step of dt_init 0.02, one of 0.04, then
+    # one of 0.04 2^(3/4), the dt of the next attempt
     ctrl = SolverControls(check_boundary=False, max_steps=3)
-    msg = r"3 attempts, t = 0\.1, dt = 0\.04, max\|u\| = "
+    msg = r"3 attempts, t = 0\.127271713, dt = 0\.0673, max\|u\| = "
     with pytest.raises(RuntimeError, match=msg):
         solve_lifespan(torus_family(), 2.0, horizon=20.0, ctrl=ctrl)
 
@@ -583,7 +584,7 @@ def test_march_stats_name_every_termination():
     fam = torus_family()
     # without a verdict threshold the march runs into u_cap, or into
     # overflow once dt sits at its floor; either clamps T_high to T_low
-    for dt_min, cause in ((1e-3, solver.U_CAP), (1e-4, solver.DT_FLOOR)):
+    for dt_min, cause in ((1e-3, solver.DT_FLOOR), (1e-4, solver.U_CAP)):
         ctrl = SolverControls(check_boundary=False, threshold=1e300,
                               dt_min=dt_min)
         est, _ = solve_lifespan(fam, 2.0, horizon=20.0, ctrl=ctrl)
@@ -611,14 +612,60 @@ def test_march_stats_name_every_termination():
 
 
 def test_guard_margin_at_the_default_tolerance():
-    # criterion 07's M0_M1_zero eps 0.2 run: at step_tol 1e-7 the edge
-    # ratio climbs to 1.03e-8 and the guard aborts at t = 1.129; at the
-    # default it must blow up with the edge ratio 3x below boundary_tol
+    # criterion 07's M0_M1_zero eps 0.2 run, the gate-ladder run with the
+    # largest edge ratio: at the default controls it must blow up with the
+    # edge ratio 30x below boundary_tol
     ctrl = SolverControls()
     fam = make_data_family("M0_M1_zero", 0.2, GridSpec(64.0, 2048))
     est, _ = solve_lifespan(fam, 1.25, horizon=200.0, ctrl=ctrl)
     assert est.status == BLOWN_UP
-    assert est.stats.edge_ratio <= ctrl.boundary_tol / 3.0
+    assert est.stats.edge_ratio <= ctrl.boundary_tol / 30.0
+    assert est.stats.forced_accepts == 0
+
+
+def test_guard_lets_a_loose_tolerance_blow_up():
+    # the same run at step_tol 1e-6: the step error alone lifts the edge
+    # ratio past 1e-8, where the old boundary_tol 1e-8 aborted it at
+    # t = 1.13; at the default boundary_tol it blows up
+    ctrl = SolverControls(step_tol=1e-6)
+    fam = make_data_family("M0_M1_zero", 0.2, GridSpec(64.0, 2048))
+    est, _ = solve_lifespan(fam, 1.25, horizon=200.0, ctrl=ctrl)
+    assert est.status == BLOWN_UP
+    assert est.stats.termination == solver.ROOT
+    assert 1e-8 < est.stats.edge_ratio <= ctrl.boundary_tol / 30.0
+
+
+def test_guard_aborts_a_developing_truncation():
+    # the bulk spreads to the edge of L = 16 long after t = 0: the abort
+    # comes from the solution, not from the initial data
+    fam = make_data_family("M0_zero_M1_nonzero", 0.1, GridSpec(16.0, 512))
+    est, _ = solve_lifespan(fam, 1.25, horizon=200.0)
+    assert est.status == TRUNCATION_ABORT
+    assert est.stats.termination == solver.TRUNCATION
+    assert est.T_low == est.T_high > 5.0
+    assert est.stats.edge_ratio > SolverControls().boundary_tol
+
+
+def test_forced_accepts_at_dt_min_clamp_the_bracket():
+    # dt_min 1e-2 accepts steps out of tolerance near blow-up, and the
+    # resulting bracket misses the ODE's blow-up time; at dt_min 3e-3 the
+    # root is above T_low yet the bracket is still not called extrapolated
+    T_ref = ode_blowup_time(1.0, 2.0)
+    for dt_min in (1e-2, 3e-3):
+        ctrl = SolverControls(check_boundary=False, dt_min=dt_min)
+        est, _ = solve_lifespan(torus_family(), 2.0, horizon=20.0, ctrl=ctrl)
+        assert est.status == BLOWN_UP
+        assert est.stats.forced_accepts > 0
+        assert est.stats.bracket == "clamped"
+        if dt_min == 1e-2:
+            assert T_ref < est.T_low
+    assert est.T_low < est.T_high
+    # the default dt_min forces nothing
+    est, _ = solve_lifespan(torus_family(), 2.0, horizon=20.0,
+                            ctrl=SolverControls(check_boundary=False))
+    assert est.stats.forced_accepts == 0
+    assert est.stats.bracket == "extrapolated"
+    assert est.T_low < T_ref < est.T_high
 
 
 def test_lifespan_estimate_invariants():
