@@ -4,7 +4,6 @@ from .grid import (
     GridSpec,
     GridFunction,
     Trajectory,
-    grid_for_horizon,
     lp_norm,
     spectral_derivative,
     moment,

@@ -17,7 +17,6 @@ __all__ = [
     "GridSpec",
     "GridFunction",
     "Trajectory",
-    "grid_for_horizon",
     "lp_norm",
     "spectral_derivative",
     "moment",
@@ -61,26 +60,6 @@ class GridSpec:
     def freqs(self) -> np.ndarray:
         """Real-FFT wavenumbers xi_k = pi*k/L, k = 0..N/2."""
         return 2.0 * np.pi * np.fft.rfftfreq(self.points, d=self.h)
-
-
-def grid_for_horizon(horizon: float, data_radius: float, h_target: float,
-                     mode: str = "wavefront") -> GridSpec:
-    """Pick a grid large enough for a run up to time `horizon`.
-
-    mode "wavefront" uses the hard finite-speed bound L >= horizon + radius;
-    mode "heat" uses the softer L >= 20*sqrt(horizon) + radius, adequate once
-    the exponentially damped fronts are below roundoff (t >> 70).
-    """
-    if mode == "wavefront":
-        need = horizon + data_radius
-    elif mode == "heat":
-        need = 20.0 * math.sqrt(max(horizon, 1.0)) + data_radius
-    else:
-        raise GridError(f"unknown sizing mode {mode!r}")
-    n = 16
-    while n * h_target < 2.0 * need:
-        n *= 2
-    return GridSpec(n * h_target / 2.0, n)
 
 
 @dataclass(frozen=True)

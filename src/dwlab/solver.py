@@ -41,6 +41,12 @@ integer, so a run meets only a few dozen distinct step sizes and their
 stage operators stay cached.  A run is declared blown up once the sup norm
 passes the threshold and the extrapolated divergence time is bracketed
 to under one percent.
+
+On a truncated line (the truncation guard on) the march starts on the
+smallest centred sub-grid of the family's grid, at the same h, whose
+initial edge is quiet, and doubles it whenever a candidate's edge ratio
+passes boundary_tol/30: the FFTs cover the solution's support, not the
+whole domain, until the support reaches the family's grid.
 """
 
 from __future__ import annotations
@@ -146,14 +152,18 @@ class SolverControls:
 
     check_boundary turns on the truncation guard: a run aborts once the
     edge amplitude of u on an accepted step exceeds boundary_tol max|u|.
+    It also lets the march run on sub-grids of the family's grid (see
+    solve_lifespan), each accepted step on one keeping the edge ratio at
+    most boundary_tol/30.
 
     The defaults, step_tol 3e-7 and boundary_tol 1e-6, were 3e-8 and 1e-8.
     On the gate ladders (criteria 06, 07, 08, 10) and the default sweep
     they take 25-45% fewer attempts and move T_high by at most 1.4e-5
     relative (default sweep 2.0e-6, criterion 06 1.1e-5, criterion 08
     1.4e-5, criterion 10 2.8e-7).  T_high then lies 2.7e-7 to 2.1e-5 from
-    a step_tol 1e-9 run, against 2.6e-8 to 7.7e-6 at 3e-8.  The largest
-    edge ratio on those ladders is 5.1e-9, 190x below boundary_tol; the
+    a step_tol 1e-9 run, against 2.6e-8 to 7.7e-6 at 3e-8.  On the whole
+    grid the largest edge ratio on those ladders was 5.1e-9, 190x below
+    boundary_tol (on sub-grids it now reaches boundary_tol/30); the
     old 1e-8 sat on the step error's own contribution to the edge, which
     at step_tol 1e-6 lifts it past 1e-8.  The guard's calibration: with
     the guard off at step_tol 1e-9 on half and quarter domains at the same
@@ -176,6 +186,10 @@ class SolverControls:
             raise ValueError("need 0 < dt_min <= dt_init <= dt_max")
         if not self.step_tol > 0.0:
             raise ValueError("step_tol must be positive")
+        if not self.boundary_tol > 0.0:
+            raise ValueError("boundary_tol must be positive")
+        if self.max_steps < 1:
+            raise ValueError("max_steps must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -186,13 +200,18 @@ class MarchStats:
     by cause: err over step_tol, a sup norm more than doubling, or a
     non-finite candidate.  forced_accepts counts the steps accepted with
     dt at dt_min that any of those causes would otherwise have rejected.
+    regrids counts the attempts not accepted because the candidate's edge
+    ratio passed boundary_tol/30 on a sub-grid; each moved the march to
+    the doubled sub-grid.  So attempts = accepted steps + rejections +
+    regrids.  points is the node count of the grid the march ended on.
     nl_rows counts the nonlinear evaluations, the rows of the _nl_hat
-    calls.  The dt range and the two ratios cover accepted steps only;
-    accepted_dt_min/max are None when none was accepted.  edge_ratio is the largest _edge_amplitude(u) / max|u|, the
-    quantity the truncation guard compares with boundary_tol.  tail_ratio
-    is the largest (2/N) sum |u_k| over the top third k >= N/3 of the
-    rfft modes of u, a bound on what those modes add to any grid value,
-    over max|u|.
+    calls: 2 + 4 attempts + one per rebuilt w3 + 2 regrids.  The dt range
+    and the two ratios cover accepted steps only; accepted_dt_min/max are
+    None when none was accepted.  edge_ratio is the largest
+    _edge_amplitude(u) / max|u|, the quantity the truncation guard
+    compares with boundary_tol.  tail_ratio is the largest (2/N) sum |u_k|
+    over the top third k >= N/3 of the rfft modes of u, a bound on what
+    those modes add to any grid value, over max|u|.
     termination is one of ROOT, U_CAP, DT_FLOOR, HORIZON, TRUNCATION.
     bracket says where a blow-up's T_high came from: "extrapolated" when
     it is the extrapolated root, above T_low; "clamped" when the root is
@@ -207,11 +226,13 @@ class MarchStats:
     rejected_growth: int
     rejected_nonfinite: int
     forced_accepts: int
+    regrids: int
     nl_rows: int
     accepted_dt_min: float
     accepted_dt_max: float
     edge_ratio: float
     tail_ratio: float
+    points: int
     termination: str
     bracket: str
 
@@ -554,6 +575,42 @@ def _edge_amplitude(values: np.ndarray) -> float:
                      abs(values[-1])))
 
 
+# a sub-grid's edge ratio stays this factor below boundary_tol
+_GROW_MARGIN = 30.0
+
+
+def _sub_grid(spec: GridSpec, n: int) -> GridSpec:
+    """The centred n-point sub-grid of spec at the same h: its nodes are
+    those of spec from index (N - n)/2 on.  n/N is a power of two, so h
+    is unchanged to the bit."""
+    if n == spec.points:
+        return spec
+    return GridSpec(spec.half_width * (n / spec.points), n)
+
+
+def _start_grid(spec: GridSpec, u: np.ndarray, v: np.ndarray, limit: float):
+    """The smallest centred sub-grid of spec, at least 16 points, whose
+    edge amplitudes of u and v are at most limit max(|u|, |v|); returns it
+    with u and v restricted to it."""
+    scale = max(float(np.abs(u).max()), float(np.abs(v).max()))
+    n = 16
+    while n < spec.points:
+        lo = (spec.points - n) // 2
+        cu, cv = u[lo:lo + n], v[lo:lo + n]
+        if max(_edge_amplitude(cu), _edge_amplitude(cv)) <= limit * scale:
+            return _sub_grid(spec, n), cu, cv
+        n *= 2
+    return spec, u, v
+
+
+def _embed(y: np.ndarray, n: int) -> np.ndarray:
+    """The rfft of a field on n nodes, given by its rfft y, moved to the
+    doubled centred grid: the n values at node offset n/2 among zeros."""
+    f = np.zeros(2 * n)
+    f[n // 2: n // 2 + n] = np.fft.irfft(y, n)
+    return np.fft.rfft(f)
+
+
 # the step ladder: 2^(j/4) for the four levels within an octave
 _LADDER = tuple(2.0 ** (j / 4.0) for j in range(4))
 
@@ -586,6 +643,14 @@ def solve_lifespan(data: DataFamily, p: float, eps=None, horizon: float = 200.0,
     the grid; the solved fields start from eps * (f0, f1) with eps
     defaulting to data.epsilon.  Set ctrl.check_boundary = False for
     torus-type data that is not compactly supported.
+
+    With the guard on, the family's grid is a ceiling.  The march starts
+    on the smallest centred sub-grid at the same h, at least 16 points,
+    whose edge amplitudes of u0 and u1 are at most boundary_tol/30
+    max(|u0|, |u1|).  An attempt on a sub-grid whose candidate passes the
+    tolerance with an edge ratio above boundary_tol/30 is not accepted:
+    the accepted state moves to the doubled grid among zeros and the same
+    dt is retaken there.  On the family's grid the guard aborts as usual.
     """
     if ctrl is None:
         ctrl = SolverControls()
@@ -601,8 +666,8 @@ def solve_lifespan(data: DataFamily, p: float, eps=None, horizon: float = 200.0,
     v_phys = u1.values
     maxu = float(np.max(np.abs(u_phys)))
     if maxu == 0.0 and not np.any(v_phys):
-        stats = MarchStats(0, 0, 0, 0, 0, 0, None, None, 0.0, 0.0, HORIZON,
-                           "none")
+        stats = MarchStats(0, 0, 0, 0, 0, 0, 0, None, None, 0.0, 0.0,
+                           spec.points, HORIZON, "none")
         est = LifespanEstimate(SURVIVED_HORIZON, horizon, horizon,
                                threshold, spec, stats)
         w0 = 0.0 if horizon >= _CORRIDOR_T0 else math.nan
@@ -612,9 +677,14 @@ def solve_lifespan(data: DataFamily, p: float, eps=None, horizon: float = 200.0,
 
     p = float(p)
     u_cap = 1e250 ** (1.0 / p)
+    # the march runs on grid, a centred sub-grid of spec or spec itself
+    grow_tol = ctrl.boundary_tol / _GROW_MARGIN
+    grid = spec
+    if ctrl.check_boundary:
+        grid, u_phys, v_phys = _start_grid(spec, u_phys, v_phys, grow_tol)
     yu = np.fft.rfft(u_phys)
     yv = np.fft.rfft(v_phys)
-    x = spec.nodes
+    x = grid.nodes
     t = 0.0
     # dt is level k of the step ladder; past k_lo and k_hi the clamp holds
     k = 0
@@ -622,9 +692,10 @@ def solve_lifespan(data: DataFamily, p: float, eps=None, horizon: float = 200.0,
     k_hi = math.ceil(4.0 * math.log2(ctrl.dt_max / ctrl.dt_init))
     dt = _ladder_dt(ctrl, k)
     attempts = rej_tol = rej_growth = rej_nonfinite = forced = rebuilds = 0
+    regrids = 0
     dt_lo, dt_hi = math.inf, 0.0
     edge_max = tail_max = 0.0
-    tail0 = math.ceil(spec.points / 3)   # modes k >= N/3: the top third
+    tail0 = math.ceil(grid.points / 3)   # modes k >= N/3: the top third
     rejected = False
     ts, us, wps, wms = [], [], [], []
     samp_m = []
@@ -636,7 +707,7 @@ def solve_lifespan(data: DataFamily, p: float, eps=None, horizon: float = 200.0,
         # w1 = N(y) and w3 = N(Eh y) for the step w3_dt; after an accepted
         # attempt both come from its second _nl_hat call
         w3_dt = min(dt, horizon)
-        w1, w3 = _head(yu, yv, p, _stage_ops(spec, w3_dt))
+        w1, w3 = _head(yu, yv, p, _stage_ops(grid, w3_dt))
         while True:
             if attempts >= ctrl.max_steps:
                 raise RuntimeError(
@@ -652,12 +723,12 @@ def solve_lifespan(data: DataFamily, p: float, eps=None, horizon: float = 200.0,
             if dt_eff != w3_dt:
                 # after a rejection, a ladder move or on the horizon
                 # remainder the guessed w3 is for another step size
-                ops = _stage_ops(spec, dt_eff)
+                ops = _stage_ops(grid, dt_eff)
                 w3 = _nl_hat(ops.b11 * yu + ops.b12 * yv, p)
                 w3_dt = dt_eff
                 rebuilds += 1
             gu, gv, w5, w3_next, err, cand = _attempt(yu, yv, w1, w3, p,
-                                                      spec, dt_eff)
+                                                      grid, dt_eff)
             attempts += 1
             cand_max = float(np.abs(cand).max())
             nonfinite = not (math.isfinite(err) and math.isfinite(cand_max))
@@ -680,6 +751,20 @@ def solve_lifespan(data: DataFamily, p: float, eps=None, horizon: float = 200.0,
                 status, cause = BLOWN_UP, DT_FLOOR
                 T_low = t
                 break
+            edge = _edge_amplitude(cand)
+            scale = max(cand_max, 1e-300)
+            if grid is not spec and edge > grow_tol * scale:
+                # the support nears the sub-grid's edge: retake dt on the
+                # doubled grid
+                n = grid.points
+                grid = _sub_grid(spec, 2 * n)
+                yu, yv = _embed(yu, n), _embed(yv, n)
+                w1, w3 = _head(yu, yv, p, _stage_ops(grid, dt_eff))
+                w3_dt = dt_eff
+                x = grid.nodes
+                tail0 = math.ceil(grid.points / 3)
+                regrids += 1
+                continue
             # accept (at dt_min even an out-of-tolerance step is taken)
             forced += nonfinite or growth or err > ctrl.step_tol
             t += dt_eff
@@ -688,15 +773,13 @@ def solve_lifespan(data: DataFamily, p: float, eps=None, horizon: float = 200.0,
             yu, yv, w1, w3 = gu, gv, w5, w3_next
             maxu = cand_max
             samp_m.append(maxu)
-            uval, wp, wm = _functional_values(spec, x, cand, t)
+            uval, wp, wm = _functional_values(grid, x, cand, t)
             ts.append(t)
             us.append(uval)
             wps.append(wp)
             wms.append(wm)
-            edge = _edge_amplitude(cand)
-            scale = max(maxu, 1e-300)
             edge_max = max(edge_max, edge / scale)
-            tail = (2.0 / spec.points) * float(np.abs(gu[tail0:]).sum())
+            tail = (2.0 / grid.points) * float(np.abs(gu[tail0:]).sum())
             tail_max = max(tail_max, tail / scale)
             if ctrl.check_boundary and edge > ctrl.boundary_tol * scale:
                 status, cause = TRUNCATION_ABORT, TRUNCATION
@@ -728,9 +811,9 @@ def solve_lifespan(data: DataFamily, p: float, eps=None, horizon: float = 200.0,
         "extrapolated" if T_low < T_high == root and not forced else \
         "clamped"
     stats = MarchStats(attempts, rej_tol, rej_growth, rej_nonfinite, forced,
-                       2 + 4 * attempts + rebuilds,
+                       regrids, 2 + 4 * attempts + rebuilds + 2 * regrids,
                        dt_lo if ts else None, dt_hi if ts else None,
-                       edge_max, tail_max, cause, bracket)
+                       edge_max, tail_max, grid.points, cause, bracket)
     est = LifespanEstimate(status, T_low, T_high, threshold, spec, stats)
     trace = FunctionalTrace(np.array(ts), np.array(us), np.array(wps),
                             np.array(wms))

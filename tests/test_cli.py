@@ -200,8 +200,9 @@ def test_lifespan_records(tmp_path, capsys):
     for key in ("p", "eps", "class", "N", "L", "dt_min", "status",
                 "T_low", "T_high", "steps", "attempts", "rejected_tol",
                 "rejected_growth", "rejected_nonfinite", "forced_accepts",
-                "nl_rows", "accepted_dt_min", "accepted_dt_max",
-                "edge_ratio", "tail_ratio", "termination", "bracket"):
+                "regrids", "nl_rows", "accepted_dt_min", "accepted_dt_max",
+                "edge_ratio", "tail_ratio", "points", "termination",
+                "bracket"):
         assert key in rec
     assert rec["status"] == "blown_up"
     assert rec["termination"] == "extrapolated_root"

@@ -6,8 +6,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from dwlab.grid import (GridError, GridFunction, GridSpec, MomentOrderError,
-                        Trajectory, grid_for_horizon, lp_norm, moment,
-                        spectral_derivative)
+                        Trajectory, lp_norm, moment, spectral_derivative)
 
 SPEC = GridSpec(32.0, 512)
 
@@ -71,16 +70,6 @@ def test_moments_closed_forms():
     assert_allclose(m[4], 24.0 * rt_pi, rtol=1e-12)
     with pytest.raises(MomentOrderError):
         moment(f, 5)
-
-
-def test_grid_for_horizon_modes():
-    g = grid_for_horizon(10.0, 6.0, 0.125, mode="wavefront")
-    assert g.half_width >= 16.0
-    assert g.h <= 0.125
-    h = grid_for_horizon(400.0, 6.0, 0.25, mode="heat")
-    assert h.half_width >= 20.0 * math.sqrt(400.0) + 6.0
-    with pytest.raises(GridError):
-        grid_for_horizon(10.0, 6.0, 0.1, mode="exact")
 
 
 def test_trajectory_validation():

@@ -274,36 +274,39 @@ def test_march_costs_four_rows_per_attempt(monkeypatch):
 @pytest.mark.parametrize("case", ["torus_rejections", "horizon_remainder"])
 def test_march_attempts_match_unbatched_reference(monkeypatch, case):
     # every attempt of the march, carried w1/w3 and rebuilds included, is
-    # bit for bit the reference step that evaluates each stage afresh
+    # bit for bit the reference step that evaluates each stage afresh, on
+    # the grid the attempt ran on
     calls = []
     real_attempt = solver._attempt
 
     def attempt(yu, yv, w1, w3, p, spec, dt):
         out = real_attempt(yu, yv, w1, w3, p, spec, dt)
-        calls.append((yu, yv, dt, out[0], out[1]))
+        calls.append((yu, yv, spec, dt, out[0], out[1]))
         return out
 
     monkeypatch.setattr(solver, "_attempt", attempt)
     if case == "torus_rejections":
-        spec, p, horizon = TORUS, 2.0, 20.0
+        p, horizon = 2.0, 20.0
         fam = torus_family()
         ctrl = SolverControls(check_boundary=False, dt_init=0.25)
     else:
-        spec, p, horizon = SPEC, 2.0, 1.1
+        p, horizon = 2.0, 1.1
         st = gauss_state()
         fam = DataFamily(st.u, st.v, "M0_nonzero", "gaussian", 1.0)
         ctrl = SolverControls()
     est, trace = solve_lifespan(fam, p, horizon=horizon, ctrl=ctrl)
-    for yu, yv, dt, gu, gv in calls:
+    for yu, yv, spec, dt, gu, gv in calls:
         zu, zv = _ref_lawson_step(yu, yv, p, dt, spec, True)
         assert np.array_equal(gu, zu) and np.array_equal(gv, zv)
-    dts = [c[2] for c in calls]
+    dts = [c[3] for c in calls]
     if case == "torus_rejections":
         assert est.status == BLOWN_UP
         assert any(a[0] is b[0] for a, b in zip(calls, calls[1:]))
         assert len(set(dts)) > 8
     else:
         assert est.status == SURVIVED_HORIZON
+        # the Gaussian's support fits a sub-grid of SPEC
+        assert {c[2].points for c in calls} == {SPEC.points // 2}
         # the last step is the remainder up to the horizon, off the ladder
         assert dts[-1] == pytest.approx(horizon - trace.times[-2], abs=1e-12)
         level = 4.0 * math.log2(dts[-1] / ctrl.dt_init)
@@ -567,6 +570,8 @@ def test_march_stats_record_the_run(kw, cause):
     assert est.status == BLOWN_UP
     assert (st.termination, st.bracket) == (solver.ROOT, "extrapolated")
     assert getattr(st, cause) > 0
+    # a torus is never regridded
+    assert (st.regrids, st.points) == (0, TORUS.points)
     assert st.attempts == len(trace.times) + st.rejected_tol \
         + st.rejected_growth + st.rejected_nonfinite
     dts = np.diff(np.concatenate([[0.0], trace.times]))
@@ -666,6 +671,74 @@ def test_forced_accepts_at_dt_min_clamp_the_bracket():
     assert est.stats.forced_accepts == 0
     assert est.stats.bracket == "extrapolated"
     assert est.T_low < T_ref < est.T_high
+
+
+def test_march_grows_its_grid_with_the_support(monkeypatch):
+    # the default sweep's eps 0.4 run starts on N = 512 of the family's
+    # N = 2048 and grows to N = 1024; the same loop on the whole grid (the
+    # guard off, no growth) gives the same lifespan
+    calls = []
+    rows = []
+    real_attempt, real_nl_hat = solver._attempt, solver._nl_hat
+
+    def attempt(yu, yv, w1, w3, p, spec, dt):
+        calls.append((spec, dt))
+        return real_attempt(yu, yv, w1, w3, p, spec, dt)
+
+    def nl_hat(yu, p, field=False):
+        rows.append(1 if yu.ndim == 1 else yu.shape[0])
+        return real_nl_hat(yu, p, field)
+
+    monkeypatch.setattr(solver, "_attempt", attempt)
+    monkeypatch.setattr(solver, "_nl_hat", nl_hat)
+    spec = GridSpec(64.0, 2048)
+    fam = make_data_family("M0_zero_M1_nonzero", 0.4, spec)
+    ctrl = SolverControls()
+    est, trace = solve_lifespan(fam, 1.25, horizon=200.0, ctrl=ctrl)
+    st = est.stats
+    assert est.status == BLOWN_UP and est.grid == spec
+    assert st.points == 1024 and st.regrids >= 1
+    assert st.edge_ratio <= ctrl.boundary_tol / 30.0
+    assert st.attempts == len(trace.times) + st.rejected_tol \
+        + st.rejected_growth + st.rejected_nonfinite + st.regrids
+    # every grid is centred at the family's h; a regrid doubles it and
+    # retakes the same dt
+    assert calls[0][0].points == 512
+    moves = 0
+    for (a, dt_a), (b, dt_b) in zip(calls, calls[1:]):
+        assert b.h == spec.h
+        if b != a:
+            moves += 1
+            assert b.points == 2 * a.points and dt_b == dt_a
+    assert moves == st.regrids
+    # a regrid rebuilds w1 and w3 in one 2-row call
+    assert st.nl_rows == sum(rows)
+    whole, _ = solve_lifespan(fam, 1.25, horizon=200.0,
+                              ctrl=SolverControls(check_boundary=False))
+    assert (whole.stats.regrids, whole.stats.points) == (0, 2048)
+    assert est.T_high == pytest.approx(whole.T_high, rel=1e-6)
+
+
+def test_embed_centres_the_sub_grid_values():
+    # a field on n nodes lands on the centred n nodes of the doubled grid,
+    # among zeros, at the same positions x
+    rng = np.random.default_rng(11)
+    fine = GridSpec(16.0, 256)
+    sub = solver._sub_grid(fine, 128)
+    assert sub.h == fine.h and solver._sub_grid(fine, 256) is fine
+    vals = rng.standard_normal(128)
+    got = np.fft.irfft(solver._embed(np.fft.rfft(vals), 128), 256)
+    assert_allclose(got[64:192], vals, rtol=0.0, atol=1e-14)
+    assert np.max(np.abs(got[:64])) < 1e-14
+    assert np.max(np.abs(got[192:])) < 1e-14
+    assert_allclose(fine.nodes[64:192], sub.nodes, rtol=0.0, atol=1e-12)
+    # the start grid is the smallest centred one with a quiet edge
+    u = np.exp(-0.25 * fine.nodes ** 2)
+    grid, cu, cv = solver._start_grid(fine, u, np.zeros(256), 1e-6)
+    assert grid.points == 128
+    assert np.array_equal(cu, u[64:192]) and not np.any(cv)
+    assert solver._edge_amplitude(cu) <= 1e-6
+    assert solver._edge_amplitude(u[96:160]) > 1e-6
 
 
 def test_lifespan_estimate_invariants():
@@ -861,6 +934,13 @@ def test_controls_validation():
         SolverControls(dt_min=0.1, dt_max=0.01)
     with pytest.raises(ValueError):
         SolverControls(step_tol=0.0)
+    for tol in (0.0, -1e-6, math.nan):
+        with pytest.raises(ValueError):
+            SolverControls(boundary_tol=tol)
+    for n in (0, -3):
+        with pytest.raises(ValueError):
+            SolverControls(max_steps=n)
+    assert SolverControls(max_steps=1).max_steps == 1
 
 
 def test_state_validation_and_spec():
