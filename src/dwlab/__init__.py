@@ -5,11 +5,9 @@ from .grid import (
     GridFunction,
     Trajectory,
     lp_norm,
-    spectral_derivative,
     moment,
 )
 from .special import (
-    bessel_i0,
     lambert_w0,
     gaussian_derivative,
     make_data_family,
@@ -27,19 +25,16 @@ from .propagators import (
     apply_S,
     apply_dtS,
     apply_S_kernel,
-    apply_heat,
     DecayReport,
     decay_scan,
     residual_scan,
 )
 from .solver import (
-    SolverState,
     SolverControls,
     LifespanEstimate,
     FunctionalTrace,
     BlowupSignal,
     SamplingError,
-    step,
     integrate,
     solve_lifespan,
     duhamel_residual,

@@ -361,9 +361,8 @@ def run_decay(cfg: ExperimentConfig):
     for k, kind in enumerate(("M0_nonzero", "M0_zero_M1_nonzero",
                               "M0_M1_zero")):
         f = gaussian_derivative(k, spec)
-        rep = decay_scan(f, cfg.p, times, window=window, label=kind)
-        res = residual_scan(f, cfg.p, times, variant="heat",
-                            window=window, label=kind)
+        rep = decay_scan(f, cfg.p, times, window=window)
+        res = residual_scan(f, cfg.p, times, window=window)
         row = {"family": kind, "norm_p": cfg.p,
                "slope": rep.fit.slope, "target": targets[k],
                "r2": rep.fit.r_squared, "accepted": rep.fit.accepted,
@@ -451,8 +450,7 @@ def run_predict(cfg: ExperimentConfig):
         except HorizonError:
             thresh, thresh_txt = None, "-"
         for klass in MOMENT_CLASSES:
-            pred = predict_lifespan(cfg.p, e, klass,
-                                    constants=(cfg.constant, 1.0))
+            pred = predict_lifespan(cfg.p, e, klass, c=cfg.constant)
             rows.append({"eps": e, "class": klass, "regime": pred.regime,
                          "T_pred": pred.value, "T_threshold": thresh})
             lines.append(f"{e:>10.4g} {klass:>22} {pred.regime:>16} "

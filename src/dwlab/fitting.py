@@ -23,9 +23,6 @@ class ExponentFit:
     window: tuple
     accepted: bool
 
-    def predict(self, x):
-        return np.exp(self.intercept) * np.asarray(x, dtype=float) ** self.slope
-
 
 def fit_loglog(x, y, window=None, r2_min: float = R2_ACCEPT) -> ExponentFit:
     """Fit log y against log x by least squares.

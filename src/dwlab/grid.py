@@ -2,7 +2,7 @@
 
 Everything in the package lives on a truncated torus [-L, L) sampled at N
 equispaced nodes.  This module owns the grid description, sampled functions,
-trapezoidal quadrature, spectral derivatives and moment functionals.
+trapezoidal quadrature and moment functionals.
 """
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ __all__ = [
     "GridFunction",
     "Trajectory",
     "lp_norm",
-    "spectral_derivative",
     "moment",
 ]
 
@@ -100,13 +99,6 @@ class GridFunction:
         if self.spec != other.spec:
             raise GridError("operands live on different grids")
 
-    def to_csv(self, path) -> None:
-        x = self.spec.nodes
-        with open(path, "w") as fh:
-            fh.write("x,value\n")
-            for xi, vi in zip(x, self.values):
-                fh.write(f"{xi:.17g},{vi:.17g}\n")
-
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -152,20 +144,6 @@ def lp_norm(f: GridFunction, p: float) -> float:
     if p == 2.0:
         return float(math.sqrt(h * np.sum(f.values * f.values)))
     return float((h * np.sum(np.abs(f.values) ** p)) ** (1.0 / p))
-
-
-def spectral_derivative(f: GridFunction, order: int = 1) -> GridFunction:
-    """d^order f / dx^order via the FFT, Nyquist mode zeroed for odd orders."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    xi = f.spec.freqs
-    fh = np.fft.rfft(f.values)
-    mult = (1j * xi) ** order
-    if order % 2 == 1:
-        mult = mult.copy()
-        mult[-1] = 0.0
-    out = np.fft.irfft(fh * mult, n=f.spec.points)
-    return GridFunction(f.spec, out)
 
 
 def moment(f: GridFunction, k: int) -> float:

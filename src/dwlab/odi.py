@@ -149,11 +149,6 @@ class OdiTrace:
     def blown_up(self) -> bool:
         return self.blowup_time is not None
 
-    def to_csv(self, path):
-        rows = np.column_stack([self.times, self.v])
-        np.savetxt(path, rows, fmt="%.17g", delimiter=",",
-                   header="t,v", comments="")
-
 
 def _snap_dt(dt: float):
     """Round dt to 1/m so the one-unit window is a whole number of steps."""

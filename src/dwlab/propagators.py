@@ -12,8 +12,8 @@ physical-space form of S(t) is the light-cone Bessel average
 
     S(t)f(x) = e^{-t/2} * (1/2) * int_{-t}^{t} I0(sqrt(t^2 - y^2)/2) f(x - y) dy,
 
-whose total mass is 1 - e^{-t}.  The heat comparison operator shares the same
-grid conventions so residuals can be formed directly.
+whose total mass is 1 - e^{-t}.  The residual scan compares S(t) with the
+heat multiplier e^{-t xi^2} on the same grid.
 """
 from __future__ import annotations
 
@@ -36,7 +36,6 @@ __all__ = [
     "apply_S",
     "apply_dtS",
     "apply_S_kernel",
-    "apply_heat",
     "DecayReport",
     "decay_scan",
     "residual_scan",
@@ -171,11 +170,6 @@ def apply_dtS(t: float, f: GridFunction, check_boundary: bool = True) -> GridFun
     return _apply_multiplier(f, damped_symbol(t, f.spec).sigma_t)
 
 
-def apply_heat(t: float, f: GridFunction) -> GridFunction:
-    """Heat semigroup e^{t Lap} f via the multiplier e^{-t xi^2}."""
-    return _apply_multiplier(f, _heat_symbol(t, f.spec.freqs))
-
-
 def _heat_symbol(t: float, xi: np.ndarray) -> np.ndarray:
     if t < 0.0:
         raise ValueError("t must be >= 0")
@@ -270,25 +264,13 @@ def HEAT_EXPANSION_SLOPES(p: float):
 class DecayReport:
     times: np.ndarray
     norms: np.ndarray
-    p: float
     fit: ExponentFit
-    label: str = ""
 
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
             fh.write("t,norm\n")
             for t, v in zip(self.times, self.norms):
                 fh.write(f"{t:.17g},{v:.17g}\n")
-
-    def fit_record(self) -> dict:
-        return {
-            "p": self.p,
-            "slope": self.fit.slope,
-            "intercept": self.fit.intercept,
-            "r2": self.fit.r_squared,
-            "window": list(self.fit.window),
-            "label": self.label,
-        }
 
 
 @lru_cache(maxsize=1)
@@ -303,24 +285,20 @@ def _scan_terms(f: GridFunction, times: np.ndarray):
     return np.fft.rfft(f.values), _scan_sigmas(f.spec, tuple(times.tolist()))
 
 
-def decay_scan(f: GridFunction, p: float, times, window=None, label: str = "") -> DecayReport:
+def decay_scan(f: GridFunction, p: float, times, window=None) -> DecayReport:
     """||S(t) f||_{L^p} over the given times with a log-log fit."""
     times = np.asarray(times, dtype=float)
     fh, sigmas = _scan_terms(f, times)
     n = f.spec.points
     norms = np.array([lp_norm(GridFunction(f.spec, np.fft.irfft(fh * sig, n=n)), p)
                       for sig in sigmas])
-    return DecayReport(times, norms, float(p), fit_loglog(times, norms, window), label)
+    return DecayReport(times, norms, fit_loglog(times, norms, window))
 
 
-def residual_scan(f: GridFunction, p: float, times, variant: str = "heat",
-                  window=None, label: str = "") -> DecayReport:
-    """Decay of S(t)f minus its parabolic approximation.
-
-    variant "heat" (the only one): ||S(t)f - e^{t Lap} f||_{L^p}.
+def residual_scan(f: GridFunction, p: float, times, window=None) -> DecayReport:
+    """Decay of S(t)f minus its parabolic approximation,
+    ||S(t)f - e^{t Lap} f||_{L^p}, e^{t Lap} by the multiplier e^{-t xi^2}.
     """
-    if variant != "heat":
-        raise ValueError(f"unknown variant {variant!r}")
     times = np.asarray(times, dtype=float)
     fh, sigmas = _scan_terms(f, times)
     n, xi = f.spec.points, f.spec.freqs
@@ -330,5 +308,4 @@ def residual_scan(f: GridFunction, p: float, times, variant: str = "heat",
         gap = np.fft.irfft(fh * sig, n=n) - heat
         norms.append(lp_norm(GridFunction(f.spec, gap), p))
     norms = np.array(norms)
-    return DecayReport(times, norms, float(p), fit_loglog(times, norms, window),
-                       label or variant)
+    return DecayReport(times, norms, fit_loglog(times, norms, window))

@@ -60,7 +60,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .grid import GridError, GridFunction, GridSpec, Trajectory
-from .propagators import _symbol_pair, damped_symbol, linear_pair_matrix
+from .propagators import (_cubic_lagrange_weights, _symbol_pair,
+                          damped_symbol, linear_pair_matrix)
 from .special import DataFamily
 
 __all__ = [
@@ -70,12 +71,10 @@ __all__ = [
     "STATUSES",
     "BlowupSignal",
     "SamplingError",
-    "SolverState",
     "SolverControls",
     "MarchStats",
     "LifespanEstimate",
     "FunctionalTrace",
-    "step",
     "integrate",
     "solve_lifespan",
     "duhamel_residual",
@@ -105,36 +104,6 @@ class BlowupSignal(RuntimeError):
 
 class SamplingError(ValueError):
     """Trajectory too sparse for the requested quadrature."""
-
-
-@dataclass(frozen=True)
-class SolverState:
-    """One snapshot of the first-order system."""
-
-    t: float
-    u: GridFunction
-    v: GridFunction
-    dt: float
-    steps_taken: int = 0
-    max_abs_u: float = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.u.spec != self.v.spec:
-            raise GridError("u and v live on different grids")
-        if not self.dt > 0.0:
-            raise ValueError("dt must be positive")
-        if self.max_abs_u is None:
-            object.__setattr__(self, "max_abs_u",
-                               float(np.max(np.abs(self.u.values))))
-
-    @property
-    def spec(self) -> GridSpec:
-        return self.u.spec
-
-    @classmethod
-    def from_data(cls, u0: GridFunction, v0: GridFunction,
-                  dt: float) -> "SolverState":
-        return cls(0.0, u0, v0, dt)
 
 
 @dataclass(frozen=True)
@@ -436,32 +405,12 @@ def _attempt(yu, yv, w1, w3, p, spec, dt):
     return gu, gv, w5, w3_next, num / den, u
 
 
-def step(state: SolverState, p: float, dt: float,
-         nonlinear: bool = True) -> SolverState:
-    """Advance one step of size dt.  Raises BlowupSignal on overflow."""
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
-    spec = state.spec
-    yu = np.fft.rfft(state.u.values)
-    yv = np.fft.rfft(state.v.values)
-    ops = _stage_ops(spec, float(dt))
-    with np.errstate(over="ignore", invalid="ignore"):
-        zu, zv = _fixed_step(yu, yv, float(p), ops, float(dt), nonlinear)
-    u = np.fft.irfft(zu, spec.points)
-    v = np.fft.irfft(zv, spec.points)
-    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
-        raise BlowupSignal(state.t)
-    return SolverState(state.t + dt, GridFunction(spec, u),
-                       GridFunction(spec, v), dt, state.steps_taken + 1)
-
-
 def integrate(u0: GridFunction, v0: GridFunction, p: float, t_final: float,
-              dt: float, nonlinear: bool = True,
-              store_every: int = 1) -> Trajectory:
-    """Fixed-step march to t_final, sampling every store_every-th step.
+              dt: float, nonlinear: bool = True) -> Trajectory:
+    """Fixed-step march to t_final, storing the initial state and every step.
 
-    dt is nudged so that t_final is an integer number of steps; the
-    initial state and the final state are always stored.
+    dt is nudged so that t_final is an integer number of steps.  Raises
+    BlowupSignal, carrying the last finite time, on a non-finite state.
     """
     if u0.spec != v0.spec:
         raise GridError("u0 and v0 live on different grids")
@@ -478,13 +427,12 @@ def integrate(u0: GridFunction, v0: GridFunction, p: float, t_final: float,
     for k in range(1, n + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             yu, yv = _fixed_step(yu, yv, float(p), ops, dt, nonlinear)
-        if k % store_every == 0 or k == n:
-            u = np.fft.irfft(yu, spec.points)
-            v = np.fft.irfft(yv, spec.points)
-            if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
-                raise BlowupSignal((k - 1) * dt)
-            times.append(k * dt)
-            states.append((GridFunction(spec, u), GridFunction(spec, v)))
+        u = np.fft.irfft(yu, spec.points)
+        v = np.fft.irfft(yv, spec.points)
+        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
+            raise BlowupSignal((k - 1) * dt)
+        times.append(k * dt)
+        states.append((GridFunction(spec, u), GridFunction(spec, v)))
     return Trajectory(np.array(times), tuple(states))
 
 
@@ -501,12 +449,8 @@ def _sample_offgrid(spec: GridSpec, values: np.ndarray,
     """Cubic Lagrange evaluation between nodes, periodic indexing."""
     s = (np.asarray(xq, dtype=np.float64) + spec.half_width) / spec.h
     base = np.floor(s).astype(np.int64)
-    r = s - base
     idx = (base[:, None] + np.arange(-1, 3)[None, :]) % spec.points
-    w = np.stack([-r * (r - 1.0) * (r - 2.0) / 6.0,
-                  (r + 1.0) * (r - 1.0) * (r - 2.0) / 2.0,
-                  -(r + 1.0) * r * (r - 2.0) / 2.0,
-                  (r + 1.0) * r * (r - 1.0) / 6.0], axis=1)
+    w = _cubic_lagrange_weights(s - base)
     return (values[idx] * w).sum(axis=1)
 
 

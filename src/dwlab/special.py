@@ -1,9 +1,8 @@
 """Special functions and closed-form lifespan laws.
 
-Covers the modified Bessel function I0 (series / asymptotic split at y = 20),
-the principal Lambert W branch on [0, inf), the Gaussian derivative data
-families g, g', g'' with their moment classes, the lifespan predictions for
-each moment regime, and the threshold time root tilde_T2p.
+Covers the principal Lambert W branch on [0, inf), the Gaussian derivative
+data families g, g', g'' with their moment classes, the lifespan
+predictions for each moment regime, and the threshold time root tilde_T2p.
 """
 from __future__ import annotations
 
@@ -12,12 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .grid import GridFunction, GridSpec
 
 __all__ = [
     "HorizonError",
-    "bessel_i0",
     "lambert_w0",
     "gaussian_derivative",
     "DataFamily",
@@ -37,23 +34,6 @@ __all__ = [
 
 class HorizonError(ValueError):
     """The requested root or horizon does not exist in the admissible range."""
-
-
-# ----------------------------------------------------------------------
-# modified Bessel I0
-# ----------------------------------------------------------------------
-
-def bessel_i0(y):
-    """I0(y) for y >= 0, scalar or array; relative error <= 1e-12.
-
-    Power series sum_k (y/2)^{2k} / (k!)^2 up to y = 20, then the asymptotic
-    expansion e^y / sqrt(2 pi y) * (1 + 1/(8y) + 9/(128 y^2) + ...).
-    """
-    arr = np.asarray(y, dtype=np.float64)
-    if np.any(arr < 0.0):
-        raise ValueError("bessel_i0 requires y >= 0")
-    out = _kernels.bessel_i0_kernel(arr)
-    return float(out) if arr.ndim == 0 else out
 
 
 # ----------------------------------------------------------------------
@@ -96,13 +76,11 @@ def _gauss_profile(j: int, x: np.ndarray) -> np.ndarray:
         return -0.5 * x * g
     if j == 2:
         return (0.25 * x * x - 0.5) * g
-    if j == 3:
-        return (0.75 * x - 0.125 * x ** 3) * g
-    raise ValueError(f"gaussian derivative order must be 0..3, got {j}")
+    raise ValueError(f"gaussian derivative order must be 0..2, got {j}")
 
 
 def gaussian_derivative(j: int, spec: GridSpec) -> GridFunction:
-    """j-th derivative of g(x) = exp(-x^2/4) sampled on the grid, j = 0..3."""
+    """j-th derivative of g(x) = exp(-x^2/4) sampled on the grid, j = 0..2."""
     return GridFunction(spec, _gauss_profile(int(j), spec.nodes))
 
 
@@ -120,8 +98,7 @@ class DataFamily:
 
     f0 and f1 are stored at profile scale; moments quoted for a family
     refer to these unscaled profiles.  The fields actually handed to a
-    solver are epsilon * (f0, f1), built by initial_data().  A family
-    with epsilon == 0 is degenerate: its effective data vanish.
+    solver are epsilon * (f0, f1), built by initial_data().
     """
 
     f0: GridFunction
@@ -129,7 +106,6 @@ class DataFamily:
     moment_class: str
     label: str
     epsilon: float
-    degenerate: bool = False
 
     def initial_data(self, epsilon=None):
         """Return (u0, u1) = eps * (f0, f1), eps defaulting to self.epsilon."""
@@ -163,8 +139,7 @@ def make_data_family(kind: str, epsilon: float, spec: GridSpec) -> DataFamily:
         fam = (g, g * (-1.0), M0_M1_ZERO)
     else:
         raise ValueError(f"unknown data family kind {kind!r}")
-    return DataFamily(fam[0], fam[1], fam[2], label=kind, epsilon=eps,
-                      degenerate=(eps == 0.0))
+    return DataFamily(fam[0], fam[1], fam[2], label=kind, epsilon=eps)
 
 
 # ----------------------------------------------------------------------
@@ -195,7 +170,7 @@ def _is_critical(p: float) -> bool:
 
 
 def predict_lifespan(p: float, eps: float, moment_class: str,
-                     constants: tuple = (1.0, 1.0)) -> LifespanPrediction:
+                     c: float = 1.0) -> LifespanPrediction:
     """Predicted lifespan for small data of size eps in the given moment class.
 
     With M0 = 0 the three regimes are: p < 3/2 and M1 != 0 gives
@@ -210,7 +185,7 @@ def predict_lifespan(p: float, eps: float, moment_class: str,
         raise ValueError(f"p must lie in (1, 3], got {p}")
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    c = float(constants[0])
+    c = float(c)
 
     if moment_class == M0_NONZERO:
         return LifespanPrediction(GENERIC, _t1p(c * eps, p), "T_p(c*eps)")

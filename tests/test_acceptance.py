@@ -113,7 +113,7 @@ def test_criterion_03_heat_residual_slope():
     window = (1e2, 1e4)
     times = np.geomspace(*window, 12)
     rep = residual_scan(gaussian_derivative(0, spec), 2.0, times,
-                        variant="heat", window=window)
+                        window=window)
     dev = abs(rep.fit.slope - (-1.25))
     ok = dev <= 0.1
     report(3, "heat-approximation residual slope -5/4", ok,

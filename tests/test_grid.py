@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from dwlab.grid import (GridError, GridFunction, GridSpec, MomentOrderError,
-                        Trajectory, lp_norm, moment, spectral_derivative)
+                        Trajectory, lp_norm, moment)
 
 SPEC = GridSpec(32.0, 512)
 
@@ -46,17 +46,6 @@ def test_lp_norm_refinement_stable():
     a = lp_norm(gauss(GridSpec(32.0, 512)), 2.0)
     b = lp_norm(gauss(GridSpec(32.0, 1024)), 2.0)
     assert abs(a - b) < 1e-10
-
-
-def test_spectral_derivative():
-    s = GridSpec(math.pi, 128)
-    f = GridFunction(s, np.sin(3.0 * s.nodes))
-    df = spectral_derivative(f)
-    assert_allclose(df.values, 3.0 * np.cos(3.0 * s.nodes), atol=1e-12)
-    d2 = spectral_derivative(f, order=2)
-    assert_allclose(d2.values, -9.0 * np.sin(3.0 * s.nodes), atol=1e-11)
-    with pytest.raises(ValueError):
-        spectral_derivative(f, order=0)
 
 
 def test_moments_closed_forms():

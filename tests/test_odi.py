@@ -68,15 +68,6 @@ def test_trace_rejects_doctored_arrays():
         OdiTrace(t, v[:-1])
 
 
-def test_trace_csv(tmp_path):
-    tr = simulate_odi(OdiConfig(p=2.0, beta=0.0, eps=0.05, horizon=30.0))
-    path = tmp_path / "odi.csv"
-    tr.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t,v"
-    assert len(lines) == len(tr.times) + 1
-
-
 # ----------------------------------------------------------------------
 # march behavior
 # ----------------------------------------------------------------------

@@ -10,14 +10,14 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 
 import dwlab.solver as solver
-from dwlab.grid import GridFunction, GridSpec, lp_norm
+from dwlab.grid import GridError, GridFunction, GridSpec, lp_norm
 from dwlab.propagators import (apply_dtS, apply_S, damped_symbol,
                                linear_pair_matrix)
 from dwlab.solver import (BLOWN_UP, SURVIVED_HORIZON, TRUNCATION_ABORT,
                           BlowupSignal, FunctionalTrace, LifespanEstimate,
-                          SamplingError, SolverControls, SolverState,
-                          _cubic_spline, _functional_values,
-                          duhamel_residual, integrate, solve_lifespan, step)
+                          SamplingError, SolverControls, _cubic_spline,
+                          _functional_values, duhamel_residual, integrate,
+                          solve_lifespan)
 from dwlab.special import DataFamily, make_data_family
 
 SPEC = GridSpec(32.0, 1024)
@@ -27,7 +27,7 @@ TORUS = GridSpec(math.pi, 64)
 def gauss_state(amp=0.5, spec=SPEC):
     u = GridFunction(spec, amp * np.exp(-0.25 * spec.nodes ** 2))
     v = GridFunction(spec, np.zeros(spec.points))
-    return SolverState.from_data(u, v, dt=0.02)
+    return u, v
 
 
 def torus_family(amp=1.0):
@@ -56,16 +56,17 @@ def ode_blowup_time(a, p, rtol=1e-12):
 
 
 def test_linear_step_matches_exact_propagator():
-    st = gauss_state()
-    out = step(st, p=2.0, dt=0.35, nonlinear=False)
+    u, v = gauss_state()
+    traj = integrate(u, v, p=2.0, t_final=0.35, dt=0.35, nonlinear=False)
     m11, m12, m21, m22 = linear_pair_matrix(0.35, SPEC)
-    yu = np.fft.rfft(st.u.values)
-    yv = np.fft.rfft(st.v.values)
+    yu = np.fft.rfft(u.values)
+    yv = np.fft.rfft(v.values)
     eu = np.fft.irfft(m11 * yu + m12 * yv, SPEC.points)
     ev = np.fft.irfft(m21 * yu + m22 * yv, SPEC.points)
-    assert np.max(np.abs(out.u.values - eu)) < 1e-13
-    assert np.max(np.abs(out.v.values - ev)) < 1e-13
-    assert out.t == pytest.approx(0.35)
+    out_u, out_v = traj.states[-1]
+    assert np.max(np.abs(out_u.values - eu)) < 1e-13
+    assert np.max(np.abs(out_v.values - ev)) < 1e-13
+    assert traj.times[-1] == pytest.approx(0.35)
 
 
 def test_constant_mode_fourth_order():
@@ -124,40 +125,40 @@ def _ref_lawson_step(yu, yv, p, dt, spec, nonlinear):
                                          (2.0, False)])
 def test_step_and_integrate_match_unbatched_reference(spec, p, nonlinear):
     # the batched stages must not move a single bit of the fixed-step path
-    st = gauss_state(amp=0.4, spec=spec)
+    u0, v0 = gauss_state(amp=0.4, spec=spec)
     dt = 0.05
-    yu = np.fft.rfft(st.u.values)
-    yv = np.fft.rfft(st.v.values)
-    zu, zv = _ref_lawson_step(yu, yv, p, dt, spec, nonlinear)
-    out = step(st, p=p, dt=dt, nonlinear=nonlinear)
-    assert np.array_equal(out.u.values, np.fft.irfft(zu, spec.points))
-    assert np.array_equal(out.v.values, np.fft.irfft(zv, spec.points))
-    traj = integrate(st.u, st.v, p=p, t_final=0.5, dt=dt,
-                     nonlinear=nonlinear, store_every=5)
+    yu = np.fft.rfft(u0.values)
+    yv = np.fft.rfft(v0.values)
+    traj = integrate(u0, v0, p=p, t_final=0.5, dt=dt, nonlinear=nonlinear)
+    assert len(traj.states) == 11
     for k in range(1, 11):
         yu, yv = _ref_lawson_step(yu, yv, p, dt, spec, nonlinear)
-        if k % 5 == 0:
-            u, v = traj.states[k // 5]
-            assert np.array_equal(u.values, np.fft.irfft(yu, spec.points))
-            assert np.array_equal(v.values, np.fft.irfft(yv, spec.points))
+        u, v = traj.states[k]
+        assert np.array_equal(u.values, np.fft.irfft(yu, spec.points))
+        assert np.array_equal(v.values, np.fft.irfft(yv, spec.points))
 
 
 def test_step_rejects_bad_dt_and_signals_blowup():
-    st = gauss_state()
+    u, v = gauss_state()
     with pytest.raises(ValueError):
-        step(st, p=2.0, dt=0.0)
-    hot = SolverState.from_data(
-        GridFunction(TORUS, np.full(TORUS.points, 50.0)),
-        GridFunction(TORUS, np.zeros(TORUS.points)), dt=0.05)
-    with pytest.raises(BlowupSignal):
-        s = hot
-        for _ in range(400):
-            s = step(s, p=2.0, dt=0.05)
+        integrate(u, v, p=2.0, t_final=1.0, dt=0.0)
+    hot = (GridFunction(TORUS, np.full(TORUS.points, 50.0)),
+           GridFunction(TORUS, np.zeros(TORUS.points)))
+    with pytest.raises(BlowupSignal) as info:
+        integrate(*hot, p=2.0, t_final=20.0, dt=0.05)
+    # .t is the last time whose state was finite: marching to it succeeds
+    t_last = info.value.t
+    assert t_last > 0.0
+    traj = integrate(*hot, p=2.0, t_final=t_last, dt=0.05)
+    assert traj.times[-1] == pytest.approx(t_last)
+    assert all(np.all(np.isfinite(a.values)) and np.all(np.isfinite(b.values))
+               for a, b in traj.states)
 
 
 def test_integrate_trajectory_contract():
-    st = gauss_state(amp=0.1)
-    traj = integrate(st.u, st.v, p=2.0, t_final=1.0, dt=0.11, store_every=2)
+    u, v = gauss_state(amp=0.1)
+    traj = integrate(u, v, p=2.0, t_final=1.0, dt=0.11)
+    assert len(traj.times) == 10    # the initial state and all 9 steps
     assert traj.times[0] == 0.0
     assert traj.times[-1] == pytest.approx(1.0)
     assert np.all(np.diff(traj.times) > 0.0)
@@ -165,9 +166,8 @@ def test_integrate_trajectory_contract():
 
 def test_linear_l2_monotone_after_t1():
     # with the nonlinearity off the L2 norm is non-increasing past t = 1
-    st = gauss_state(amp=1.0)
-    traj = integrate(st.u, st.v, p=2.0, t_final=6.0, dt=0.05,
-                     nonlinear=False, store_every=4)
+    u, v = gauss_state(amp=1.0)
+    traj = integrate(u, v, p=2.0, t_final=6.0, dt=0.05, nonlinear=False)
     norms = [lp_norm(u, 2.0) for (u, _) in traj.states]
     times = traj.times
     for i in range(1, len(times)):
@@ -195,9 +195,9 @@ def test_torus_lifespan_brackets_ode_oracle():
 def test_embedded_estimate_is_fourth_order(p):
     # the gap dt/10 (w4 - w5) is the local error of the order-3 partner,
     # so halving dt cuts it about 16x
-    st = gauss_state()
-    yu = np.fft.rfft(st.u.values)
-    yv = np.fft.rfft(st.v.values)
+    u, v = gauss_state()
+    yu = np.fft.rfft(u.values)
+    yv = np.fft.rfft(v.values)
 
     def err(dt):
         w1, w3 = solver._head(yu, yv, p, solver._stage_ops(SPEC, dt))
@@ -291,8 +291,7 @@ def test_march_attempts_match_unbatched_reference(monkeypatch, case):
         ctrl = SolverControls(check_boundary=False, dt_init=0.25)
     else:
         p, horizon = 2.0, 1.1
-        st = gauss_state()
-        fam = DataFamily(st.u, st.v, "M0_nonzero", "gaussian", 1.0)
+        fam = DataFamily(*gauss_state(), "M0_nonzero", "gaussian", 1.0)
         ctrl = SolverControls()
     est, trace = solve_lifespan(fam, p, horizon=horizon, ctrl=ctrl)
     for yu, yv, spec, dt, gu, gv in calls:
@@ -764,12 +763,31 @@ def test_functionals_on_constant_state():
     assert wm == pytest.approx(16.0, rel=1e-9)
 
 
+def test_scarce_corridor_adds_interpolated_points():
+    # at t = 0.01 the corridor [-0.1, 0.1] holds 3 nodes of SPEC (h = 1/16),
+    # so 8 interior points are interpolated; cubic interpolation is exact
+    # on a cubic, and this one takes its minimum at x = -0.0777..., beyond
+    # the last node inside the corridor
+    def cubic(x):
+        return 1.0 + 2.0 * x + x ** 3
+
+    t = 0.01
+    x = SPEC.nodes
+    U, wp, wm = _functional_values(SPEC, x, cubic(x), t)
+    inside = x[np.abs(x) <= 0.1]
+    assert len(inside) == 3
+    xq = np.linspace(-0.1, 0.1, 10)[1:-1]
+    expect = math.sqrt(t) * min(cubic(inside).min(), cubic(xq).min())
+    assert abs(U - expect) <= 1e-14
+    assert U < math.sqrt(t) * cubic(inside).min()
+    assert math.isnan(wp) and math.isnan(wm)
+
+
 def test_corridor_signs_for_odd_data():
     # evolved g' stays odd: right corridor negative, left positive
     fam = make_data_family("M0_zero_M1_nonzero", 0.05, SPEC)
     u0, u1 = fam.initial_data()
-    traj = integrate(u0, u1, p=2.0, t_final=30.0, dt=0.05,
-                     nonlinear=False, store_every=len(range(0, 600)))
+    traj = integrate(u0, u1, p=2.0, t_final=30.0, dt=0.05, nonlinear=False)
     u_end = traj.states[-1][0]
     _, wp, wm = _functional_values(SPEC, SPEC.nodes, u_end.values, 30.0)
     assert wp < 0.0 < wm
@@ -797,16 +815,15 @@ def test_trace_alignment_and_csv(tmp_path):
 def test_duhamel_residual_linear_run_tiny():
     # the stepper is exact on the linear flow, so the integral form with
     # the source dropped closes to roundoff
-    st = gauss_state(amp=0.3)
-    traj = integrate(st.u, st.v, p=2.0, t_final=4.0, dt=0.05,
-                     nonlinear=False)
+    u, v = gauss_state(amp=0.3)
+    traj = integrate(u, v, p=2.0, t_final=4.0, dt=0.05, nonlinear=False)
     res = duhamel_residual(traj, p=2.0, include_nonlinear=False)
     assert res < 1e-11
 
 
 def test_duhamel_residual_nonlinear_small():
-    st = gauss_state(amp=0.05)
-    traj = integrate(st.u, st.v, p=2.0, t_final=4.0, dt=0.04)
+    u, v = gauss_state(amp=0.05)
+    traj = integrate(u, v, p=2.0, t_final=4.0, dt=0.04)
     res = duhamel_residual(traj, p=2.0)
     assert res < 1e-8
 
@@ -852,8 +869,8 @@ def _ref_duhamel_residual(traj, p, nodes=64, include_nonlinear=True,
 
 @pytest.fixture(scope="module")
 def small_traj():
-    st = gauss_state(amp=0.05)
-    return integrate(st.u, st.v, p=2.0, t_final=4.0, dt=0.04)
+    u, v = gauss_state(amp=0.05)
+    return integrate(u, v, p=2.0, t_final=4.0, dt=0.04)
 
 
 @pytest.mark.parametrize("include_nonlinear", [True, False])
@@ -911,11 +928,11 @@ def test_cubic_spline_matches_scipy(knots):
 
 
 def test_duhamel_sampling_errors():
-    st = gauss_state(amp=0.05)
-    traj = integrate(st.u, st.v, p=2.0, t_final=1.0, dt=0.25)
+    u, v = gauss_state(amp=0.05)
+    traj = integrate(u, v, p=2.0, t_final=1.0, dt=0.25)
     with pytest.raises(SamplingError):
         duhamel_residual(traj, p=2.0)           # too few samples
-    traj2 = integrate(st.u, st.v, p=2.0, t_final=2.0, dt=0.05)
+    traj2 = integrate(u, v, p=2.0, t_final=2.0, dt=0.05)
     with pytest.raises(SamplingError):
         duhamel_residual(traj2, p=2.0, nodes=16)  # too few quadrature nodes
     with pytest.raises(ValueError):
@@ -943,11 +960,8 @@ def test_controls_validation():
     assert SolverControls(max_steps=1).max_steps == 1
 
 
-def test_state_validation_and_spec():
+def test_integrate_rejects_mismatched_grids():
     u = GridFunction(SPEC, np.ones(SPEC.points))
     v = GridFunction(GridSpec(32.0, 512), np.zeros(512))
-    with pytest.raises(ValueError):
-        SolverState(0.0, u, v, 0.01)
-    st = gauss_state()
-    assert st.spec == SPEC
-    assert st.max_abs_u == pytest.approx(0.5)
+    with pytest.raises(GridError):
+        integrate(u, v, p=2.0, t_final=1.0, dt=0.01)
