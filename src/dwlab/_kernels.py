@@ -5,10 +5,8 @@
 * light-cone convolution: ``kernel_convolve`` deposits the quadrature's
   Simpson x cubic-Lagrange weights into one fine-grid stencil and applies
   it with one circular FFT convolution.
-* ODI march: ``odi_march``.  numba is an optional extra and compiles only
-  this kernel; when it is not importable, ``odi_march_python`` repeats
-  the arithmetic of ``_odi_march_loop`` (the numba source) on Python
-  floats and returns bit-for-bit the same output.
+* ODI march: ``odi_march``, a loop on Python floats with rolling
+  window sums, so each step costs O(1).
 
 ``perfbench/run.py --trace 1`` reports each kernel's time as a traced
 span of the benchmark workloads that call it.
@@ -21,13 +19,9 @@ from collections import deque
 
 import numpy as np
 
-try:
-    from numba import njit as _njit
-
-    HAVE_NUMBA = True
-except ImportError:
-    _njit = None
-    HAVE_NUMBA = False
+# No kernel is compiled.  perfbench/child.py records this flag in every
+# run's env, and tests/test_benchmark_contract.py asserts that it exists.
+HAVE_NUMBA = False
 
 
 # ----------------------------------------------------------------------
@@ -97,67 +91,27 @@ def kernel_convolve(fu, wk, mq, lag, R, n_out):
 # ----------------------------------------------------------------------
 # memory-kernel ODI march
 #
-# v(t) = seed + t^gamma * [ c1 * int_{t-1}^t (t-tau) F + c2 * int_{t0}^{t-1} F ],
+# v(t) = seed + t^gamma * [ int_{t-1}^t (t-tau) F + int_{t0}^{t-1} F ],
 # F(tau) = v(tau)^p tau^{-beta}, trapezoidal quadrature on a uniform grid
 # with dt = 1/m.  Rolling sums keep each step O(1):
 #   A = trapz of F over the active window, current node excluded
 #   B = same with integrand tau*F
 #   C = trapz of F over [t0, t-1]
 # The (t - tau) weight never sees the current node (zero factor), so the
-# update is explicit.  Returns (v array, number of steps filled, blow index).
-# _odi_march_loop is the numba source and the tests' reference for
-# odi_march_python.
+# update is explicit.
 # ----------------------------------------------------------------------
 
 
-def _odi_march_loop(seed, p, beta, gamma, c1, c2, t0, dt, m, n_max,
-                    blow_level, growth_limit):
-    v = np.empty(n_max)
-    f = np.empty(n_max)
-    v[0] = seed
-    f[0] = seed ** p * t0 ** (-beta)
-    A = 0.0
-    B = 0.0
-    C = 0.0
-    blow = -1
-    n = 1
-    for k in range(1, n_max):
-        t = t0 + k * dt
-        if k <= m:
-            wgt = 0.5 if k == 1 else 1.0
-            A += dt * wgt * f[k - 1]
-            B += dt * wgt * (t0 + (k - 1) * dt) * f[k - 1]
-        else:
-            A += dt * (f[k - 1] - 0.5 * f[k - 1 - m] - 0.5 * f[k - m])
-            B += dt * ((t0 + (k - 1) * dt) * f[k - 1]
-                       - 0.5 * (t0 + (k - 1 - m) * dt) * f[k - 1 - m]
-                       - 0.5 * (t0 + (k - m) * dt) * f[k - m])
-            C += dt * 0.5 * (f[k - 1 - m] + f[k - m])
-        grow = t ** gamma if gamma != 0.0 else 1.0
-        vk = seed + grow * (c1 * (t * A - B) + c2 * C)
-        v[k] = vk
-        f[k] = vk ** p * t ** (-beta)
-        n = k + 1
-        if vk >= blow_level or vk > growth_limit * v[k - 1]:
-            blow = k
-            break
-    return v, n, blow
+def odi_march(seed, p, beta, gamma, t0, dt, m, n_max, blow_level,
+              growth_limit):
+    """March the inequality; returns (v, n, blow index or -1), len(v) == n.
 
-
-odi_march_numba = _njit(cache=True)(_odi_march_loop) if HAVE_NUMBA else None
-
-
-def odi_march_python(seed, p, beta, gamma, c1, c2, t0, dt, m, n_max,
-                     blow_level, growth_limit):
-    """_odi_march_loop on Python floats, bit-for-bit the same output.
-
-    Every float operation of the array loop happens here too, on the same
-    operands and in the same order.  What differs is the bookkeeping: the
-    update only reads the two nodes that leave the window, so F and the
-    trapezoid's (tau/2)*F products live in queues of at most m values, and
-    v grows in an array('d') of n values.  float ** float raises
-    OverflowError where a numpy scalar returns inf; that case maps to inf so
-    the blow-up check fires as in the array loop.
+    Takes Python floats (m and n_max ints).  The update only reads the two
+    nodes that leave the window, so F and the trapezoid's (tau/2)*F
+    products live in queues of at most m values, and v grows in an
+    array('d') of n values.  float ** float raises OverflowError where a
+    numpy scalar returns inf; that case maps to inf so the blow-up check
+    fires.
     """
     nb = -beta
     hdt = dt * 0.5
@@ -185,7 +139,7 @@ def odi_march_python(seed, p, beta, gamma, c1, c2, t0, dt, m, n_max,
             A += wdt * fprev
             B += wdt * tprev * fprev
         grow = t ** gamma if gamma != 0.0 else 1.0
-        vk = seed + grow * (c1 * (t * A - B) + c2 * C)
+        vk = seed + grow * ((t * A - B) + C)
         try:
             fk = vk ** p * t ** nb
         except OverflowError:
@@ -197,17 +151,3 @@ def odi_march_python(seed, p, beta, gamma, c1, c2, t0, dt, m, n_max,
         gpush(0.5 * t * fk)
         fprev, tprev, vprev = fk, t, vk
     return np.frombuffer(v), len(v), -1
-
-
-def odi_march(seed, p, beta, gamma, c1, c2, t0, dt, m, n_max,
-              blow_level, growth_limit):
-    """March the inequality; returns (v, n, blow index or -1).
-
-    The first n entries of v are filled; v may be longer.
-    """
-    args = (float(seed), float(p), float(beta), float(gamma), float(c1),
-            float(c2), float(t0), float(dt), int(m), int(n_max),
-            float(blow_level), float(growth_limit))
-    if odi_march_numba is not None:
-        return odi_march_numba(*args)
-    return odi_march_python(*args)

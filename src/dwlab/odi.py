@@ -2,16 +2,17 @@
 
 Marches
 
-    v(t) = seed + t^gamma * ( c1 * int_{t-1}^t (t - tau) f(tau) dtau
-                            + c2 * int_{t0}^{t-1}  f(tau) dtau ),
+    v(t) = eps + t^gamma * ( int_{t-1}^t (t - tau) f(tau) dtau
+                           + int_{t0}^{t-1}  f(tau) dtau ),
     f(tau) = v(tau)^p * tau^{-beta},
 
 on a uniform grid with trapezoidal memory quadrature.  The one-unit window
 and the history tail are maintained as rolling sums, so each step costs
-O(1) regardless of how long the march has run.  Solutions are
-self-reinforcing: with positive couplings v never decreases once the
-window is full, and for small seeds the blow-up time scales like
-seed^{-(p-1)/(1-beta)} when 0 <= beta < 1.
+O(1) regardless of how long the march has run.  The grid is t0 + k*dt,
+so a trace stores t0, dt and v, not the times.  Solutions are
+self-reinforcing: v never decreases once the window is full, and for
+small eps the blow-up time scales like eps^{-(p-1)/(1-beta)} when
+0 <= beta < 1.
 
 Two consumers:
 
@@ -67,23 +68,15 @@ class PlateauViolation(RuntimeError):
 
 @dataclass(frozen=True)
 class OdiConfig:
-    """Parameters of one inequality march.
-
-    The effective seed is eps * m1_abs; m1_abs stands in for the first
-    moment magnitude that multiplies eps in the corridor bound and
-    defaults to 1.
-    """
+    """Parameters of one inequality march; eps is the march's seed v(t0)."""
 
     p: float
     beta: float
     gamma: float = 0.0
     t0: float = 4.0
     eps: float = 1e-3
-    c1: float = 1.0
-    c2: float = 1.0
     dt: float = 1.0 / 32.0
     horizon: float = 1e5
-    m1_abs: float = 1.0
 
     def __post_init__(self):
         if not self.p > 1.0:
@@ -94,23 +87,17 @@ class OdiConfig:
             raise ValueError(f"t0 must be >= 4, got {self.t0}")
         if not self.eps >= 0.0:
             raise ValueError("eps must be non-negative")
-        if not (self.c1 > 0.0 and self.c2 > 0.0):
-            raise ValueError("couplings c1, c2 must be positive")
         if not self.dt > 0.0:
             raise ValueError("dt must be positive")
         if not self.horizon > self.t0:
             raise ValueError("horizon must exceed t0")
-        if not self.m1_abs > 0.0:
-            raise ValueError("m1_abs must be positive")
-
-    @property
-    def seed(self) -> float:
-        return self.eps * self.m1_abs
+        if not math.isfinite(self.horizon):
+            raise ValueError(f"horizon must be finite, got {self.horizon}")
 
 
 @dataclass(frozen=True)
 class OdiTrace:
-    """March output: v sampled on a uniform grid, plus the blow-up time.
+    """March output: v[k] at t0 + k*dt, plus the blow-up time.
 
     blowup_time is None when the march reached its horizon.  v is
     non-decreasing once the memory window is full (checked here up to
@@ -118,29 +105,29 @@ class OdiTrace:
     inequality at equality.
     """
 
-    times: np.ndarray
+    t0: float
+    dt: float
     v: np.ndarray
     blowup_time: float | None = None
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
         v = np.asarray(self.v, dtype=float)
-        if times.shape != v.shape or times.ndim != 1 or len(times) == 0:
-            raise ValueError("times and v must be matching 1d arrays")
+        if v.ndim != 1 or len(v) == 0:
+            raise ValueError("v must be a non-empty 1d array")
+        if not self.dt > 0.0:
+            raise ValueError("dt must be positive")
         if np.any(v < 0.0):
             raise ValueError("v must be non-negative")
-        # times ascend, so the filled window is the slice from the first
-        # t >= t0 + 1; the check walks it in blocks to keep temporaries small
-        seg = v[np.searchsorted(times, times[0] + 1.0):]
+        # the filled window starts at the first node with t >= t0 + 1; the
+        # check walks it in blocks to keep temporaries small
+        seg = v[_window_start(self.t0, self.dt):]
         if len(seg) > 1:
             top = float(np.max(seg, where=np.isfinite(seg), initial=1.0))
             floor = -1e-9 * max(1.0, top)
             for i in range(0, len(seg) - 1, _CHECK_BLOCK):
                 if np.any(np.diff(seg[i:i + _CHECK_BLOCK + 1]) < floor):
                     raise ValueError("v decreases after the memory window fills")
-        times.setflags(write=False)
         v.setflags(write=False)
-        object.__setattr__(self, "times", times)
         object.__setattr__(self, "v", v)
         if self.blowup_time is not None:
             object.__setattr__(self, "blowup_time", float(self.blowup_time))
@@ -150,27 +137,43 @@ class OdiTrace:
         return self.blowup_time is not None
 
 
+def _window_start(t0: float, dt: float) -> int:
+    """First k with t0 + k*dt >= t0 + 1, both sides rounded as floats.
+
+    t0 + k*dt rounds exactly as np.arange(n) * dt + t0 does, so this is
+    the index np.searchsorted finds on that array.
+    """
+    edge = t0 + 1.0
+    k = math.ceil(1.0 / dt)
+    while k > 0 and t0 + (k - 1) * dt >= edge:
+        k -= 1
+    while t0 + k * dt < edge:
+        k += 1
+    return k
+
+
 def _snap_dt(dt: float):
     """Round dt to 1/m so the one-unit window is a whole number of steps."""
     m = max(1, int(round(1.0 / dt)))
     return 1.0 / m, m
 
 
-def _march(seed, p, beta, gamma, c1, c2, t0, dt, horizon):
-    """Run the kernel loop; returns (times, v, blow_index or -1)."""
+def _march(seed, p, beta, gamma, t0, dt, horizon):
+    """Run the kernel loop; returns (dt snapped to 1/m, v, blow index or -1).
+
+    v[k] sits at t0 + k*dt.  The kernel takes Python floats: float **
+    float raises OverflowError where a numpy scalar would return inf.
+    """
     dt, m = _snap_dt(dt)
     n_max = int(math.ceil((horizon - t0) / dt)) + 1
     if n_max > _MAX_NODES:
         raise ValueError(
             f"march would need {n_max} nodes; shrink horizon or grow dt")
-    blow_level = BLOW_FACTOR * seed
-    v, n, blow = odi_march(seed, p, beta, gamma, c1, c2, t0, dt, m, n_max,
-                           blow_level, GROWTH_LIMIT)
-    # in place: one n-length array instead of three temporaries
-    times = np.arange(n, dtype=np.float64)
-    times *= dt
-    times += t0
-    return times, (v if len(v) == n else v[:n].copy()), blow
+    seed = float(seed)
+    v, _, blow = odi_march(
+        seed, float(p), float(beta), float(gamma), float(t0), dt, m, n_max,
+        BLOW_FACTOR * seed, GROWTH_LIMIT)
+    return dt, v, blow
 
 
 def simulate_odi(cfg: OdiConfig) -> OdiTrace:
@@ -180,13 +183,12 @@ def simulate_odi(cfg: OdiConfig) -> OdiTrace:
     more than a factor of 10 in one step.  A zero seed is the exact fixed
     point and returns a two-node zero trace.
     """
-    if cfg.seed == 0.0:
-        t = np.array([cfg.t0, cfg.horizon])
-        return OdiTrace(t, np.zeros(2), None)
-    times, v, blow = _march(cfg.seed, cfg.p, cfg.beta, cfg.gamma,
-                            cfg.c1, cfg.c2, cfg.t0, cfg.dt, cfg.horizon)
-    blowup = float(times[blow]) if blow >= 0 else None
-    return OdiTrace(times, v, blowup)
+    if cfg.eps == 0.0:
+        return OdiTrace(cfg.t0, cfg.horizon - cfg.t0, np.zeros(2))
+    dt, v, blow = _march(cfg.eps, cfg.p, cfg.beta, cfg.gamma, cfg.t0,
+                         cfg.dt, cfg.horizon)
+    return OdiTrace(cfg.t0, dt, v,
+                    cfg.t0 + blow * dt if blow >= 0 else None)
 
 
 def odi_target_slope(p: float, beta: float) -> float:
@@ -254,13 +256,13 @@ def w_inequality_total_time(p: float, eps: float, m1_abs: float = 1.0,
         raise PlateauViolation(
             f"threshold time {t_thresh:.3g} leaves no room above t0={t0:g} "
             f"at eps={eps:g}", eps)
-    times1, v1, blow1 = _march(seed, p, p - 0.5, 0.5, 1.0, 1.0,
-                               t0, dt, t_thresh)
+    dt1, v1, blow1 = _march(seed, p, p - 0.5, 0.5, t0, dt, t_thresh)
     if blow1 >= 0:
+        t_blow = t0 + blow1 * dt1
         raise PlateauViolation(
-            f"corridor march blew up at t={times1[blow1]:.4g} before the "
+            f"corridor march blew up at t={t_blow:.4g} before the "
             f"threshold {t_thresh:.4g} at eps={eps:g}", eps,
-            blowup_time=float(times1[blow1]))
+            blowup_time=t_blow)
     w_end = float(v1[-1])
     restart = w_end / math.sqrt(t_thresh)
     beta2 = 0.5 * (p - 1.0)

@@ -116,16 +116,12 @@ def _symbol_pair(t, xi: np.ndarray):
 class PropagatorSymbol:
     """sigma and d sigma/dt sampled on the real-FFT wavenumbers of a grid."""
 
-    t: float
-    freqs: np.ndarray
     sigma: np.ndarray
     sigma_t: np.ndarray
 
 
 def damped_symbol(t: float, spec: GridSpec) -> PropagatorSymbol:
-    xi = spec.freqs
-    sigma, sigma_t = _symbol_pair(t, xi)
-    return PropagatorSymbol(float(t), xi, sigma, sigma_t)
+    return PropagatorSymbol(*_symbol_pair(t, spec.freqs))
 
 
 def linear_pair_matrix(t: float, spec: GridSpec):

@@ -155,7 +155,6 @@ GENERIC = "generic"
 class LifespanPrediction:
     regime: str
     value: float
-    formula_text: str
 
 
 def _t1p(eta: float, p: float) -> float:
@@ -188,20 +187,18 @@ def predict_lifespan(p: float, eps: float, moment_class: str,
     c = float(c)
 
     if moment_class == M0_NONZERO:
-        return LifespanPrediction(GENERIC, _t1p(c * eps, p), "T_p(c*eps)")
+        return LifespanPrediction(GENERIC, _t1p(c * eps, p))
     if moment_class in (M0_M1_ZERO, ZERO_SUM):
-        return LifespanPrediction(GENERIC, _t1p(c * eps ** p, p), "T_p(c*eps^p)")
+        return LifespanPrediction(GENERIC, _t1p(c * eps ** p, p))
     if moment_class != M0_ZERO_M1_NONZERO:
         raise ValueError(f"unknown moment class {moment_class!r}")
 
     if _is_critical(p):
         val = c * eps ** (-2.0 / 3.0) * math.exp(2.0 * lambert_w0(c / math.sqrt(eps)) / 3.0)
-        return LifespanPrediction(CRITICAL_M1, val,
-                                  "c*eps^(-2/3)*exp(2W(c*eps^(-1/2))/3)")
+        return LifespanPrediction(CRITICAL_M1, val)
     if p < 1.5:
-        return LifespanPrediction(SUBCRITICAL_M1, c * eps ** (-(p - 1.0) / (2.0 - p)),
-                                  "c*eps^(-(p-1)/(2-p))")
-    return LifespanPrediction(GENERIC, _t1p(c * eps ** p, p), "T_p(c*eps^p)")
+        return LifespanPrediction(SUBCRITICAL_M1, c * eps ** (-(p - 1.0) / (2.0 - p)))
+    return LifespanPrediction(GENERIC, _t1p(c * eps ** p, p))
 
 
 def predicted_exponent(p: float, moment_class: str):

@@ -190,6 +190,16 @@ def test_odi_rejects_short_eps_list_before_marching(tmp_path, capsys,
     assert not (out / "odi.csv").exists()
 
 
+def test_odi_infinite_horizon_is_a_config_error(tmp_path, capsys):
+    ini = tmp_path / "lab.ini"
+    ini.write_text("[odi]\nhorizon = inf\n")
+    out = tmp_path / "o"
+    code = main(["odi", "--config", str(ini), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: horizon must be finite")
+    assert not (out / "odi.csv").exists()
+
+
 def test_lifespan_records(tmp_path, capsys):
     ini = tmp_path / "lab.ini"
     ini.write_text("[lifespan]\np = 1.5\neps_list = 0.5\nhorizon = 40\n")

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from dwlab._kernels import _odi_march_loop, odi_march_python
-from dwlab.odi import (OdiConfig, OdiTrace, PlateauViolation, odi_scaling_fit,
-                       odi_target_slope, simulate_odi, w_inequality_fit,
-                       w_inequality_total_time)
+from dwlab._kernels import odi_march
+from dwlab.odi import (OdiConfig, OdiTrace, PlateauViolation, _window_start,
+                       odi_scaling_fit, odi_target_slope, simulate_odi,
+                       w_inequality_fit, w_inequality_total_time)
 
 
 def blow_time(cfg):
@@ -27,17 +27,12 @@ def test_config_validation():
                 dict(p=2.0, beta=-0.1),
                 dict(p=2.0, beta=0.0, t0=3.9),
                 dict(p=2.0, beta=0.0, eps=-1e-3),
-                dict(p=2.0, beta=0.0, c1=0.0),
                 dict(p=2.0, beta=0.0, dt=0.0),
                 dict(p=2.0, beta=0.0, horizon=4.0),
-                dict(p=2.0, beta=0.0, m1_abs=0.0)):
+                dict(p=2.0, beta=0.0, horizon=math.inf),
+                dict(p=2.0, beta=0.0, horizon=math.nan)):
         with pytest.raises(ValueError):
             OdiConfig(**bad)
-
-
-def test_seed_combines_eps_and_moment():
-    cfg = OdiConfig(p=2.0, beta=0.0, eps=2e-3, m1_abs=3.0)
-    assert cfg.seed == pytest.approx(6e-3)
 
 
 def test_zero_seed_is_fixed_point():
@@ -50,22 +45,44 @@ def test_dt_snaps_to_unit_fraction():
     # dt = 0.3 rounds to 1/3 so the memory window is a whole step count
     tr = simulate_odi(OdiConfig(p=2.0, beta=0.0, eps=0.05, dt=0.3,
                                 horizon=60.0))
-    gaps = np.diff(tr.times[:5])
-    assert np.allclose(gaps, 1.0 / 3.0)
+    assert tr.dt == 1.0 / 3.0
 
 
 def test_trace_rejects_doctored_arrays():
-    t = 4.0 + np.arange(64) / 8.0
     v = np.full(64, 2.0)
-    OdiTrace(t, v)
+    OdiTrace(4.0, 1 / 8, v)
     bad = v.copy()
     bad[40] = 1.0  # dip after the window fills
     with pytest.raises(ValueError):
-        OdiTrace(t, bad)
+        OdiTrace(4.0, 1 / 8, bad)
     with pytest.raises(ValueError):
-        OdiTrace(t, -v)
+        OdiTrace(4.0, 1 / 8, -v)
     with pytest.raises(ValueError):
-        OdiTrace(t, v[:-1])
+        OdiTrace(4.0, 1 / 8, v[:0])
+
+
+@pytest.mark.parametrize("t0", [4.0, 7.3])
+@pytest.mark.parametrize("dt", [1 / 32, 1 / 49, 0.3, 1 / 8])
+def test_grid_is_t0_plus_k_dt_without_a_times_array(dt, t0):
+    # the blow-up time and the start of the monotonicity check round as
+    # they do on the array np.arange(n) * dt + t0
+    tr = simulate_odi(OdiConfig(p=2.0, beta=0.0, t0=t0, eps=5e-2, dt=dt,
+                                horizon=t0 + 200.0))
+    assert tr.blown_up
+    n = len(tr.v)
+    times = np.arange(n) * tr.dt + t0
+    assert tr.blowup_time == times[n - 1]
+    k = int(np.searchsorted(times, times[0] + 1.0))
+    assert k == _window_start(t0, tr.dt)
+
+    def drop_after(j):   # v falls from node j to node j + 1
+        v = np.full(k + 8, 2.0)
+        v[j + 1:] = 1.0
+        return v
+
+    OdiTrace(t0, tr.dt, drop_after(k - 1))
+    with pytest.raises(ValueError):
+        OdiTrace(t0, tr.dt, drop_after(k))
 
 
 # ----------------------------------------------------------------------
@@ -78,12 +95,6 @@ def test_blowup_time_monotone_in_eps():
     times = [blow_time(OdiConfig(p=2.0, beta=0.0, dt=base.dt, eps=e))
              for e in (1e-3, 3e-3, 1e-2)]
     assert times[0] > times[1] > times[2]
-
-
-def test_blowup_time_monotone_in_couplings():
-    t_ref = blow_time(OdiConfig(p=2.0, beta=0.0, eps=3e-3))
-    t_big = blow_time(OdiConfig(p=2.0, beta=0.0, eps=3e-3, c1=4.0, c2=4.0))
-    assert t_big <= t_ref
 
 
 def test_refinement_shifts_blowup_under_5pct():
@@ -128,19 +139,57 @@ def test_target_slope_table():
 # ----------------------------------------------------------------------
 
 
+def _odi_march_loop(seed, p, beta, gamma, c1, c2, t0, dt, m, n_max,
+                    blow_level, growth_limit):
+    v = np.empty(n_max)
+    f = np.empty(n_max)
+    v[0] = seed
+    f[0] = seed ** p * t0 ** (-beta)
+    A = 0.0
+    B = 0.0
+    C = 0.0
+    blow = -1
+    n = 1
+    for k in range(1, n_max):
+        t = t0 + k * dt
+        if k <= m:
+            wgt = 0.5 if k == 1 else 1.0
+            A += dt * wgt * f[k - 1]
+            B += dt * wgt * (t0 + (k - 1) * dt) * f[k - 1]
+        else:
+            A += dt * (f[k - 1] - 0.5 * f[k - 1 - m] - 0.5 * f[k - m])
+            B += dt * ((t0 + (k - 1) * dt) * f[k - 1]
+                       - 0.5 * (t0 + (k - 1 - m) * dt) * f[k - 1 - m]
+                       - 0.5 * (t0 + (k - m) * dt) * f[k - m])
+            C += dt * 0.5 * (f[k - 1 - m] + f[k - m])
+        grow = t ** gamma if gamma != 0.0 else 1.0
+        vk = seed + grow * (c1 * (t * A - B) + c2 * C)
+        v[k] = vk
+        f[k] = vk ** p * t ** (-beta)
+        n = k + 1
+        if vk >= blow_level or vk > growth_limit * v[k - 1]:
+            blow = k
+            break
+    return v, n, blow
+
+
+def reference_march(args):
+    """The array loop on odi_march's arguments, couplings c1 = c2 = 1."""
+    return _odi_march_loop(*args[:4], 1.0, 1.0, *args[4:])
+
+
 def march_args(seed, p, beta, dt, horizon, gamma=0.0, blow_level=None):
     """odi_march arguments as simulate_odi builds them."""
     m = max(1, int(round(1.0 / dt)))
     n_max = int(math.ceil((horizon - 4.0) * m)) + 1
     level = 1e8 * seed if blow_level is None else blow_level
-    return (seed, p, beta, gamma, 1.0, 1.0, 4.0, 1.0 / m, m, n_max,
-            level, 10.0)
+    return (seed, p, beta, gamma, 4.0, 1.0 / m, m, n_max, level, 10.0)
 
 
 def stop_cause(args, v, blow):
     if blow < 0:
         return "horizon"
-    return "level" if v[blow] >= args[10] else "growth"
+    return "level" if v[blow] >= args[8] else "growth"
 
 
 # name: (odi_march arguments, what ends the march)
@@ -165,8 +214,8 @@ MARCHES = {
 @pytest.mark.parametrize("name", list(MARCHES))
 def test_float_march_is_bit_identical_to_array_loop(name):
     args, cause = MARCHES[name]
-    ref_v, ref_n, ref_blow = _odi_march_loop(*args)
-    v, n, blow = odi_march_python(*args)
+    ref_v, ref_n, ref_blow = reference_march(args)
+    v, n, blow = odi_march(*args)
     assert (n, blow) == (ref_n, ref_blow)
     assert len(v) == n
     assert np.array_equal(v, ref_v[:n])
@@ -178,8 +227,8 @@ def test_float_march_maps_overflow_to_inf():
     # floats raise; both loops must stop at the same node
     args = march_args(1e100, 2.0, 0.0, 1 / 32, 1e4)
     with np.errstate(over="ignore"):
-        ref_v, ref_n, ref_blow = _odi_march_loop(*args)
-    v, n, blow = odi_march_python(*args)
+        ref_v, ref_n, ref_blow = reference_march(args)
+    v, n, blow = odi_march(*args)
     assert (n, blow) == (ref_n, ref_blow) == (2, 1)
     assert np.array_equal(v, ref_v[:n])
     tr = simulate_odi(OdiConfig(p=2.0, beta=0.0, eps=1e100))
