@@ -42,12 +42,9 @@ from .solver import (
 from .odi import (
     OdiConfig,
     OdiTrace,
-    PlateauViolation,
     simulate_odi,
     odi_scaling_fit,
     odi_target_slope,
-    w_inequality_total_time,
-    w_inequality_fit,
 )
 
 __version__ = "0.1.0"

@@ -351,6 +351,8 @@ def run_decay(cfg: ExperimentConfig):
     """
     if cfg.horizon < 10.0:
         raise ConfigError("decay horizon below 10 leaves no fit window")
+    if not math.isfinite(cfg.horizon):
+        raise ConfigError(f"decay horizon must be finite, got {cfg.horizon}")
     out = _ensure_out(cfg)
     spec = GridSpec(cfg.half_width, cfg.points)
     window = (cfg.horizon / 100.0, cfg.horizon)

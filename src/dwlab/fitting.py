@@ -24,13 +24,13 @@ class ExponentFit:
     accepted: bool
 
 
-def fit_loglog(x, y, window=None, r2_min: float = R2_ACCEPT) -> ExponentFit:
+def fit_loglog(x, y, window=None) -> ExponentFit:
     """Fit log y against log x by least squares.
 
     Non-positive samples are dropped.  window = (lo, hi) restricts the fit to
     lo <= x <= hi; by default the largest decade [max(x)/10, max(x)] is used.
-    The fit is flagged unaccepted when r^2 < r2_min or fewer than 3 points
-    survive the masking.
+    The fit is flagged unaccepted when r^2 < R2_ACCEPT or fewer than 3
+    points survive the masking.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -49,7 +49,7 @@ def fit_loglog(x, y, window=None, r2_min: float = R2_ACCEPT) -> ExponentFit:
     ss_tot = float(np.sum((ym - np.mean(ym)) ** 2))
     r2 = 0.0 if ss_tot <= 1e-300 else max(0.0, 1.0 - ss_res / ss_tot)
     return ExponentFit(float(slope), float(intercept), min(r2, 1.0), (lo, hi),
-                       bool(r2 >= r2_min))
+                       bool(r2 >= R2_ACCEPT))
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0

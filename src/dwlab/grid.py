@@ -92,9 +92,6 @@ class GridFunction:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "GridFunction":
-        return GridFunction(self.spec, -self.values)
-
     def _check_same_grid(self, other: "GridFunction") -> None:
         if self.spec != other.spec:
             raise GridError("operands live on different grids")

@@ -14,15 +14,8 @@ self-reinforcing: v never decreases once the window is full, and for
 small eps the blow-up time scales like eps^{-(p-1)/(1-beta)} when
 0 <= beta < 1.
 
-Two consumers:
-
-* simulate_odi drives the plain inequality (gamma = 0 is the bare
-  memory-kernel form; gamma = 1/2 adds the sqrt(t) prefactor of the
-  corridor functional bound).
-* w_inequality_fit chains two marches: the corridor form with
-  beta = p - 1/2 up to the threshold time returned by tilde_T2p, then a
-  restart of the plain form with beta = (p-1)/2 seeded by
-  v = T^{-1/2} w(T).  The total elapsed time is fitted against eps.
+gamma = 0 is the bare memory-kernel form; gamma = 1/2 adds the sqrt(t)
+prefactor of the corridor functional bound.
 """
 from __future__ import annotations
 
@@ -33,37 +26,19 @@ import numpy as np
 
 from ._kernels import odi_march
 from .fitting import ExponentFit, fit_loglog
-from .special import HorizonError, tilde_T2p
 
 __all__ = [
     "OdiConfig",
     "OdiTrace",
-    "PlateauViolation",
     "simulate_odi",
     "odi_scaling_fit",
     "odi_target_slope",
-    "w_inequality_total_time",
-    "w_inequality_fit",
 ]
 
 BLOW_FACTOR = 1e8
 GROWTH_LIMIT = 10.0
 _MAX_NODES = 20_000_000
 _CHECK_BLOCK = 1 << 16  # nodes per block of OdiTrace's monotonicity check
-
-
-class PlateauViolation(RuntimeError):
-    """Phase-1 corridor march left the eps-plateau regime.
-
-    Raised when the corridor inequality blows up (or has no room to run)
-    before the threshold time, i.e. the seed is too large for the
-    small-data mechanism to be visible.
-    """
-
-    def __init__(self, message, eps, blowup_time=None):
-        super().__init__(message)
-        self.eps = eps
-        self.blowup_time = blowup_time
 
 
 @dataclass(frozen=True)
@@ -158,35 +133,27 @@ def _snap_dt(dt: float):
     return 1.0 / m, m
 
 
-def _march(seed, p, beta, gamma, t0, dt, horizon):
-    """Run the kernel loop; returns (dt snapped to 1/m, v, blow index or -1).
-
-    v[k] sits at t0 + k*dt.  The kernel takes Python floats: float **
-    float raises OverflowError where a numpy scalar would return inf.
-    """
-    dt, m = _snap_dt(dt)
-    n_max = int(math.ceil((horizon - t0) / dt)) + 1
-    if n_max > _MAX_NODES:
-        raise ValueError(
-            f"march would need {n_max} nodes; shrink horizon or grow dt")
-    seed = float(seed)
-    v, _, blow = odi_march(
-        seed, float(p), float(beta), float(gamma), float(t0), dt, m, n_max,
-        BLOW_FACTOR * seed, GROWTH_LIMIT)
-    return dt, v, blow
-
-
 def simulate_odi(cfg: OdiConfig) -> OdiTrace:
     """March the inequality at equality until blow-up or cfg.horizon.
 
     Blow-up is declared when v reaches 1e8 times the seed or grows by
     more than a factor of 10 in one step.  A zero seed is the exact fixed
-    point and returns a two-node zero trace.
+    point and returns a two-node zero trace.  dt is snapped to 1/m, and
+    v[k] sits at t0 + k*dt.
     """
     if cfg.eps == 0.0:
         return OdiTrace(cfg.t0, cfg.horizon - cfg.t0, np.zeros(2))
-    dt, v, blow = _march(cfg.eps, cfg.p, cfg.beta, cfg.gamma, cfg.t0,
-                         cfg.dt, cfg.horizon)
+    dt, m = _snap_dt(cfg.dt)
+    n_max = int(math.ceil((cfg.horizon - cfg.t0) / dt)) + 1
+    if n_max > _MAX_NODES:
+        raise ValueError(
+            f"march would need {n_max} nodes; shrink horizon or grow dt")
+    # the kernel takes Python floats: float ** float raises OverflowError
+    # where a numpy scalar would return inf
+    seed = float(cfg.eps)
+    v, _, blow = odi_march(
+        seed, float(cfg.p), float(cfg.beta), float(cfg.gamma), float(cfg.t0),
+        dt, m, n_max, BLOW_FACTOR * seed, GROWTH_LIMIT)
     return OdiTrace(cfg.t0, dt, v,
                     cfg.t0 + blow * dt if blow >= 0 else None)
 
@@ -221,85 +188,3 @@ def odi_scaling_fit(cfg_base: OdiConfig, eps_list) -> ExponentFit:
     window = (float(np.min(eps_arr)), float(np.max(eps_arr)))
     return fit_loglog(eps_arr, times, window=window)
 
-
-def w_inequality_total_time(p: float, eps: float, m1_abs: float = 1.0,
-                            dt: float = 1.0 / 32.0,
-                            threshold_const: float = 1.0) -> float:
-    """Two-phase blow-up time for the corridor functional bound.
-
-    Phase 1 marches the sqrt(t)-weighted window inequality with
-    beta = p - 1/2 from t = 4 up to the threshold time T solving
-    sqrt(T+1) * int_0^T (1+t)^{-(2p-1)/2} dt = threshold_const * eps^{-(p-1)};
-    the march must stay on its eps-plateau (no blow-up) for the small-data
-    mechanism to apply.  Phase 2 restarts the plain memory-kernel march
-    with beta = (p-1)/2, seeded by v = T^{-1/2} w(T) where w(T) is the
-    phase-1 endpoint.  Returns T plus the phase-2 duration.
-
-    Raises PlateauViolation when eps is too large for phase 1 to run
-    (no threshold root above t = 5, or blow-up before the threshold).
-    """
-    p = float(p)
-    eps = float(eps)
-    if not (1.0 < p <= 1.5):
-        raise ValueError(f"p must lie in (1, 3/2], got {p}")
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    seed = eps * m1_abs
-    t0 = 4.0
-    try:
-        t_thresh = tilde_T2p(p, eps, C=threshold_const)
-    except HorizonError as exc:
-        raise PlateauViolation(
-            f"no threshold time above 1 at eps={eps:g}; "
-            "seed too large for the plateau regime", eps) from exc
-    if t_thresh <= t0 + 1.0:
-        raise PlateauViolation(
-            f"threshold time {t_thresh:.3g} leaves no room above t0={t0:g} "
-            f"at eps={eps:g}", eps)
-    dt1, v1, blow1 = _march(seed, p, p - 0.5, 0.5, t0, dt, t_thresh)
-    if blow1 >= 0:
-        t_blow = t0 + blow1 * dt1
-        raise PlateauViolation(
-            f"corridor march blew up at t={t_blow:.4g} before the "
-            f"threshold {t_thresh:.4g} at eps={eps:g}", eps,
-            blowup_time=t_blow)
-    w_end = float(v1[-1])
-    restart = w_end / math.sqrt(t_thresh)
-    beta2 = 0.5 * (p - 1.0)
-    scale = restart ** (-2.0 * (p - 1.0) / (3.0 - p))
-    horizon2 = t0 + max(100.0, 8.0 * scale)
-    for _ in range(8):
-        dt2 = dt
-        while (horizon2 - t0) / dt2 > 0.5 * _MAX_NODES and dt2 < 1.0:
-            dt2 *= 2.0
-        cfg2 = OdiConfig(p=p, beta=beta2, gamma=0.0, t0=t0, eps=restart,
-                         dt=dt2, horizon=horizon2)
-        trace2 = simulate_odi(cfg2)
-        if trace2.blown_up:
-            return t_thresh + (trace2.blowup_time - t0)
-        horizon2 = t0 + 2.0 * (horizon2 - t0)
-    raise RuntimeError(
-        f"restart march survived to {horizon2:g} at eps={eps:g}; "
-        "cannot form a total time")
-
-
-def w_inequality_fit(p: float, eps_list, m1_abs: float = 1.0,
-                     dt: float = 1.0 / 32.0,
-                     threshold_const: float = 1.0) -> ExponentFit:
-    """Fit the two-phase total time against eps on log-log axes.
-
-    The slope should track -(p-1)/(2-p) below the p = 3/2 borderline; at
-    the borderline itself the threshold time carries a logarithmic
-    correction, so compare totals pointwise against the closed-form
-    predictor there instead of reading one power law.
-    """
-    eps_arr = np.asarray(eps_list, dtype=float)
-    if eps_arr.ndim != 1 or len(eps_arr) < 3:
-        raise ValueError("need at least 3 eps values")
-    totals = np.array([
-        w_inequality_total_time(p, e, m1_abs=m1_abs, dt=dt,
-                                threshold_const=threshold_const)
-        for e in eps_arr
-    ])
-    window = (float(np.min(eps_arr)), float(np.max(eps_arr)))
-    return fit_loglog(eps_arr, totals, window=window)

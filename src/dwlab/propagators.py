@@ -178,6 +178,7 @@ def _heat_symbol(t: float, xi: np.ndarray) -> np.ndarray:
 
 _KERNEL_T_MAX = 50.0
 _UPSAMPLE = 8
+_NODES_PER_CELL = 8
 
 
 def _cubic_lagrange_weights(r: np.ndarray) -> np.ndarray:
@@ -198,13 +199,13 @@ def _upsample(values: np.ndarray, R: int) -> np.ndarray:
     return np.fft.irfft(fh, n=R * n) * R
 
 
-def kernel_quadrature(t: float, h: float, nodes_per_cell: int = 8):
-    """Simpson nodes and weights on [-t, t] with spacing <= h/nodes_per_cell.
+def kernel_quadrature(t: float, h: float):
+    """Simpson nodes and weights on [-t, t], spacing <= h/_NODES_PER_CELL.
 
     Returns (y nodes, weights including kernel values and the e^{-t/2}/2
     prefactor), so that sum(w * f(x - y)) approximates S(t)f(x).
     """
-    n_iv = 2 * max(4, math.ceil(nodes_per_cell * t / (2.0 * h)) * 2)
+    n_iv = 2 * max(4, math.ceil(_NODES_PER_CELL * t / (2.0 * h)) * 2)
     hq = 2.0 * t / n_iv
     y = -t + hq * np.arange(n_iv + 1)
     w = np.full(n_iv + 1, 2.0)
@@ -217,10 +218,10 @@ def kernel_quadrature(t: float, h: float, nodes_per_cell: int = 8):
     return y, 0.5 * math.exp(-0.5 * t) * w * kv
 
 
-def apply_S_kernel(t: float, f: GridFunction, nodes_per_cell: int = 8) -> GridFunction:
+def apply_S_kernel(t: float, f: GridFunction) -> GridFunction:
     """S(t) f by direct light-cone quadrature of the Bessel kernel.
 
-    Composite Simpson in y with at least `nodes_per_cell` nodes per grid cell
+    Composite Simpson in y with at least _NODES_PER_CELL nodes per grid cell
     (endpoints land exactly on +/- t); f is evaluated off-grid by cubic
     interpolation of its 8x band-limited upsampling.  Supported for
     0 < t <= 50; beyond that the kernel dynamic range makes the quadrature
@@ -232,7 +233,7 @@ def apply_S_kernel(t: float, f: GridFunction, nodes_per_cell: int = 8) -> GridFu
     spec = f.spec
     if 2.0 * t > 2.0 * spec.half_width:
         raise KernelRangeError("light cone wider than the periodic cell")
-    y, wk = kernel_quadrature(t, spec.h, nodes_per_cell)
+    y, wk = kernel_quadrature(t, spec.h)
 
     R = _UPSAMPLE
     hf = spec.h / R

@@ -216,7 +216,6 @@ class LifespanEstimate:
     status: str
     T_low: float
     T_high: float
-    threshold_used: float
     grid: GridSpec
     stats: MarchStats = None  # type: ignore[assignment]
 
@@ -579,13 +578,13 @@ def _ladder_move(err: float, tol: float) -> int:
     return round(4.0 * math.log2(fac))
 
 
-def solve_lifespan(data: DataFamily, p: float, eps=None, horizon: float = 200.0,
+def solve_lifespan(data: DataFamily, p: float, horizon: float = 200.0,
                    ctrl: SolverControls = None):
     """Adaptive march until blow-up, the horizon, or a truncation abort.
 
     Returns (LifespanEstimate, FunctionalTrace).  The data family fixes
-    the grid; the solved fields start from eps * (f0, f1) with eps
-    defaulting to data.epsilon.  Set ctrl.check_boundary = False for
+    the grid, and the solved fields start from data.initial_data(),
+    data.epsilon * (f0, f1).  Set ctrl.check_boundary = False for
     torus-type data that is not compactly supported.
 
     With the guard on, the family's grid is a ceiling.  The march starts
@@ -598,11 +597,10 @@ def solve_lifespan(data: DataFamily, p: float, eps=None, horizon: float = 200.0,
     """
     if ctrl is None:
         ctrl = SolverControls()
-    u0, u1 = data.initial_data(eps)
+    u0, u1 = data.initial_data()
     spec = data.f0.spec
-    amp = data.epsilon if eps is None else float(eps)
     threshold = ctrl.threshold if ctrl.threshold is not None \
-        else max(1e6 * amp, 1e4)
+        else max(1e6 * data.epsilon, 1e4)
     if not horizon > 0.0:
         raise ValueError("horizon must be positive")
 
@@ -612,8 +610,8 @@ def solve_lifespan(data: DataFamily, p: float, eps=None, horizon: float = 200.0,
     if maxu == 0.0 and not np.any(v_phys):
         stats = MarchStats(0, 0, 0, 0, 0, 0, 0, None, None, 0.0, 0.0,
                            spec.points, HORIZON, "none")
-        est = LifespanEstimate(SURVIVED_HORIZON, horizon, horizon,
-                               threshold, spec, stats)
+        est = LifespanEstimate(SURVIVED_HORIZON, horizon, horizon, spec,
+                               stats)
         w0 = 0.0 if horizon >= _CORRIDOR_T0 else math.nan
         trace = FunctionalTrace(np.array([horizon]), np.array([0.0]),
                                 np.array([w0]), np.array([w0]))
@@ -758,7 +756,7 @@ def solve_lifespan(data: DataFamily, p: float, eps=None, horizon: float = 200.0,
                        regrids, 2 + 4 * attempts + rebuilds + 2 * regrids,
                        dt_lo if ts else None, dt_hi if ts else None,
                        edge_max, tail_max, grid.points, cause, bracket)
-    est = LifespanEstimate(status, T_low, T_high, threshold, spec, stats)
+    est = LifespanEstimate(status, T_low, T_high, spec, stats)
     trace = FunctionalTrace(np.array(ts), np.array(us), np.array(wps),
                             np.array(wms))
     return est, trace
@@ -820,38 +818,27 @@ def _cubic_spline(x: np.ndarray, y: np.ndarray):
     return evaluate
 
 
-def duhamel_residual(traj: Trajectory, p: float, nodes: int = 64,
-                     include_nonlinear: bool = True,
-                     checkpoints=None) -> float:
+def duhamel_residual(traj: Trajectory, p: float,
+                     include_nonlinear: bool = True) -> float:
     """Worst relative L2 gap between u(t) and its integral-equation form.
 
     The right-hand side S(t)(u0+u1) + dtS(t)u0 + int_0^t S(t-tau)|u|^p
-    is rebuilt with Gauss-Legendre quadrature in tau, u(tau) by a
+    is rebuilt with 64-node Gauss-Legendre quadrature in tau, u(tau) by a
     not-a-knot cubic spline through the u samples, entirely through the
-    linear propagators, so this is independent of the stepper.
-    Checkpoints must be sample times; by default the quarter points of
-    the trajectory.
+    linear propagators, so this is independent of the stepper.  The
+    checkpoints are the samples nearest the quarter points of the
+    trajectory.
     """
-    if nodes < 64:
-        raise SamplingError("at least 64 quadrature nodes are required")
     times = traj.times
     if len(times) < 16:
         raise SamplingError("trajectory too sparse for the tau quadrature")
     spec = traj.spec
     u0, v0 = traj.states[0]
-    if checkpoints is None:
-        idx = sorted({int(round(f * (len(times) - 1)))
-                      for f in (0.25, 0.5, 0.75, 1.0)} - {0})
-    else:
-        idx = []
-        for tc in checkpoints:
-            i = int(np.argmin(np.abs(times - tc)))
-            if abs(times[i] - tc) > 1e-9 * max(1.0, abs(tc)) or i == 0:
-                raise ValueError("checkpoints must be positive sample times")
-            idx.append(i)
+    idx = sorted({int(round(f * (len(times) - 1)))
+                  for f in (0.25, 0.5, 0.75, 1.0)} - {0})
     U = np.stack([s[0].values for s in traj.states])
     spline = _cubic_spline(times, U) if include_nonlinear else None
-    xg, wg = np.polynomial.legendre.leggauss(int(nodes))
+    xg, wg = np.polynomial.legendre.leggauss(64)
     n = spec.points
     lin0h = np.fft.rfft((u0 + v0).values)
     u0h = np.fft.rfft(u0.values)

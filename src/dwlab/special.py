@@ -22,7 +22,6 @@ __all__ = [
     "M0_NONZERO",
     "M0_ZERO_M1_NONZERO",
     "M0_M1_ZERO",
-    "ZERO_SUM",
     "make_data_family",
     "LifespanPrediction",
     "predict_lifespan",
@@ -87,7 +86,6 @@ def gaussian_derivative(j: int, spec: GridSpec) -> GridFunction:
 M0_NONZERO = "M0_nonzero"
 M0_ZERO_M1_NONZERO = "M0_zero_M1_nonzero"
 M0_M1_ZERO = "M0_M1_zero"
-ZERO_SUM = "zero_sum"
 
 MOMENT_CLASSES = (M0_NONZERO, M0_ZERO_M1_NONZERO, M0_M1_ZERO)
 
@@ -107,39 +105,29 @@ class DataFamily:
     label: str
     epsilon: float
 
-    def initial_data(self, epsilon=None):
-        """Return (u0, u1) = eps * (f0, f1), eps defaulting to self.epsilon."""
-        eps = self.epsilon if epsilon is None else float(epsilon)
-        if eps < 0.0:
+    def initial_data(self):
+        """Return (u0, u1) = epsilon * (f0, f1)."""
+        if self.epsilon < 0.0:
             raise ValueError("epsilon must be >= 0")
-        return self.f0 * eps, self.f1 * eps
+        return self.f0 * self.epsilon, self.f1 * self.epsilon
 
 
 def make_data_family(kind: str, epsilon: float, spec: GridSpec) -> DataFamily:
     """Build the canonical unit-profile family for a moment class.
 
-    kinds: "M0_nonzero" -> (g, 0); "M0_zero_M1_nonzero" -> (g', 0);
-    "M0_M1_zero" -> (g'', 0); "zero_sum" -> (g, -g), the u0 + u1 = 0 pair
-    (all moments of the sum vanish, so its moment class is M0_M1_zero).
-    epsilon is recorded as the family's default amplitude; the profiles
+    kinds, the MOMENT_CLASSES: "M0_nonzero" -> (g, 0);
+    "M0_zero_M1_nonzero" -> (g', 0); "M0_M1_zero" -> (g'', 0).  epsilon
+    is recorded as the family's default amplitude; the profiles
     themselves stay at unit scale.
     """
     eps = float(epsilon)
     if eps < 0.0:
         raise ValueError("epsilon must be >= 0")
-    zero = GridFunction(spec, np.zeros(spec.points))
-    if kind == M0_NONZERO:
-        fam = (gaussian_derivative(0, spec), zero, M0_NONZERO)
-    elif kind == M0_ZERO_M1_NONZERO:
-        fam = (gaussian_derivative(1, spec), zero, M0_ZERO_M1_NONZERO)
-    elif kind == M0_M1_ZERO:
-        fam = (gaussian_derivative(2, spec), zero, M0_M1_ZERO)
-    elif kind == ZERO_SUM:
-        g = gaussian_derivative(0, spec)
-        fam = (g, g * (-1.0), M0_M1_ZERO)
-    else:
+    if kind not in MOMENT_CLASSES:
         raise ValueError(f"unknown data family kind {kind!r}")
-    return DataFamily(fam[0], fam[1], fam[2], label=kind, epsilon=eps)
+    zero = GridFunction(spec, np.zeros(spec.points))
+    f0 = gaussian_derivative(MOMENT_CLASSES.index(kind), spec)
+    return DataFamily(f0, zero, kind, label=kind, epsilon=eps)
 
 
 # ----------------------------------------------------------------------
@@ -188,7 +176,7 @@ def predict_lifespan(p: float, eps: float, moment_class: str,
 
     if moment_class == M0_NONZERO:
         return LifespanPrediction(GENERIC, _t1p(c * eps, p))
-    if moment_class in (M0_M1_ZERO, ZERO_SUM):
+    if moment_class == M0_M1_ZERO:
         return LifespanPrediction(GENERIC, _t1p(c * eps ** p, p))
     if moment_class != M0_ZERO_M1_NONZERO:
         raise ValueError(f"unknown moment class {moment_class!r}")

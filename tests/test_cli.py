@@ -154,6 +154,18 @@ def test_decay_requires_room_for_window(tmp_path):
     assert code == 2
 
 
+def test_decay_infinite_horizon_is_a_config_error(tmp_path, capsys):
+    # lifespan and sweep keep horizon = inf (march to blow-up); a decay
+    # scan needs a finite end and refuses before making its directory
+    ini = tmp_path / "lab.ini"
+    ini.write_text("[decay]\nhorizon = inf\n")
+    out = tmp_path / "o"
+    code = main(["decay", "--config", str(ini), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
 def test_odi_report_schema(tmp_path, capsys, monkeypatch):
     # the fit reuses the marched times: one march per eps, through either
     # module's name for simulate_odi
@@ -197,6 +209,18 @@ def test_odi_infinite_horizon_is_a_config_error(tmp_path, capsys):
     code = main(["odi", "--config", str(ini), "--out", str(out)])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: horizon must be finite")
+    assert not (out / "odi.csv").exists()
+
+
+def test_odi_censored_run_is_unconverged(tmp_path, capsys):
+    ini = tmp_path / "lab.ini"
+    ini.write_text("[odi]\neps_list = 1e-2 3e-3 1e-3\nhorizon = 50\n")
+    out = tmp_path / "o"
+    code = main(["odi", "--config", str(ini), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "eps=0.01 survived to horizon 50",
+        "verdict: unconverged (censored blow-up time)"]
     assert not (out / "odi.csv").exists()
 
 

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from dwlab._kernels import odi_march
-from dwlab.odi import (OdiConfig, OdiTrace, PlateauViolation, _window_start,
-                       odi_scaling_fit, odi_target_slope, simulate_odi,
-                       w_inequality_fit, w_inequality_total_time)
+from dwlab.odi import (OdiConfig, OdiTrace, _window_start, odi_scaling_fit,
+                       odi_target_slope, simulate_odi)
 
 
 def blow_time(cfg):
@@ -233,35 +232,3 @@ def test_float_march_maps_overflow_to_inf():
     assert np.array_equal(v, ref_v[:n])
     tr = simulate_odi(OdiConfig(p=2.0, beta=0.0, eps=1e100))
     assert tr.blowup_time == 4.03125
-
-
-# ----------------------------------------------------------------------
-# two-phase corridor chain
-# ----------------------------------------------------------------------
-
-
-def test_w_chain_argument_checks():
-    for p in (1.0, 1.6, 2.0):
-        with pytest.raises(ValueError):
-            w_inequality_total_time(p, 1e-4)
-    with pytest.raises(ValueError):
-        w_inequality_total_time(1.25, 0.0)
-
-
-def test_w_chain_plateau_violation_at_large_eps():
-    with pytest.raises(PlateauViolation):
-        w_inequality_total_time(1.5, 1.0)
-
-
-def test_w_chain_totals_monotone():
-    t_small = w_inequality_total_time(1.25, 1e-6, dt=1.0 / 16.0)
-    t_large = w_inequality_total_time(1.25, 1e-5, dt=1.0 / 16.0)
-    assert t_small > t_large > 5.0
-
-
-def test_w_chain_fit_slope_subcritical():
-    eps = np.geomspace(1e-8, 1e-6, 4)
-    fit = w_inequality_fit(1.25, eps, dt=1.0 / 16.0)
-    target = -(1.25 - 1.0) / (2.0 - 1.25)
-    assert abs(fit.slope - target) <= 0.15 * abs(target)
-    assert fit.r_squared >= 0.99

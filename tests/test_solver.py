@@ -742,11 +742,11 @@ def test_embed_centres_the_sub_grid_values():
 
 def test_lifespan_estimate_invariants():
     with pytest.raises(ValueError):
-        LifespanEstimate(BLOWN_UP, 10.0, 9.0, 1e4, SPEC)
+        LifespanEstimate(BLOWN_UP, 10.0, 9.0, SPEC)
     with pytest.raises(ValueError):
         # blown_up bracket wider than 1 percent of T_high
-        LifespanEstimate(BLOWN_UP, 5.0, 9.0, 1e4, SPEC)
-    ok = LifespanEstimate(BLOWN_UP, 9.92, 10.0, 1e4, SPEC)
+        LifespanEstimate(BLOWN_UP, 5.0, 9.0, SPEC)
+    ok = LifespanEstimate(BLOWN_UP, 9.92, 10.0, SPEC)
     assert ok.T_high == 10.0
 
 
@@ -828,20 +828,16 @@ def test_duhamel_residual_nonlinear_small():
     assert res < 1e-8
 
 
-def _ref_duhamel_residual(traj, p, nodes=64, include_nonlinear=True,
-                          checkpoints=None):
+def _ref_duhamel_residual(traj, p, include_nonlinear=True):
     """The oracle as one apply_S, one apply_dtS and one damped_symbol per
     quadrature node at every checkpoint."""
     times, spec = traj.times, traj.spec
     u0, v0 = traj.states[0]
-    if checkpoints is None:
-        idx = sorted({int(round(f * (len(times) - 1)))
-                      for f in (0.25, 0.5, 0.75, 1.0)} - {0})
-    else:
-        idx = [int(np.argmin(np.abs(times - tc))) for tc in checkpoints]
+    idx = sorted({int(round(f * (len(times) - 1)))
+                  for f in (0.25, 0.5, 0.75, 1.0)} - {0})
     U = np.stack([s[0].values for s in traj.states])
     spline = _cubic_spline(times, U) if include_nonlinear else None
-    xg, wg = np.polynomial.legendre.leggauss(int(nodes))
+    xg, wg = np.polynomial.legendre.leggauss(64)
     lin0 = u0 + v0
     worst = 0.0
     for i in idx:
@@ -873,19 +869,15 @@ def small_traj():
     return integrate(u, v, p=2.0, t_final=4.0, dt=0.04)
 
 
-@pytest.mark.parametrize("include_nonlinear", [True, False])
-@pytest.mark.parametrize("checkpoints", [None, "explicit"])
+# the ids keep the names these cases had under a checkpoints parameter
+@pytest.mark.parametrize("include_nonlinear", [True, False],
+                         ids=["None-True", "None-False"])
 def test_duhamel_residual_matches_per_node_reference(small_traj,
-                                                     include_nonlinear,
-                                                     checkpoints):
-    if checkpoints == "explicit":
-        checkpoints = [float(small_traj.times[i]) for i in (7, 38, 61)]
+                                                     include_nonlinear):
     got = duhamel_residual(small_traj, p=2.0,
-                           include_nonlinear=include_nonlinear,
-                           checkpoints=checkpoints)
+                           include_nonlinear=include_nonlinear)
     ref = _ref_duhamel_residual(small_traj, p=2.0,
-                                include_nonlinear=include_nonlinear,
-                                checkpoints=checkpoints)
+                                include_nonlinear=include_nonlinear)
     assert got == ref
 
 
@@ -900,10 +892,6 @@ def test_duhamel_residual_one_symbol_per_checkpoint(monkeypatch, small_traj):
     monkeypatch.setattr(solver, "damped_symbol", counted)
     duhamel_residual(small_traj, p=2.0)
     assert len(calls) == 4          # the quarter points
-    checkpoints = [float(small_traj.times[i]) for i in (7, 38, 61)]
-    calls.clear()
-    duhamel_residual(small_traj, p=2.0, checkpoints=checkpoints)
-    assert calls == checkpoints
 
 
 @pytest.mark.parametrize("knots", ["uniform", "nonuniform"])
@@ -932,11 +920,6 @@ def test_duhamel_sampling_errors():
     traj = integrate(u, v, p=2.0, t_final=1.0, dt=0.25)
     with pytest.raises(SamplingError):
         duhamel_residual(traj, p=2.0)           # too few samples
-    traj2 = integrate(u, v, p=2.0, t_final=2.0, dt=0.05)
-    with pytest.raises(SamplingError):
-        duhamel_residual(traj2, p=2.0, nodes=16)  # too few quadrature nodes
-    with pytest.raises(ValueError):
-        duhamel_residual(traj2, p=2.0, checkpoints=[1.33])
 
 
 # ----------------------------------------------------------------------
