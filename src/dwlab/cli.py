@@ -30,18 +30,19 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .fitting import fit_critical_lifespan, fit_loglog
 from .grid import GridSpec, moment
-from .odi import OdiConfig, odi_target_slope, simulate_odi
+from .odi import OdiConfig, odi_scaling_fit, odi_target_slope
 from .propagators import (HEAT_EXPANSION_SLOPES, KernelRangeError, apply_S,
                           apply_S_kernel, apply_dtS, decay_scan,
                           linear_pair_matrix, residual_scan)
@@ -196,15 +197,14 @@ def _ensure_out(cfg: ExperimentConfig) -> str:
 # ----------------------------------------------------------------------
 
 
-def _lifespan_worker(args):
-    p, kind, eps, points, half_width, horizon, dt_min = args
-    spec = GridSpec(half_width, points)
-    fam = make_data_family(kind, eps, spec)
-    ctrl = SolverControls(dt_min=dt_min)
-    est, trace = solve_lifespan(fam, p, horizon=horizon, ctrl=ctrl)
+def _lifespan_worker(cfg: ExperimentConfig, eps: float):
+    spec = GridSpec(cfg.half_width, cfg.points)
+    fam = make_data_family(cfg.moment_class, eps, spec)
+    ctrl = SolverControls(dt_min=cfg.dt_min)
+    est, trace = solve_lifespan(fam, cfg.p, horizon=cfg.horizon, ctrl=ctrl)
     record = {
-        "p": p, "eps": eps, "class": kind,
-        "N": points, "L": half_width, "dt_min": dt_min,
+        "p": cfg.p, "eps": eps, "class": cfg.moment_class,
+        "N": cfg.points, "L": cfg.half_width, "dt_min": cfg.dt_min,
         "status": est.status, "T_low": est.T_low, "T_high": est.T_high,
         "steps": len(trace.times),
     }
@@ -213,14 +213,17 @@ def _lifespan_worker(args):
     return record, trace
 
 
-def _run_all_lifespans(cfg: ExperimentConfig):
-    args = [(cfg.p, cfg.moment_class, e, cfg.points, cfg.half_width,
-             cfg.horizon, cfg.dt_min) for e in cfg.eps_list]
-    if cfg.workers > 1 and len(args) > 1:
+def _run_all_lifespans(cfg: ExperimentConfig, out: str):
+    """Run every eps, in input order, and write one run_NNN.json each."""
+    worker = functools.partial(_lifespan_worker, cfg)
+    if cfg.workers > 1 and len(cfg.eps_list) > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(_lifespan_worker, args))
+            results = list(pool.map(worker, cfg.eps_list))
     else:
-        results = [_lifespan_worker(a) for a in args]
+        results = [worker(e) for e in cfg.eps_list]
+    for i, (record, _) in enumerate(results):
+        record["config"] = _config_record(cfg)
+        _write_json(os.path.join(out, f"run_{i:03d}.json"), record)
     return results
 
 
@@ -236,11 +239,9 @@ def run_lifespan(cfg: ExperimentConfig):
     """One record and one trace CSV per eps; verdict is pass unless any
     run aborted on the truncation rule."""
     out = _ensure_out(cfg)
-    results = _run_all_lifespans(cfg)
+    results = _run_all_lifespans(cfg, out)
     lines = []
     for i, (record, trace) in enumerate(results):
-        record["config"] = _config_record(cfg)
-        _write_json(os.path.join(out, f"run_{i:03d}.json"), record)
         trace.to_csv(os.path.join(out, f"trace_{i:03d}.csv"))
         line = (f"eps={record['eps']:.6g} status={record['status']} "
                 f"T_low={record['T_low']:.8g} T_high={record['T_high']:.8g} "
@@ -275,15 +276,12 @@ def run_sweep(cfg: ExperimentConfig):
     and every run to blow up.  At the p = 3/2 borderline for the
     M1-carrying class the predictor is not a pure power, so the
     two-parameter form T = A eps^{-2/3} exp(2 W(B eps^{-1/2}) / 3) is
-    fitted instead and judged by its r^2.
+    fitted instead and judged by its r^2.  A truncation abort skips the
+    fit and makes the verdict unconverged.  Every path writes one
+    run_NNN.json per eps, sweep.csv, and fit.json with the verdict.
     """
     out = _ensure_out(cfg)
-    results = _run_all_lifespans(cfg)
-    rows = [record for record, _ in results]
-    for i, (record, _) in enumerate(results):
-        record = dict(record)
-        record["config"] = _config_record(cfg)
-        _write_json(os.path.join(out, f"run_{i:03d}.json"), record)
+    rows = [record for record, _ in _run_all_lifespans(cfg, out)]
     _sweep_csv(os.path.join(out, "sweep.csv"), rows)
 
     statuses = [r["status"] for r in rows]
@@ -295,23 +293,19 @@ def run_sweep(cfg: ExperimentConfig):
 
     fit_record = {"p": cfg.p, "class": cfg.moment_class,
                   "config": _config_record(cfg)}
+    reason = None
     if TRUNCATION_ABORT in statuses:
         verdict = UNCONVERGED
-        notes = "; ".join(f"eps={r['eps']:.6g} {_abort_note(r)}"
-                          for r in rows if r["status"] == TRUNCATION_ABORT)
-        lines.append(f"verdict: unconverged (truncation abort: {notes})")
-        fit_record["verdict"] = verdict
-        _write_json(os.path.join(out, "fit.json"), fit_record)
-        return verdict, lines
-
-    if _is_critical_sweep(cfg):
+        reason = "truncation abort: " + "; ".join(
+            f"eps={r['eps']:.6g} {_abort_note(r)}"
+            for r in rows if r["status"] == TRUNCATION_ABORT)
+    elif _is_critical_sweep(cfg):
         A, B, r2 = fit_critical_lifespan(eps, T)
         ok = all_blown and r2 >= cfg.lambert_r2_min
         verdict = PASS if ok else FAIL
         fit_record.update({"model": "A*eps^(-2/3)*exp(2W(B*eps^(-1/2))/3)",
                            "A": A, "B": B, "r2": r2,
-                           "lambert_r2_min": cfg.lambert_r2_min,
-                           "verdict": verdict})
+                           "lambert_r2_min": cfg.lambert_r2_min})
         lines.append(f"lambert fit: A={A:.8g} B={B:.8g} r2={r2:.6f}")
     else:
         target = predicted_exponent(cfg.p, cfg.moment_class)
@@ -322,19 +316,16 @@ def run_sweep(cfg: ExperimentConfig):
                            "slope_rtol": cfg.slope_rtol})
         if target is None:
             verdict = UNCONVERGED
-            lines.append("verdict: unconverged (no pure-power prediction "
-                         "for this regime)")
-            fit_record["verdict"] = verdict
-            _write_json(os.path.join(out, "fit.json"), fit_record)
-            return verdict, lines
-        ok = (all_blown and math.isfinite(fit.slope)
-              and abs(fit.slope - target) <= cfg.slope_rtol * abs(target))
-        verdict = PASS if ok else FAIL
-        fit_record["verdict"] = verdict
-        lines.append(f"fit: slope={fit.slope:.6f} target={target:.6f} "
-                     f"r2={fit.r_squared:.6f}")
+            reason = "no pure-power prediction for this regime"
+        else:
+            ok = (all_blown and math.isfinite(fit.slope)
+                  and abs(fit.slope - target) <= cfg.slope_rtol * abs(target))
+            verdict = PASS if ok else FAIL
+            lines.append(f"fit: slope={fit.slope:.6f} target={target:.6f} "
+                         f"r2={fit.r_squared:.6f}")
+    fit_record["verdict"] = verdict
     _write_json(os.path.join(out, "fit.json"), fit_record)
-    lines.append(f"verdict: {verdict}")
+    lines.append(f"verdict: {verdict}" + (f" ({reason})" if reason else ""))
     return verdict, lines
 
 
@@ -395,41 +386,43 @@ def run_decay(cfg: ExperimentConfig):
 
 
 def run_odi(cfg: ExperimentConfig):
-    """Blow-up times of the memory-kernel march across eps, plus the fit."""
-    eps = np.array(cfg.eps_list)
-    if len(eps) < 3:
-        raise ValueError("need at least 3 eps values")
-    out = _ensure_out(cfg)
+    """Blow-up times of the memory-kernel march across eps, plus the fit.
+
+    odi_scaling_fit marches the eps list in order.  odi.csv holds the eps
+    that blew up.  If one survives to the horizon, the march stops there:
+    odi_fit.json names the censored eps instead of a fit, and the verdict
+    is unconverged.
+    """
     base = OdiConfig(p=cfg.p, beta=cfg.beta, gamma=cfg.gamma, t0=cfg.t0,
                      eps=cfg.eps_list[0], dt=cfg.odi_dt, horizon=cfg.horizon)
-    lines = []
-    times = []
-    for e in eps:
-        trace = simulate_odi(replace(base, eps=float(e)))
-        if not trace.blown_up:
-            lines.append(f"eps={e:.6g} survived to horizon {cfg.horizon:g}")
-            lines.append("verdict: unconverged (censored blow-up time)")
-            return UNCONVERGED, lines
-        times.append(trace.blowup_time)
-        lines.append(f"eps={e:.6g} blowup_time={trace.blowup_time:.8g}")
+    times, fit = odi_scaling_fit(base, cfg.eps_list)
+    out = _ensure_out(cfg)
+    marched = cfg.eps_list[:len(times)]
+    lines = [f"eps={e:.6g} blowup_time={T:.8g}"
+             for e, T in zip(marched, times)]
     with open(os.path.join(out, "odi.csv"), "w") as fh:
         fh.write("eps,blowup_time\n")
-        for e, T in zip(eps, times):
+        for e, T in zip(marched, times):
             fh.write(f"{e:.17g},{T:.17g}\n")
-    # the same fit odi_scaling_fit makes, on the times already marched
-    fit = fit_loglog(eps, times, window=(float(np.min(eps)),
-                                         float(np.max(eps))))
-    target = odi_target_slope(cfg.p, cfg.beta)
-    record = {"p": cfg.p, "beta": cfg.beta, "gamma": cfg.gamma,
-              "slope": fit.slope, "target_slope": target,
-              "r2": fit.r_squared}
+    record = {"p": cfg.p, "beta": cfg.beta, "gamma": cfg.gamma}
+    reason = None
+    if fit is None:
+        censored = cfg.eps_list[len(times)]
+        record.update({"censored_eps": censored, "horizon": cfg.horizon})
+        verdict, reason = UNCONVERGED, "censored blow-up time"
+        lines.append(f"eps={censored:.6g} survived to horizon "
+                     f"{cfg.horizon:g}")
+    else:
+        target = odi_target_slope(cfg.p, cfg.beta)
+        record.update({"slope": fit.slope, "target_slope": target,
+                       "r2": fit.r_squared})
+        ok = (abs(fit.slope - target) <= cfg.odi_rtol * abs(target)
+              and fit.r_squared >= cfg.r2_min)
+        verdict = PASS if ok else FAIL
+        lines.append(f"fit: slope={fit.slope:.6f} target={target:.6f} "
+                     f"r2={fit.r_squared:.6f}")
     _write_json(os.path.join(out, "odi_fit.json"), record)
-    ok = (abs(fit.slope - target) <= cfg.odi_rtol * abs(target)
-          and fit.r_squared >= cfg.r2_min)
-    verdict = PASS if ok else FAIL
-    lines.append(f"fit: slope={fit.slope:.6f} target={target:.6f} "
-                 f"r2={fit.r_squared:.6f}")
-    lines.append(f"verdict: {verdict}")
+    lines.append(f"verdict: {verdict}" + (f" ({reason})" if reason else ""))
     return verdict, lines
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._kernels import odi_march
-from .fitting import ExponentFit, fit_loglog
+from .fitting import fit_loglog
 
 __all__ = [
     "OdiConfig",
@@ -165,26 +165,25 @@ def odi_target_slope(p: float, beta: float) -> float:
     return -(p - 1.0) / (1.0 - beta)
 
 
-def odi_scaling_fit(cfg_base: OdiConfig, eps_list) -> ExponentFit:
-    """Fit blow-up time against eps on log-log axes.
+def odi_scaling_fit(cfg_base: OdiConfig, eps_list):
+    """March each eps in order, then fit blow-up time against eps.
 
-    Every eps in the list must produce a blow-up before cfg_base.horizon;
-    a surviving run aborts the fit since its time is censored.  Compare
-    the slope with odi_target_slope(cfg_base.p, cfg_base.beta).
+    Returns (times, fit): the blow-up times of the eps marched, in list
+    order, and the log-log fit over the full eps range.  The march stops
+    at the first eps that survives to cfg_base.horizon, since its time is
+    censored; fit is then None and times holds the eps before it.
+    Compare the slope with odi_target_slope(cfg_base.p, cfg_base.beta).
     """
     eps_arr = np.asarray(eps_list, dtype=float)
     if eps_arr.ndim != 1 or len(eps_arr) < 3:
         raise ValueError("need at least 3 eps values")
     if np.any(eps_arr <= 0.0):
         raise ValueError("eps values must be positive")
-    times = np.empty_like(eps_arr)
-    for i, e in enumerate(eps_arr):
+    times = []
+    for e in eps_arr:
         trace = simulate_odi(replace(cfg_base, eps=float(e)))
         if not trace.blown_up:
-            raise RuntimeError(
-                f"run at eps={e:g} survived to the horizon; "
-                "blow-up time is censored, fit aborted")
-        times[i] = trace.blowup_time
+            return times, None
+        times.append(trace.blowup_time)
     window = (float(np.min(eps_arr)), float(np.max(eps_arr)))
-    return fit_loglog(eps_arr, times, window=window)
-
+    return times, fit_loglog(eps_arr, times, window=window)

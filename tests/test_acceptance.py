@@ -130,7 +130,8 @@ def test_criterion_04_odi_scaling_three_regimes():
     parts, ok = [], True
     for p, beta, dt, eps, horizon in cases:
         cfg = OdiConfig(p=p, beta=beta, dt=dt, horizon=horizon)
-        fit = odi_scaling_fit(cfg, eps)
+        times, fit = odi_scaling_fit(cfg, eps)
+        assert fit is not None and len(times) == len(eps)
         target = odi_target_slope(p, beta)
         rel = abs(fit.slope - target) / abs(target)
         hit = rel <= 0.10 and fit.r_squared >= 0.98

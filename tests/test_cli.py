@@ -167,15 +167,14 @@ def test_decay_infinite_horizon_is_a_config_error(tmp_path, capsys):
 
 
 def test_odi_report_schema(tmp_path, capsys, monkeypatch):
-    # the fit reuses the marched times: one march per eps, through either
-    # module's name for simulate_odi
+    # the fit reuses the marched times: one march per eps, all through
+    # odi_scaling_fit's loop
     marched = []
 
     def counting(cfg):
         marched.append(cfg.eps)
         return simulate_odi(cfg)
 
-    monkeypatch.setattr(dwlab.cli, "simulate_odi", counting)
     monkeypatch.setattr(dwlab.odi, "simulate_odi", counting)
     ini = tmp_path / "lab.ini"
     ini.write_text("[odi]\neps_list = 1e-2 3e-3 1e-3\nhorizon = 1e4\n")
@@ -193,13 +192,13 @@ def test_odi_report_schema(tmp_path, capsys, monkeypatch):
 def test_odi_rejects_short_eps_list_before_marching(tmp_path, capsys,
                                                   monkeypatch):
     marched = []
-    monkeypatch.setattr(dwlab.cli, "simulate_odi", marched.append)
+    monkeypatch.setattr(dwlab.odi, "simulate_odi", marched.append)
     out = tmp_path / "o"
     code = main(["odi", "--eps-list", "1e-2,1e-3", "--out", str(out)])
     assert code == 2
     assert "need at least 3 eps values" in capsys.readouterr().err
     assert marched == []
-    assert not (out / "odi.csv").exists()
+    assert not out.exists()
 
 
 def test_odi_infinite_horizon_is_a_config_error(tmp_path, capsys):
@@ -209,10 +208,11 @@ def test_odi_infinite_horizon_is_a_config_error(tmp_path, capsys):
     code = main(["odi", "--config", str(ini), "--out", str(out)])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: horizon must be finite")
-    assert not (out / "odi.csv").exists()
+    assert not out.exists()
 
 
 def test_odi_censored_run_is_unconverged(tmp_path, capsys):
+    # the first eps survives: nothing blew up, so odi.csv is its header
     ini = tmp_path / "lab.ini"
     ini.write_text("[odi]\neps_list = 1e-2 3e-3 1e-3\nhorizon = 50\n")
     out = tmp_path / "o"
@@ -221,7 +221,30 @@ def test_odi_censored_run_is_unconverged(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == [
         "eps=0.01 survived to horizon 50",
         "verdict: unconverged (censored blow-up time)"]
-    assert not (out / "odi.csv").exists()
+    assert (out / "odi.csv").read_text() == "eps,blowup_time\n"
+    fitrec = json.loads((out / "odi_fit.json").read_text())
+    assert fitrec == {"p": 2.0, "beta": 0.0, "gamma": 0.0,
+                      "censored_eps": 0.01, "horizon": 50.0}
+
+
+def test_odi_censored_run_keeps_what_it_marched(tmp_path, capsys):
+    # the march stops at the first survivor; the eps before it keep their
+    # rows in odi.csv
+    ini = tmp_path / "lab.ini"
+    ini.write_text("[odi]\neps_list = 1e-2 3e-3 1e-3\nhorizon = 1000\n")
+    out = tmp_path / "o"
+    code = main(["odi", "--config", str(ini), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "eps=0.01 blowup_time=110.34375",
+        "eps=0.003 blowup_time=344.875",
+        "eps=0.001 survived to horizon 1000",
+        "verdict: unconverged (censored blow-up time)"]
+    assert (out / "odi.csv").read_text().splitlines() == [
+        "eps,blowup_time", "0.01,110.34375", "0.0030000000000000001,344.875"]
+    fitrec = json.loads((out / "odi_fit.json").read_text())
+    assert fitrec == {"p": 2.0, "beta": 0.0, "gamma": 0.0,
+                      "censored_eps": 0.001, "horizon": 1000.0}
 
 
 def test_lifespan_records(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -108,7 +109,10 @@ def test_refinement_shifts_blowup_under_5pct():
 
 def test_scaling_fit_recovers_target_slope():
     cfg = OdiConfig(p=2.0, beta=0.0, dt=1.0 / 32.0)
-    fit = odi_scaling_fit(cfg, np.geomspace(1e-3, 1e-2, 5))
+    eps = np.geomspace(1e-3, 1e-2, 5)
+    times, fit = odi_scaling_fit(cfg, eps)
+    assert times == [simulate_odi(replace(cfg, eps=float(e))).blowup_time
+                     for e in eps]
     target = odi_target_slope(2.0, 0.0)
     assert target == -1.0
     assert abs(fit.slope - target) <= 0.1 * abs(target)
@@ -121,9 +125,16 @@ def test_scaling_fit_input_checks():
         odi_scaling_fit(cfg, [1e-3, 1e-2])
     with pytest.raises(ValueError):
         odi_scaling_fit(cfg, [1e-3, -1e-3, 1e-2])
+    # a censored eps stops the march there: no fit, and only the times
+    # of the eps before it
     censored = OdiConfig(p=2.0, beta=0.0, eps=1e-6, horizon=10.0)
-    with pytest.raises(RuntimeError):
-        odi_scaling_fit(censored, [1e-6, 2e-6, 4e-6])
+    times, fit = odi_scaling_fit(censored, [1e-6, 2e-6, 4e-6])
+    assert fit is None
+    assert times == []
+    partial = OdiConfig(p=2.0, beta=0.0, horizon=1000.0)
+    times, fit = odi_scaling_fit(partial, [1e-2, 3e-3, 1e-3])
+    assert fit is None
+    assert times == [110.34375, 344.875]
 
 
 def test_target_slope_table():
