@@ -89,7 +89,6 @@ class ExperimentConfig:
     beta: float = 0.0
     gamma: float = 0.0
     t0: float = 4.0
-    odi_dt: float = 1.0 / 32.0
     dt_min: float = 1e-12
 
     def __post_init__(self):
@@ -129,7 +128,7 @@ _FIELD_PARSERS = {
     "p": float, "horizon": float, "half_width": float, "slope_rtol": float,
     "decay_tol": float, "odi_rtol": float, "r2_min": float,
     "lambert_r2_min": float, "constant": float, "beta": float,
-    "gamma": float, "t0": float, "odi_dt": float, "dt_min": float,
+    "gamma": float, "t0": float, "dt_min": float,
     "points": int, "workers": int,
     "moment_class": str, "out_dir": str,
 }
@@ -394,20 +393,20 @@ def run_odi(cfg: ExperimentConfig):
     is unconverged.
     """
     base = OdiConfig(p=cfg.p, beta=cfg.beta, gamma=cfg.gamma, t0=cfg.t0,
-                     eps=cfg.eps_list[0], dt=cfg.odi_dt, horizon=cfg.horizon)
-    times, fit = odi_scaling_fit(base, cfg.eps_list)
+                     eps=cfg.eps_list[0], horizon=cfg.horizon)
+    traces, fit = odi_scaling_fit(base, cfg.eps_list)
     out = _ensure_out(cfg)
-    marched = cfg.eps_list[:len(times)]
-    lines = [f"eps={e:.6g} blowup_time={T:.8g}"
-             for e, T in zip(marched, times)]
+    marched = list(zip(cfg.eps_list, traces))
+    lines = [f"eps={e:.6g} blowup_time={tr.blowup_time:.8g} "
+             f"steps={tr.steps}" for e, tr in marched]
     with open(os.path.join(out, "odi.csv"), "w") as fh:
-        fh.write("eps,blowup_time\n")
-        for e, T in zip(marched, times):
-            fh.write(f"{e:.17g},{T:.17g}\n")
+        fh.write("eps,blowup_time,steps\n")
+        for e, tr in marched:
+            fh.write(f"{e:.17g},{tr.blowup_time:.17g},{tr.steps}\n")
     record = {"p": cfg.p, "beta": cfg.beta, "gamma": cfg.gamma}
     reason = None
     if fit is None:
-        censored = cfg.eps_list[len(times)]
+        censored = cfg.eps_list[len(traces)]
         record.update({"censored_eps": censored, "horizon": cfg.horizon})
         verdict, reason = UNCONVERGED, "censored blow-up time"
         lines.append(f"eps={censored:.6g} survived to horizon "

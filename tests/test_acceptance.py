@@ -123,15 +123,15 @@ def test_criterion_03_heat_residual_slope():
 
 def test_criterion_04_odi_scaling_three_regimes():
     cases = (
-        (2.0, 0.0, 1.0 / 32.0, np.geomspace(10 ** -3.5, 1e-2, 6), 1e5),
-        (2.0, 0.5, 1.0 / 8.0, np.geomspace(10 ** -3.25, 10 ** -1.75, 6), 2e6),
-        (1.5, 0.25, 1.0 / 16.0, np.geomspace(1e-5, 10 ** -3.5, 6), 1e5),
+        (2.0, 0.0, np.geomspace(10 ** -3.5, 1e-2, 6), 1e5),
+        (2.0, 0.5, np.geomspace(10 ** -3.25, 10 ** -1.75, 6), 2e6),
+        (1.5, 0.25, np.geomspace(1e-5, 10 ** -3.5, 6), 1e5),
     )
     parts, ok = [], True
-    for p, beta, dt, eps, horizon in cases:
-        cfg = OdiConfig(p=p, beta=beta, dt=dt, horizon=horizon)
-        times, fit = odi_scaling_fit(cfg, eps)
-        assert fit is not None and len(times) == len(eps)
+    for p, beta, eps, horizon in cases:
+        cfg = OdiConfig(p=p, beta=beta, horizon=horizon)
+        traces, fit = odi_scaling_fit(cfg, eps)
+        assert fit is not None and len(traces) == len(eps)
         target = odi_target_slope(p, beta)
         rel = abs(fit.slope - target) / abs(target)
         hit = rel <= 0.10 and fit.r_squared >= 0.98

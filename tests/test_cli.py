@@ -10,7 +10,7 @@ import dwlab.cli
 import dwlab.odi
 from dwlab.cli import (ConfigError, ExperimentConfig, _config_record,
                        load_config, main, run_predict)
-from dwlab.odi import simulate_odi
+from dwlab.odi import OdiConfig, simulate_odi
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -185,7 +185,7 @@ def test_odi_report_schema(tmp_path, capsys, monkeypatch):
     assert set(fitrec) == {"p", "beta", "gamma", "slope", "target_slope",
                            "r2"}
     csv = (tmp_path / "o" / "odi.csv").read_text().splitlines()
-    assert csv[0] == "eps,blowup_time"
+    assert csv[0] == "eps,blowup_time,steps"
     assert len(csv) == 4
 
 
@@ -221,7 +221,7 @@ def test_odi_censored_run_is_unconverged(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == [
         "eps=0.01 survived to horizon 50",
         "verdict: unconverged (censored blow-up time)"]
-    assert (out / "odi.csv").read_text() == "eps,blowup_time\n"
+    assert (out / "odi.csv").read_text() == "eps,blowup_time,steps\n"
     fitrec = json.loads((out / "odi_fit.json").read_text())
     assert fitrec == {"p": 2.0, "beta": 0.0, "gamma": 0.0,
                       "censored_eps": 0.01, "horizon": 50.0}
@@ -229,22 +229,41 @@ def test_odi_censored_run_is_unconverged(tmp_path, capsys):
 
 def test_odi_censored_run_keeps_what_it_marched(tmp_path, capsys):
     # the march stops at the first survivor; the eps before it keep their
-    # rows in odi.csv
+    # rows in odi.csv, with the solver steps each march took
     ini = tmp_path / "lab.ini"
     ini.write_text("[odi]\neps_list = 1e-2 3e-3 1e-3\nhorizon = 1000\n")
     out = tmp_path / "o"
     code = main(["odi", "--config", str(ini), "--out", str(out)])
     assert code == 2
+    blown = [simulate_odi(OdiConfig(p=2.0, beta=0.0, eps=e, horizon=1000.0))
+             for e in (1e-2, 3e-3)]
     assert capsys.readouterr().out.splitlines() == [
-        "eps=0.01 blowup_time=110.34375",
-        "eps=0.003 blowup_time=344.875",
+        f"eps=0.01 blowup_time={blown[0].blowup_time:.8g} "
+        f"steps={blown[0].steps}",
+        f"eps=0.003 blowup_time={blown[1].blowup_time:.8g} "
+        f"steps={blown[1].steps}",
         "eps=0.001 survived to horizon 1000",
         "verdict: unconverged (censored blow-up time)"]
     assert (out / "odi.csv").read_text().splitlines() == [
-        "eps,blowup_time", "0.01,110.34375", "0.0030000000000000001,344.875"]
+        "eps,blowup_time,steps",
+        f"0.01,{blown[0].blowup_time:.17g},{blown[0].steps}",
+        f"0.0030000000000000001,{blown[1].blowup_time:.17g},"
+        f"{blown[1].steps}"]
     fitrec = json.loads((out / "odi_fit.json").read_text())
     assert fitrec == {"p": 2.0, "beta": 0.0, "gamma": 0.0,
                       "censored_eps": 0.001, "horizon": 1000.0}
+
+
+def test_odi_dt_is_an_unknown_config_key(tmp_path, capsys):
+    # the march sets its own steps; the old uniform-grid key is rejected
+    ini = tmp_path / "lab.ini"
+    ini.write_text("[odi]\nodi_dt = 0.03125\n")
+    out = tmp_path / "o"
+    code = main(["odi", "--config", str(ini), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        "error: unknown config key 'odi_dt'")
+    assert not out.exists()
 
 
 def test_lifespan_records(tmp_path, capsys):
