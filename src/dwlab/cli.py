@@ -29,13 +29,11 @@ configuration error.
 from __future__ import annotations
 
 import argparse
-import configparser
 import functools
 import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -146,6 +144,7 @@ def load_config(command: str, path=None, overrides=None) -> ExperimentConfig:
     """Merge built-in defaults, the INI section for `command`, and overrides."""
     settings = dict(_DEFAULTS_BY_COMMAND.get(command, {}))
     if path is not None:
+        import configparser  # only a config file needs it
         parser = configparser.ConfigParser()
         read = parser.read(path)
         if not read:
@@ -216,6 +215,9 @@ def _run_all_lifespans(cfg: ExperimentConfig, out: str):
     """Run every eps, in input order, and write one run_NNN.json each."""
     worker = functools.partial(_lifespan_worker, cfg)
     if cfg.workers > 1 and len(cfg.eps_list) > 1:
+        # deferred: the pool pulls in multiprocessing, which one worker
+        # never needs
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             results = list(pool.map(worker, cfg.eps_list))
     else:

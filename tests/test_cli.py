@@ -15,20 +15,34 @@ from dwlab.odi import OdiConfig, simulate_odi
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
 
-def test_cli_import_loads_no_scipy():
-    # numpy is the only runtime dependency; scipy is a test-only oracle
+def _modules_loaded_by_cli_import(*names):
+    """Import dwlab.cli in a fresh interpreter; the loaded modules that are
+    one of names or inside one of them, sorted."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(dwlab.cli.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     code = ("import sys, dwlab.cli; "
             "print(dwlab.cli.__file__); "
+            f"names = {names!r}; "
             "print(sorted(m for m in sys.modules "
-            "if m == 'scipy' or m.startswith('scipy.')))")
+            "if m.split('.')[0] in names))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout.splitlines()
     assert out[0] == dwlab.cli.__file__
-    assert out[1] == "[]"
+    return out[1]
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy is a test-only oracle
+    assert _modules_loaded_by_cli_import("scipy") == "[]"
+
+
+def test_cli_import_defers_pool_and_config_parser():
+    # a one-worker run without a config file needs neither; the pool path
+    # is covered by test_sweep_outputs_match_across_worker_counts
+    assert _modules_loaded_by_cli_import("multiprocessing",
+                                         "configparser") == "[]"
 
 
 # ----------------------------------------------------------------------

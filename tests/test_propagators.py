@@ -228,23 +228,49 @@ def test_decay_report_csv(tmp_path):
     assert len(lines) == 6
 
 
+@pytest.mark.parametrize("n", [16, 1024])
+def test_parseval_norm_reads_the_spectrum_as_irfft_does(n):
+    # irfft drops the imaginary parts of the DC and Nyquist bins and counts
+    # every other bin twice; random spectra exercise all three
+    spec = GridSpec(3.0, n)
+    rng = np.random.default_rng(n)
+    g = rng.standard_normal(n // 2 + 1) + 1j * rng.standard_normal(n // 2 + 1)
+    field = GridFunction(spec, np.fft.irfft(g, n=n))
+    assert_allclose(propagators._scan_norm(g, spec, 2.0), lp_norm(field, 2.0),
+                    rtol=1e-14, atol=0.0)
+    assert propagators._scan_norm(g, spec, 3.0) == lp_norm(field, 3.0)
+
+
 @pytest.mark.parametrize("j", [0, 1, 2])
 def test_scans_match_per_time_reference(j):
-    # bit-identical to one apply_S / heat per time; the second and
-    # third scans change the times and then the grid, so a shared symbol
-    # keyed without either would fail here
-    p = 2.0
+    # against one apply_S / heat per time.  At p = 2 the scans take
+    # Parseval sums of the spectrum and the reference squares the irfft:
+    # the decay norms agree to a few ulp (measured 3.3e-16), the residual,
+    # a difference of two nearly equal fields in the reference, to 1e-11
+    # (measured 5.1e-13).  At p != 2 the decay scan runs the reference's
+    # own irfft and stays bit-identical, and the residual takes one irfft
+    # of the multiplier difference instead of two (measured 5.3e-13).
+    # The second and third cases change the times and then the grid, so a
+    # shared symbol keyed without either would fail here by O(1); the
+    # last is lab decay's default grid and times.
     cases = [(GridSpec(64.0, 1024), np.geomspace(1.0, 40.0, 6)),
              (GridSpec(64.0, 1024), np.geomspace(2.0, 30.0, 6)),
-             (GridSpec(48.0, 1024), np.geomspace(2.0, 30.0, 6))]
+             (GridSpec(48.0, 1024), np.geomspace(2.0, 30.0, 6)),
+             (GridSpec(2000.0, 32768), np.geomspace(100.0, 1e4, 12))]
     for spec, times in cases:
         f = gaussian_derivative(j, spec)
-        rep = decay_scan(f, p, times)
-        res = residual_scan(f, p, times)
-        ref = [lp_norm(apply_S(t, f), p) for t in times]
-        ref_res = [lp_norm(apply_S(t, f) - heat(t, f), p) for t in times]
-        assert np.array_equal(rep.norms, ref)
-        assert np.array_equal(res.norms, ref_res)
+        fields = [apply_S(t, f) for t in times]
+        gaps = [u - heat(t, f) for t, u in zip(times, fields)]
+        for p in (2.0, 1.5, 3.0):
+            rep = decay_scan(f, p, times)
+            res = residual_scan(f, p, times)
+            ref = [lp_norm(u, p) for u in fields]
+            if p == 2.0:
+                assert_allclose(rep.norms, ref, rtol=1e-14, atol=0.0)
+            else:
+                assert np.array_equal(rep.norms, ref)
+            assert_allclose(res.norms, [lp_norm(g, p) for g in gaps],
+                            rtol=1e-11, atol=0.0)
 
 
 def test_scans_build_each_symbol_once(monkeypatch):
@@ -271,3 +297,26 @@ def test_scans_build_each_symbol_once(monkeypatch):
     assert calls == {"symbol": len(times), "rfft": 2}
     with pytest.raises(TruncationError):
         decay_scan(GridFunction(spec, np.ones(spec.points)), 2.0, times)
+
+
+def test_scans_take_no_inverse_fft_at_p2(monkeypatch):
+    # Parseval replaces the irfft at p = 2; at other p each scan time takes
+    # exactly one, the residual included
+    spec = GridSpec(64.0, 1024)
+    times = np.geomspace(1.5, 35.0, 7)
+    f = gaussian_derivative(1, spec)
+    calls = {"irfft": 0}
+    irfft = np.fft.irfft
+
+    def counted_irfft(*args, **kw):
+        calls["irfft"] += 1
+        return irfft(*args, **kw)
+
+    monkeypatch.setattr(np.fft, "irfft", counted_irfft)
+    decay_scan(f, 2.0, times)
+    residual_scan(f, 2.0, times)
+    assert calls["irfft"] == 0
+    decay_scan(f, 1.5, times)
+    assert calls["irfft"] == len(times)
+    residual_scan(f, 1.5, times)
+    assert calls["irfft"] == 2 * len(times)
