@@ -38,9 +38,17 @@ rejection, and a doubling sup norm or a non-finite candidate halves it.
 dt lives on the ladder dt_init 2^(k/4), clamped to [dt_min, dt_max]: the
 controller moves the integer k by 4 log2 fac rounded to the nearest
 integer, so a run meets only a few dozen distinct step sizes and their
-stage operators stay cached.  A run is declared blown up once the sup norm
-passes the threshold and the extrapolated divergence time is bracketed
-to under one percent.
+stage operators stay cached.
+
+The stop rule is one window, checked after every accepted step: a run is
+declared blown up once the extrapolated divergence time T lies within
+0.5% of T past t.  T is the root of a least-squares line through
+z = max|u|^(-(p-1)/2) over the last 20 accepted steps; z falls linearly
+at the ODE blow-up rate u ~ (T - t)^(-2/(p-1)) (Merle & Zaag, Amer. J.
+Math. 125 (2003) 1147-1164) whatever max|u| is, so no sup-norm level
+gates the check.  The march then reports the bracket [t, T].  Overflow
+past u_cap, or to inf with dt at its floor, ends it too, with T clamped
+to the same window.
 
 On a truncated line (the truncation guard on) the march starts on the
 smallest centred sub-grid of the family's grid, at the same h, whose
@@ -117,7 +125,9 @@ class SolverControls:
     clamped to [dt_min, dt_max], or the remainder up to the horizon.  An
     attempt costs two batched nonlinear calls, four rows, plus one row
     when its dt differs from the previous attempt's.  max_steps counts
-    step attempts, rejected ones included, not accepted steps.
+    step attempts, rejected ones included, not accepted steps.  No field
+    sets the stop: that is the root window _ROOT_WINDOW (module
+    docstring).
 
     check_boundary turns on the truncation guard: a run aborts once the
     edge amplitude of u on an accepted step exceeds boundary_tol max|u|.
@@ -145,7 +155,6 @@ class SolverControls:
     dt_min: float = 1e-12
     dt_max: float = 0.25
     step_tol: float = 3e-7
-    threshold: float = None  # type: ignore[assignment]  # None -> max(1e6*eps, 1e4)
     check_boundary: bool = True
     boundary_tol: float = 1e-6
     max_steps: int = 2_000_000
@@ -185,9 +194,9 @@ class MarchStats:
     bracket says where a blow-up's T_high came from: "extrapolated" when
     it is the extrapolated root, above T_low; "clamped" when the root is
     missing, falls at or before the last sample (T_high = T_low), lies
-    past 1.005 T_low, or when any step was a forced accept, whose error
-    the bracket does not cover.  It is "none" when the run did not blow
-    up.
+    past the stop window (1 + _ROOT_WINDOW) T_low, or when any step was a
+    forced accept, whose error the bracket does not cover.  It is "none"
+    when the run did not blow up.
     """
 
     attempts: int
@@ -488,6 +497,10 @@ def _functional_values(spec: GridSpec, x: np.ndarray, values: np.ndarray,
 # lifespan march
 # ----------------------------------------------------------------------
 
+# the stop rule: a march ends once the extrapolated root is within this
+# fraction of itself past t
+_ROOT_WINDOW = 0.005
+
 
 def _extrapolate_blowup(ts, ms, p: float):
     """Root of the linear fit of sup-norm^(-(p-1)/2) over the last samples.
@@ -501,11 +514,12 @@ def _extrapolate_blowup(ts, ms, p: float):
         return None
     t = np.asarray(ts[-k:])
     z = np.asarray(ms[-k:]) ** (-(p - 1.0) / 2.0)
-    if not np.all(np.isfinite(z)):
-        return None
     # least-squares line z = a t + b in centred form; its root is tm - zm/a
     tm = float(t.sum()) / k
     zm = float(z.sum()) / k
+    # z > 0, so its mean is finite exactly when every sample is
+    if not math.isfinite(zm):
+        return None
     tc = t - tm
     a = float(np.dot(tc, z - zm)) / float(np.dot(tc, tc))
     if not a < 0.0:
@@ -587,6 +601,9 @@ def solve_lifespan(data: DataFamily, p: float, horizon: float = 200.0,
     data.epsilon * (f0, f1).  Set ctrl.check_boundary = False for
     torus-type data that is not compactly supported.
 
+    A blow-up stops on the root window (module docstring), with T_low the
+    last accepted t and T_high the extrapolated root.
+
     With the guard on, the family's grid is a ceiling.  The march starts
     on the smallest centred sub-grid at the same h, at least 16 points,
     whose edge amplitudes of u0 and u1 are at most boundary_tol/30
@@ -599,8 +616,6 @@ def solve_lifespan(data: DataFamily, p: float, horizon: float = 200.0,
         ctrl = SolverControls()
     u0, u1 = data.initial_data()
     spec = data.f0.spec
-    threshold = ctrl.threshold if ctrl.threshold is not None \
-        else max(1e6 * data.epsilon, 1e4)
     if not horizon > 0.0:
         raise ValueError("horizon must be positive")
 
@@ -731,24 +746,23 @@ def solve_lifespan(data: DataFamily, p: float, horizon: float = 200.0,
                 status, cause = BLOWN_UP, U_CAP
                 T_low = t
                 break
-            if maxu >= threshold:
-                root = _extrapolate_blowup(ts, samp_m, p)
-                if root is not None and root - t <= 0.005 * root:
-                    status, cause = BLOWN_UP, ROOT
-                    T_low = t
-                    T_high = root
-                    break
+            root = _extrapolate_blowup(ts, samp_m, p)
+            if root is not None and root - t <= _ROOT_WINDOW * root:
+                status, cause = BLOWN_UP, ROOT
+                T_low = t
+                T_high = root
+                break
             move = _ladder_move(err, ctrl.step_tol)
             k = min(max(k + (min(move, 0) if rejected else move), k_lo), k_hi)
             dt = _ladder_dt(ctrl, k)
             rejected = False
 
     if status == BLOWN_UP and T_high is None:
-        # declared through u_cap or overflow: the root, clamped to the 1%
-        # bracket
+        # declared through u_cap or overflow: the root, clamped to the
+        # window; the root is never below the last sample, T_low
         root = _extrapolate_blowup(ts, samp_m, p)
-        T_high = T_low if root is None else min(root, T_low * 1.005)
-        T_high = max(T_high, T_low)
+        T_high = T_low if root is None else \
+            min(root, T_low * (1.0 + _ROOT_WINDOW))
     bracket = "none" if status != BLOWN_UP else \
         "extrapolated" if T_low < T_high == root and not forced else \
         "clamped"

@@ -303,6 +303,20 @@ def test_lifespan_records(tmp_path, capsys):
     assert len(trace) == rec["steps"] + 1
 
 
+def test_lifespan_at_p3_blows_up_on_every_eps(tmp_path):
+    # the p = 3 ladder ends on the extrapolated root, not on a truncation
+    # abort from the blow-up's ringing
+    ini = tmp_path / "lab.ini"
+    ini.write_text("[lifespan]\np = 3.0\nclass = M0_nonzero\n"
+                   "eps_list = 0.9 0.8 0.7\nhorizon = 30\n")
+    out = tmp_path / "o"
+    assert main(["lifespan", "--config", str(ini), "--out", str(out)]) == 0
+    for i in range(3):
+        rec = json.loads((out / f"run_{i:03d}.json").read_text())
+        assert (rec["status"], rec["termination"], rec["bracket"]) == (
+            "blown_up", "extrapolated_root", "extrapolated")
+
+
 def test_truncation_abort_names_what_tripped(tmp_path, capsys):
     # a box too small for the spreading bulk: both commands print when the
     # guard tripped, the edge ratio and boundary_tol, on stdout only

@@ -498,17 +498,6 @@ def test_step_budget_error_reports_the_state():
         solve_lifespan(torus_family(), 2.0, horizon=20.0, ctrl=ctrl)
 
 
-def test_threshold_insensitivity():
-    fam = torus_family()
-    a = solve_lifespan(fam, 2.0, horizon=20.0,
-                       ctrl=SolverControls(check_boundary=False,
-                                           threshold=1e4))
-    b = solve_lifespan(fam, 2.0, horizon=20.0,
-                       ctrl=SolverControls(check_boundary=False,
-                                           threshold=1e6))
-    assert abs(a[0].T_high - b[0].T_high) / b[0].T_high <= 0.01
-
-
 def test_comparison_principle_pair():
     # pointwise-larger data cannot live longer
     zero = GridFunction(TORUS, np.zeros(TORUS.points))
@@ -529,9 +518,7 @@ def test_grid_refinement_stability_invariant():
     outs = []
     for spec, dt0 in ((spec_a, 0.02), (spec_b, 0.01)):
         fam = make_data_family("M0_zero_M1_nonzero", 2.0, spec)
-        # verdict threshold kept moderate so the bracket closes before the
-        # terminal peak outruns the grid
-        ctrl = SolverControls(dt_init=dt0, dt_max=dt0 * 12.5, threshold=1e4)
+        ctrl = SolverControls(dt_init=dt0, dt_max=dt0 * 12.5)
         est, _ = solve_lifespan(fam, 2.0, horizon=50.0, ctrl=ctrl)
         assert est.status == BLOWN_UP
         outs.append(est.T_high)
@@ -584,18 +571,21 @@ def test_march_stats_record_the_run(kw, cause):
                           ctrl=ctrl)[0].stats == st
 
 
-def test_march_stats_name_every_termination():
+def test_march_stats_name_every_termination(monkeypatch):
     fam = torus_family()
-    # without a verdict threshold the march runs into u_cap, or into
+    # with no extrapolated root the march runs into u_cap, or into
     # overflow once dt sits at its floor; either clamps T_high to T_low
-    for dt_min, cause in ((1e-3, solver.DT_FLOOR), (1e-4, solver.U_CAP)):
-        ctrl = SolverControls(check_boundary=False, threshold=1e300,
-                              dt_min=dt_min)
-        est, _ = solve_lifespan(fam, 2.0, horizon=20.0, ctrl=ctrl)
-        assert est.status == BLOWN_UP
-        assert (est.stats.termination, est.stats.bracket) == (cause,
-                                                             "clamped")
-        assert est.stats.accepted_dt_min == dt_min
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_extrapolate_blowup", lambda ts, ms, p: None)
+        for dt_min, cause, T_low in ((1e-3, solver.DT_FLOOR, 3.5159660),
+                                     (1e-4, solver.U_CAP, 3.5131658)):
+            ctrl = SolverControls(check_boundary=False, dt_min=dt_min)
+            est, _ = solve_lifespan(fam, 2.0, horizon=20.0, ctrl=ctrl)
+            assert est.status == BLOWN_UP
+            assert (est.stats.termination, est.stats.bracket) == (cause,
+                                                                 "clamped")
+            assert est.stats.accepted_dt_min == dt_min
+            assert est.T_low == est.T_high == pytest.approx(T_low, rel=1e-7)
     est, _ = solve_lifespan(fam, 2.0, horizon=2.0,
                             ctrl=SolverControls(check_boundary=False))
     assert est.status == SURVIVED_HORIZON
@@ -651,9 +641,9 @@ def test_guard_aborts_a_developing_truncation():
 
 
 def test_forced_accepts_at_dt_min_clamp_the_bracket():
-    # dt_min 1e-2 accepts steps out of tolerance near blow-up, and the
-    # resulting bracket misses the ODE's blow-up time; at dt_min 3e-3 the
-    # root is above T_low yet the bracket is still not called extrapolated
+    # dt_min 1e-2 and 3e-3 accept steps out of tolerance near blow-up; the
+    # bracket does not cover their error, so it is not called extrapolated
+    # even where it holds the ODE's blow-up time, as at dt_min 1e-2
     T_ref = ode_blowup_time(1.0, 2.0)
     for dt_min in (1e-2, 3e-3):
         ctrl = SolverControls(check_boundary=False, dt_min=dt_min)
@@ -662,7 +652,7 @@ def test_forced_accepts_at_dt_min_clamp_the_bracket():
         assert est.stats.forced_accepts > 0
         assert est.stats.bracket == "clamped"
         if dt_min == 1e-2:
-            assert T_ref < est.T_low
+            assert est.T_low < T_ref < est.T_high
     assert est.T_low < est.T_high
     # the default dt_min forces nothing
     est, _ = solve_lifespan(torus_family(), 2.0, horizon=20.0,
@@ -670,6 +660,41 @@ def test_forced_accepts_at_dt_min_clamp_the_bracket():
     assert est.stats.forced_accepts == 0
     assert est.stats.bracket == "extrapolated"
     assert est.T_low < T_ref < est.T_high
+
+
+@pytest.mark.parametrize("p", [2.0, 2.5])
+def test_stop_rule_is_checked_on_every_accepted_step(monkeypatch, p):
+    # criterion 10's torus runs: the root is extrapolated after each
+    # accepted step from the first on, whatever max|u| is
+    calls = []
+    extrapolate = solver._extrapolate_blowup
+
+    def spy(ts, ms, q):
+        calls.append(len(ts))
+        return extrapolate(ts, ms, q)
+    monkeypatch.setattr(solver, "_extrapolate_blowup", spy)
+    est, trace = solve_lifespan(torus_family(), p, horizon=20.0,
+                                ctrl=SolverControls(check_boundary=False))
+    assert (est.stats.termination, est.stats.bracket) == (solver.ROOT,
+                                                         "extrapolated")
+    assert calls == list(range(1, len(trace.times) + 1))
+
+
+def test_p3_blow_up_ends_on_the_root_not_on_truncation():
+    # at p = 3 the concentrating peak rings at the grid's edge close to
+    # blow-up; the root window ends the march while the edge is quiet,
+    # and the root agrees with the run on the doubled N to 1e-7
+    highs = []
+    for n in (2048, 4096):
+        fam = make_data_family("M0_nonzero", 0.9, GridSpec(64.0, n))
+        est, _ = solve_lifespan(fam, 3.0, horizon=30.0)
+        assert est.status == BLOWN_UP
+        assert (est.stats.termination, est.stats.bracket) == (solver.ROOT,
+                                                             "extrapolated")
+        assert est.stats.edge_ratio <= SolverControls().boundary_tol / 30.0
+        highs.append(est.T_high)
+    assert highs[0] == pytest.approx(3.3093286, rel=1e-6)
+    assert highs[1] == pytest.approx(highs[0], rel=1e-7)
 
 
 def test_march_grows_its_grid_with_the_support(monkeypatch):
