@@ -56,6 +56,10 @@ __all__ = ["ConfigError", "ExperimentConfig", "load_config", "main",
 
 COMMANDS = ("decay", "lifespan", "sweep", "odi", "predict",
             "verify-propagators")
+# the commands that build a grid from points/half_width, and those that
+# also march with SolverControls(dt_min=dt_min)
+_GRID_COMMANDS = ("decay", "lifespan", "sweep", "verify-propagators")
+_MARCH_COMMANDS = ("lifespan", "sweep")
 
 PASS, FAIL, UNCONVERGED = "pass", "fail", "unconverged"
 _EXIT = {PASS: 0, FAIL: 1, UNCONVERGED: 2}
@@ -108,6 +112,21 @@ class ExperimentConfig:
             raise ConfigError("workers must be a positive integer")
         if not self.horizon > 0.0:
             raise ConfigError("horizon must be positive")
+        # the grid and the controls are checked here, before any output
+        # directory is made
+        try:
+            if self.command in _GRID_COMMANDS:
+                self.spec()
+            if self.command in _MARCH_COMMANDS:
+                self.controls()
+        except ValueError as exc:   # GridError is one
+            raise ConfigError(str(exc)) from exc
+
+    def spec(self) -> GridSpec:
+        return GridSpec(self.half_width, self.points)
+
+    def controls(self) -> SolverControls:
+        return SolverControls(dt_min=self.dt_min)
 
 
 _DEFAULTS_BY_COMMAND = {
@@ -195,11 +214,10 @@ def _ensure_out(cfg: ExperimentConfig) -> str:
 # ----------------------------------------------------------------------
 
 
-def _lifespan_worker(cfg: ExperimentConfig, eps: float):
-    spec = GridSpec(cfg.half_width, cfg.points)
-    fam = make_data_family(cfg.moment_class, eps, spec)
-    ctrl = SolverControls(dt_min=cfg.dt_min)
-    est, trace = solve_lifespan(fam, cfg.p, horizon=cfg.horizon, ctrl=ctrl)
+def _lifespan_worker(cfg: ExperimentConfig, functionals: bool, eps: float):
+    fam = make_data_family(cfg.moment_class, eps, cfg.spec())
+    est, trace = solve_lifespan(fam, cfg.p, horizon=cfg.horizon,
+                                ctrl=cfg.controls(), functionals=functionals)
     record = {
         "p": cfg.p, "eps": eps, "class": cfg.moment_class,
         "N": cfg.points, "L": cfg.half_width, "dt_min": cfg.dt_min,
@@ -211,9 +229,11 @@ def _lifespan_worker(cfg: ExperimentConfig, eps: float):
     return record, trace
 
 
-def _run_all_lifespans(cfg: ExperimentConfig, out: str):
-    """Run every eps, in input order, and write one run_NNN.json each."""
-    worker = functools.partial(_lifespan_worker, cfg)
+def _run_all_lifespans(cfg: ExperimentConfig, out: str,
+                       functionals: bool = False):
+    """Run every eps, in input order, and write one run_NNN.json each.
+    The traces carry the corridor functionals only with functionals=True."""
+    worker = functools.partial(_lifespan_worker, cfg, functionals)
     if cfg.workers > 1 and len(cfg.eps_list) > 1:
         # deferred: the pool pulls in multiprocessing, which one worker
         # never needs
@@ -240,7 +260,7 @@ def run_lifespan(cfg: ExperimentConfig):
     """One record and one trace CSV per eps; verdict is pass unless any
     run aborted on the truncation rule."""
     out = _ensure_out(cfg)
-    results = _run_all_lifespans(cfg, out)
+    results = _run_all_lifespans(cfg, out, functionals=True)
     lines = []
     for i, (record, trace) in enumerate(results):
         trace.to_csv(os.path.join(out, f"trace_{i:03d}.csv"))
@@ -346,7 +366,7 @@ def run_decay(cfg: ExperimentConfig):
     if not math.isfinite(cfg.horizon):
         raise ConfigError(f"decay horizon must be finite, got {cfg.horizon}")
     out = _ensure_out(cfg)
-    spec = GridSpec(cfg.half_width, cfg.points)
+    spec = cfg.spec()
     window = (cfg.horizon / 100.0, cfg.horizon)
     times = np.geomspace(window[0], window[1], 12)
     targets = HEAT_EXPANSION_SLOPES(cfg.p)
@@ -474,7 +494,7 @@ def run_verify_propagators(cfg: ExperimentConfig):
     outside the quadrature range are skipped with a notice.
     """
     out = _ensure_out(cfg)
-    spec = GridSpec(cfg.half_width, cfg.points)
+    spec = cfg.spec()
     f = gaussian_derivative(0, spec)
     mass0 = moment(f, 0)
     rows = []

@@ -32,7 +32,11 @@ class MomentOrderError(ValueError):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Periodic grid on [-L, L) with N nodes, x_j = -L + j*h, h = 2L/N."""
+    """Periodic grid on [-L, L) with N nodes, x_j = -L + j*h, h = 2L/N.
+
+    N is 2^k or 3 2^k, at least 16: the sizes the lifespan march grows its
+    sub-grids through, all of them fast FFT lengths.
+    """
 
     half_width: float
     points: int
@@ -42,8 +46,9 @@ class GridSpec:
         N = int(self.points)
         if not math.isfinite(L) or L <= 0.0:
             raise GridError(f"half_width must be positive and finite, got {self.half_width}")
-        if N < 16 or (N & (N - 1)) != 0:
-            raise GridError(f"points must be a power of two >= 16, got {self.points}")
+        m = N // 3 if N % 3 == 0 else N
+        if N < 16 or (m & (m - 1)) != 0:
+            raise GridError(f"points must be 2^k or 3*2^k, at least 16, got {self.points}")
         object.__setattr__(self, "half_width", L)
         object.__setattr__(self, "points", N)
 

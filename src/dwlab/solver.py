@@ -52,9 +52,15 @@ to the same window.
 
 On a truncated line (the truncation guard on) the march starts on the
 smallest centred sub-grid of the family's grid, at the same h, whose
-initial edge is quiet, and doubles it whenever a candidate's edge ratio
-passes boundary_tol/30: the FFTs cover the solution's support, not the
-whole domain, until the support reaches the family's grid.
+initial edge is quiet, and grows it one size up whenever a candidate's
+edge ratio passes boundary_tol/30: the FFTs cover the solution's support,
+not the whole domain, until the support reaches the family's grid.  The
+sizes are 2^k and 3 2^k (16, 24, 32, 48, ...), so each move is x3/2 or
+x4/3 and a grid holds at most 3/2 of the points its support needs.
+
+The corridor functionals U, w_plus and w_minus are evaluated only when a
+caller asks for them (functionals=True); the trace keeps its time axis
+either way.
 """
 
 from __future__ import annotations
@@ -131,9 +137,9 @@ class SolverControls:
 
     check_boundary turns on the truncation guard: a run aborts once the
     edge amplitude of u on an accepted step exceeds boundary_tol max|u|.
-    It also lets the march run on sub-grids of the family's grid (see
-    solve_lifespan), each accepted step on one keeping the edge ratio at
-    most boundary_tol/30.
+    It also lets the march run on sub-grids of the family's grid, sized
+    2^k or 3 2^k (see solve_lifespan), each accepted step on one keeping
+    the edge ratio at most boundary_tol/30.
 
     The defaults, step_tol 3e-7 and boundary_tol 1e-6, were 3e-8 and 1e-8.
     On the gate ladders (criteria 06, 07, 08, 10) and the default sweep
@@ -179,9 +185,10 @@ class MarchStats:
     non-finite candidate.  forced_accepts counts the steps accepted with
     dt at dt_min that any of those causes would otherwise have rejected.
     regrids counts the attempts not accepted because the candidate's edge
-    ratio passed boundary_tol/30 on a sub-grid; each moved the march to
-    the doubled sub-grid.  So attempts = accepted steps + rejections +
-    regrids.  points is the node count of the grid the march ended on.
+    ratio passed boundary_tol/30 on a sub-grid; each moved the march one
+    size up the sub-grid ladder (_grow).  So attempts = accepted steps +
+    rejections + regrids.  points is the node count of the grid the march
+    ended on, 2^k or 3 2^k: a sub-grid's, or the family's N.
     nl_rows counts the nonlinear evaluations, the rows of the _nl_hat
     calls: 2 + 4 attempts + one per rebuilt w3 + 2 regrids.  The dt range
     and the two ratios cover accepted steps only; accepted_dt_min/max are
@@ -242,29 +249,39 @@ class LifespanEstimate:
 class FunctionalTrace:
     """Corridor functionals along a run: U(t), w_plus(t), w_minus(t).
 
+    times holds one entry per accepted step.  The three columns are all
+    arrays aligned with it, or all None when the run did not evaluate
+    them (solve_lifespan's functionals=False); such a trace has no CSV.
     w_plus / w_minus are nan before t = 4, where the corridors are not
     defined.
     """
 
     times: np.ndarray
-    U: np.ndarray
-    w_plus: np.ndarray
-    w_minus: np.ndarray
+    U: np.ndarray = None
+    w_plus: np.ndarray = None
+    w_minus: np.ndarray = None
 
     def __post_init__(self):
+        names = ("U", "w_plus", "w_minus")
+        missing = [getattr(self, name) is None for name in names]
+        if any(missing) and not all(missing):
+            raise ValueError("U, w_plus and w_minus come all or none")
         t = np.asarray(self.times, dtype=np.float64)
         cols = []
-        for name in ("U", "w_plus", "w_minus"):
+        for name in ([] if all(missing) else names):
             c = np.asarray(getattr(self, name), dtype=np.float64)
             if c.shape != t.shape:
                 raise ValueError(f"{name} not aligned with times")
             cols.append(c)
-        for arr, name in zip((t, *cols), ("times", "U", "w_plus", "w_minus")):
+        for arr, name in zip((t, *cols), ("times",) + names):
             a = arr.copy()
             a.setflags(write=False)
             object.__setattr__(self, name, a)
 
     def to_csv(self, path) -> None:
+        if self.U is None:
+            raise ValueError("the trace holds no functionals; march with "
+                             "functionals=True to write them")
         with open(path, "w") as fh:
             fh.write("t,U,w_plus,w_minus\n")
             for t, a, b, c in zip(self.times, self.U, self.w_plus, self.w_minus):
@@ -333,10 +350,12 @@ def _nl_hat(yu: np.ndarray, p: float, field: bool = False):
             np.empty(lead + (4 * m,)),
             np.empty(lead + (2 * m + 1,), dtype=np.complex128))
     fine, wh = work
-    fh = yu.copy()
-    fh[..., m] *= 0.5
+    # the 2x grid's field is 2 irfft(yu with its Nyquist mode halved);
+    # the factor 2 goes on the input, which scales every operation of
+    # the transform exactly
+    fh = yu * 2.0
+    fh[..., m] = yu[..., m]
     np.fft.irfft(fh, 4 * m, out=fine)  # zero-padded to the 2x grid
-    fine *= 2.0
     u = (fine[0] if fine.ndim > 1 else fine)[::2].copy() if field else None
     np.abs(fine, out=fine)
     fine **= p
@@ -502,18 +521,20 @@ def _functional_values(spec: GridSpec, x: np.ndarray, values: np.ndarray,
 _ROOT_WINDOW = 0.005
 
 
-def _extrapolate_blowup(ts, ms, p: float):
-    """Root of the linear fit of sup-norm^(-(p-1)/2) over the last samples.
+def _extrapolate_blowup(t: np.ndarray, z: np.ndarray):
+    """Root of the linear fit of z = sup-norm^(-(p-1)/2) over the last
+    20 samples.
 
-    That power vanishes linearly in time for the generic u'' = u^p rate
+    t and z hold the accepted samples in order, as float arrays.  z
+    vanishes linearly in time for the generic u'' = u^p rate
     u ~ C (T-t)^{-2/(p-1)}, so its t-intercept estimates T.  Returns None
     while the fit does not yet predict divergence at a finite time.
     """
-    k = min(20, len(ts))
+    k = min(20, len(t))
     if k < 3:
         return None
-    t = np.asarray(ts[-k:])
-    z = np.asarray(ms[-k:]) ** (-(p - 1.0) / 2.0)
+    t = t[-k:]
+    z = z[-k:]
     # least-squares line z = a t + b in centred form; its root is tm - zm/a
     tm = float(t.sum()) / k
     zm = float(z.sum()) / k
@@ -536,35 +557,58 @@ def _edge_amplitude(values: np.ndarray) -> float:
 _GROW_MARGIN = 30.0
 
 
-def _sub_grid(spec: GridSpec, n: int) -> GridSpec:
-    """The centred n-point sub-grid of spec at the same h: its nodes are
-    those of spec from index (N - n)/2 on.  n/N is a power of two, so h
-    is unchanged to the bit."""
+def _next_points(n: int) -> int:
+    """The size after n on the sub-grid ladder 16, 24, 32, 48, 64, ...:
+    x3/2 from 2^k, x4/3 from 3 2^k."""
+    return n * 3 // 2 if n & (n - 1) == 0 else n * 4 // 3
+
+
+def _sub_grid(spec: GridSpec, n: int):
+    """The centred n-point sub-grid of spec at the same h, or None when
+    no such grid keeps spec's h to the bit.  Its nodes are those of spec
+    from index (N - n)/2 on.  When n/N is a power of two h always
+    survives; at other ratios it may not: L = 64, N = 2048 keeps it at
+    every ladder size, L = 25.6, N = 1024 at no 3 2^k size."""
     if n == spec.points:
         return spec
-    return GridSpec(spec.half_width * (n / spec.points), n)
+    sub = GridSpec(spec.half_width * (n / spec.points), n)
+    return sub if sub.h == spec.h else None
+
+
+def _grow(spec: GridSpec, n: int) -> GridSpec:
+    """The next sub-grid of spec past n points: the next ladder size that
+    keeps h, which is at most 2n, and spec itself at the top."""
+    while True:
+        n = _next_points(n)
+        sub = _sub_grid(spec, n)
+        if sub is not None:
+            return sub
 
 
 def _start_grid(spec: GridSpec, u: np.ndarray, v: np.ndarray, limit: float):
-    """The smallest centred sub-grid of spec, at least 16 points, whose
-    edge amplitudes of u and v are at most limit max(|u|, |v|); returns it
-    with u and v restricted to it."""
+    """The smallest centred sub-grid of spec on the ladder, at least 16
+    points, whose edge amplitudes of u and v are at most
+    limit max(|u|, |v|); returns it with u and v restricted to it."""
     scale = max(float(np.abs(u).max()), float(np.abs(v).max()))
     n = 16
     while n < spec.points:
+        sub = _sub_grid(spec, n)
         lo = (spec.points - n) // 2
         cu, cv = u[lo:lo + n], v[lo:lo + n]
-        if max(_edge_amplitude(cu), _edge_amplitude(cv)) <= limit * scale:
-            return _sub_grid(spec, n), cu, cv
-        n *= 2
+        if sub is not None and \
+                max(_edge_amplitude(cu), _edge_amplitude(cv)) <= limit * scale:
+            return sub, cu, cv
+        n = _next_points(n)
     return spec, u, v
 
 
-def _embed(y: np.ndarray, n: int) -> np.ndarray:
+def _embed(y: np.ndarray, n: int, n_new: int) -> np.ndarray:
     """The rfft of a field on n nodes, given by its rfft y, moved to the
-    doubled centred grid: the n values at node offset n/2 among zeros."""
-    f = np.zeros(2 * n)
-    f[n // 2: n // 2 + n] = np.fft.irfft(y, n)
+    centred grid of n_new > n nodes: the n values at node offset
+    (n_new - n)/2 among zeros."""
+    f = np.zeros(n_new)
+    lo = (n_new - n) // 2
+    f[lo:lo + n] = np.fft.irfft(y, n)
     return np.fft.rfft(f)
 
 
@@ -593,11 +637,13 @@ def _ladder_move(err: float, tol: float) -> int:
 
 
 def solve_lifespan(data: DataFamily, p: float, horizon: float = 200.0,
-                   ctrl: SolverControls = None):
+                   ctrl: SolverControls = None, functionals: bool = False):
     """Adaptive march until blow-up, the horizon, or a truncation abort.
 
-    Returns (LifespanEstimate, FunctionalTrace).  The data family fixes
-    the grid, and the solved fields start from data.initial_data(),
+    Returns (LifespanEstimate, FunctionalTrace).  The trace has one time
+    per accepted step, and the corridor functionals at those times only
+    with functionals=True; they do not change the march.  The data family
+    fixes the grid, and the solved fields start from data.initial_data(),
     data.epsilon * (f0, f1).  Set ctrl.check_boundary = False for
     torus-type data that is not compactly supported.
 
@@ -609,8 +655,9 @@ def solve_lifespan(data: DataFamily, p: float, horizon: float = 200.0,
     whose edge amplitudes of u0 and u1 are at most boundary_tol/30
     max(|u0|, |u1|).  An attempt on a sub-grid whose candidate passes the
     tolerance with an edge ratio above boundary_tol/30 is not accepted:
-    the accepted state moves to the doubled grid among zeros and the same
-    dt is retaken there.  On the family's grid the guard aborts as usual.
+    the accepted state moves, among zeros, to the next sub-grid of the
+    ladder (x3/2 or x4/3, see _grow) and the same dt is retaken there.  On
+    the family's grid the guard aborts as usual.
     """
     if ctrl is None:
         ctrl = SolverControls()
@@ -628,9 +675,9 @@ def solve_lifespan(data: DataFamily, p: float, horizon: float = 200.0,
         est = LifespanEstimate(SURVIVED_HORIZON, horizon, horizon, spec,
                                stats)
         w0 = 0.0 if horizon >= _CORRIDOR_T0 else math.nan
-        trace = FunctionalTrace(np.array([horizon]), np.array([0.0]),
-                                np.array([w0]), np.array([w0]))
-        return est, trace
+        cols = (np.array([0.0]), np.array([w0]), np.array([w0])) \
+            if functionals else ()
+        return est, FunctionalTrace(np.array([horizon]), *cols)
 
     p = float(p)
     u_cap = 1e250 ** (1.0 / p)
@@ -654,8 +701,11 @@ def solve_lifespan(data: DataFamily, p: float, horizon: float = 200.0,
     edge_max = tail_max = 0.0
     tail0 = math.ceil(grid.points / 3)   # modes k >= N/3: the top third
     rejected = False
-    ts, us, wps, wms = [], [], [], []
-    samp_m = []
+    # the accepted samples: t and z = max|u|^(-(p-1)/2) for the stop fit
+    n_acc = 0
+    t_buf, z_buf = np.empty(256), np.empty(256)
+    z_exp = -(p - 1.0) / 2.0
+    us, wps, wms = [], [], []
     status = cause = root = None
     T_low = T_high = None
 
@@ -712,10 +762,10 @@ def solve_lifespan(data: DataFamily, p: float, horizon: float = 200.0,
             scale = max(cand_max, 1e-300)
             if grid is not spec and edge > grow_tol * scale:
                 # the support nears the sub-grid's edge: retake dt on the
-                # doubled grid
+                # next grid up
                 n = grid.points
-                grid = _sub_grid(spec, 2 * n)
-                yu, yv = _embed(yu, n), _embed(yv, n)
+                grid = _grow(spec, n)
+                yu, yv = _embed(yu, n, grid.points), _embed(yv, n, grid.points)
                 w1, w3 = _head(yu, yv, p, _stage_ops(grid, dt_eff))
                 w3_dt = dt_eff
                 x = grid.nodes
@@ -729,12 +779,22 @@ def solve_lifespan(data: DataFamily, p: float, horizon: float = 200.0,
             dt_hi = max(dt_hi, dt_eff)
             yu, yv, w1, w3 = gu, gv, w5, w3_next
             maxu = cand_max
-            samp_m.append(maxu)
-            uval, wp, wm = _functional_values(grid, x, cand, t)
-            ts.append(t)
-            us.append(uval)
-            wps.append(wp)
-            wms.append(wm)
+            if n_acc == t_buf.size:
+                # np.resize fills the new tail with copies; it is overwritten
+                t_buf, z_buf = np.resize(t_buf, 2 * n_acc), \
+                    np.resize(z_buf, 2 * n_acc)
+            t_buf[n_acc] = t
+            # z by numpy's array power, as a fit over an array of sup
+            # norms takes it; Python's float ** can differ in the last bit
+            z = z_buf[n_acc:n_acc + 1]
+            z[0] = maxu
+            z **= z_exp
+            n_acc += 1
+            if functionals:
+                uval, wp, wm = _functional_values(grid, x, cand, t)
+                us.append(uval)
+                wps.append(wp)
+                wms.append(wm)
             edge_max = max(edge_max, edge / scale)
             tail = (2.0 / grid.points) * float(np.abs(gu[tail0:]).sum())
             tail_max = max(tail_max, tail / scale)
@@ -746,7 +806,7 @@ def solve_lifespan(data: DataFamily, p: float, horizon: float = 200.0,
                 status, cause = BLOWN_UP, U_CAP
                 T_low = t
                 break
-            root = _extrapolate_blowup(ts, samp_m, p)
+            root = _extrapolate_blowup(t_buf[:n_acc], z_buf[:n_acc])
             if root is not None and root - t <= _ROOT_WINDOW * root:
                 status, cause = BLOWN_UP, ROOT
                 T_low = t
@@ -760,7 +820,7 @@ def solve_lifespan(data: DataFamily, p: float, horizon: float = 200.0,
     if status == BLOWN_UP and T_high is None:
         # declared through u_cap or overflow: the root, clamped to the
         # window; the root is never below the last sample, T_low
-        root = _extrapolate_blowup(ts, samp_m, p)
+        root = _extrapolate_blowup(t_buf[:n_acc], z_buf[:n_acc])
         T_high = T_low if root is None else \
             min(root, T_low * (1.0 + _ROOT_WINDOW))
     bracket = "none" if status != BLOWN_UP else \
@@ -768,12 +828,12 @@ def solve_lifespan(data: DataFamily, p: float, horizon: float = 200.0,
         "clamped"
     stats = MarchStats(attempts, rej_tol, rej_growth, rej_nonfinite, forced,
                        regrids, 2 + 4 * attempts + rebuilds + 2 * regrids,
-                       dt_lo if ts else None, dt_hi if ts else None,
+                       dt_lo if n_acc else None, dt_hi if n_acc else None,
                        edge_max, tail_max, grid.points, cause, bracket)
     est = LifespanEstimate(status, T_low, T_high, spec, stats)
-    trace = FunctionalTrace(np.array(ts), np.array(us), np.array(wps),
-                            np.array(wms))
-    return est, trace
+    cols = (np.array(us), np.array(wps), np.array(wms)) if functionals \
+        else ()
+    return est, FunctionalTrace(t_buf[:n_acc], *cols)
 
 
 # ----------------------------------------------------------------------

@@ -280,6 +280,61 @@ def test_odi_dt_is_an_unknown_config_key(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["lifespan", "sweep", "decay",
+                                     "verify-propagators"])
+def test_invalid_grid_is_refused_before_the_output_directory(tmp_path,
+                                                               capsys,
+                                                               command):
+    # the grid and the march's controls are built while the config
+    # resolves: a bad one exits 2 with no directory left behind
+    bad = ["points = 1000", "half_width = -3"]
+    if command in ("lifespan", "sweep"):
+        bad.append("dt_min = 0")
+    for i, line in enumerate(bad):
+        ini = tmp_path / f"bad{i}.ini"
+        ini.write_text(f"[{command}]\n{line}\n")
+        out = tmp_path / f"o{i}"
+        assert main([command, "--config", str(ini), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+
+def test_lifespan_and_sweep_march_alike(tmp_path):
+    # lab lifespan evaluates the corridor functionals and lab sweep does
+    # not; the marches, and so every record field, are the same
+    ini = tmp_path / "lab.ini"
+    ini.write_text("[DEFAULT]\neps_list = 0.4 0.2\n")
+    for command in ("lifespan", "sweep"):
+        main([command, "--config", str(ini), "--out", str(tmp_path / command)])
+    for i in range(2):
+        life, sweep = (json.loads((tmp_path / c / f"run_{i:03d}.json")
+                                  .read_text()) for c in ("lifespan", "sweep"))
+        for key in ("T_low", "T_high", "attempts", "steps"):
+            assert life[key] == sweep[key]
+        rejections = (sweep["rejected_tol"] + sweep["rejected_growth"]
+                      + sweep["rejected_nonfinite"])
+        assert sweep["steps"] == \
+            sweep["attempts"] - rejections - sweep["regrids"]
+    assert not list((tmp_path / "sweep").glob("trace_*.csv"))
+
+
+def test_lifespan_on_a_3x2k_family_grid(tmp_path):
+    # points = 1536 is a family grid of the sub-grid ladder: at the same
+    # h = 1/16 the eps 0.4 run ends on the same N = 768 sub-grid as on the
+    # default L = 64, N = 2048 family, with the same lifespan
+    ini = tmp_path / "lab.ini"
+    ini.write_text("[lifespan]\neps_list = 0.4\npoints = 1536\n"
+                   "half_width = 48\n")
+    out = tmp_path / "o"
+    assert main(["lifespan", "--config", str(ini), "--out", str(out)]) == 0
+    rec = json.loads((out / "run_000.json").read_text())
+    assert (rec["N"], rec["L"], rec["points"]) == (1536, 48.0, 768)
+    assert (rec["status"], rec["bracket"]) == ("blown_up", "extrapolated")
+    assert rec["T_high"] == pytest.approx(18.7931171, rel=1e-7)
+    trace = (out / "trace_000.csv").read_text().splitlines()
+    assert len(trace) == rec["steps"] + 1
+
+
 def test_lifespan_records(tmp_path, capsys):
     ini = tmp_path / "lab.ini"
     ini.write_text("[lifespan]\np = 1.5\neps_list = 0.5\nhorizon = 40\n")

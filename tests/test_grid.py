@@ -16,10 +16,15 @@ def gauss(spec):
 
 
 def test_spec_validation():
-    with pytest.raises(GridError):
-        GridSpec(32.0, 48)          # not a power of two
+    for n in (40, 1000):            # neither 2^k nor 3 2^k
+        with pytest.raises(GridError):
+            GridSpec(32.0, n)
     with pytest.raises(GridError):
         GridSpec(32.0, 8)           # too small
+    with pytest.raises(GridError):
+        GridSpec(32.0, 12)          # 3 2^2, too small
+    assert [GridSpec(32.0, n).h for n in (16, 24, 48, 1536)] == \
+        [4.0, 64.0 / 24, 64.0 / 48, 1.0 / 24]
     with pytest.raises(GridError):
         GridSpec(-1.0, 64)
     s = GridSpec(16.0, 64)

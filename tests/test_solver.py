@@ -304,8 +304,8 @@ def test_march_attempts_match_unbatched_reference(monkeypatch, case):
         assert len(set(dts)) > 8
     else:
         assert est.status == SURVIVED_HORIZON
-        # the Gaussian's support fits a sub-grid of SPEC
-        assert {c[2].points for c in calls} == {SPEC.points // 2}
+        # the Gaussian's support fits a sub-grid of SPEC, 3/8 of its nodes
+        assert {c[2].points for c in calls} == {3 * SPEC.points // 8}
         # the last step is the remainder up to the horizon, off the ladder
         assert dts[-1] == pytest.approx(horizon - trace.times[-2], abs=1e-12)
         level = 4.0 * math.log2(dts[-1] / ctrl.dt_init)
@@ -345,7 +345,7 @@ def test_nl_hat_field_is_the_grid_field(n, rows):
     assert np.max(np.abs(u - want)) <= 1e-14 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("n", [64, 1024])
+@pytest.mark.parametrize("n", [64, 768, 1024])
 @pytest.mark.parametrize("rows", [None, 2], ids=["row", "stacked"])
 def test_nl_hat_buffers_change_no_bit(n, rows):
     first = _random_spectra(n, rows, 5)
@@ -433,6 +433,12 @@ def test_controller_stays_on_the_dt_ladder(monkeypatch, dt_init, step_tol):
         assert any(rejected)
 
 
+def _z(ms, p):
+    """The stop fit's samples z = max|u|^(-(p-1)/2), as the march forms
+    them."""
+    return np.asarray(ms) ** (-(p - 1.0) / 2.0)
+
+
 def _polyfit_root(ts, ms, p):
     """The np.polyfit form of _extrapolate_blowup's line fit."""
     t = np.asarray(ts[-20:])
@@ -470,7 +476,7 @@ def test_extrapolate_blowup_matches_polyfit():
         ts = list(T - gaps)
         ms = list((gaps ** (-2.0 / (p - 1.0)))
                   * (1.0 + noise * rng.standard_normal(k)))
-        got = solver._extrapolate_blowup(ts, ms, p)
+        got = solver._extrapolate_blowup(np.array(ts), _z(ms, p))
         want = _polyfit_root(ts, ms, p)
         assert (got is None) == (want is None)
         if want is not None:
@@ -481,12 +487,13 @@ def test_extrapolate_blowup_matches_polyfit():
         ts = list(np.sort(rng.uniform(10.0, 11.0, 12)))
         ms = list(1e4 * (1.0 + 1e-7 * (np.array(ts) - 10.0))
                   * (1.0 + 1e-9 * rng.standard_normal(12)))
-        got = solver._extrapolate_blowup(ts, ms, 2.0)
+        got = solver._extrapolate_blowup(np.array(ts), _z(ms, 2.0))
         want = _exact_root(ts, ms, 2.0)
         assert (got is None) == (want is None)
         if want is not None:
             assert got == pytest.approx(want, rel=1e-12)
-    assert solver._extrapolate_blowup([1.0, 2.0], [1.0, 2.0], 2.0) is None
+    assert solver._extrapolate_blowup(np.array([1.0, 2.0]),
+                                      _z([1.0, 2.0], 2.0)) is None
 
 
 def test_step_budget_error_reports_the_state():
@@ -576,7 +583,7 @@ def test_march_stats_name_every_termination(monkeypatch):
     # with no extrapolated root the march runs into u_cap, or into
     # overflow once dt sits at its floor; either clamps T_high to T_low
     with monkeypatch.context() as m:
-        m.setattr(solver, "_extrapolate_blowup", lambda ts, ms, p: None)
+        m.setattr(solver, "_extrapolate_blowup", lambda t, z: None)
         for dt_min, cause, T_low in ((1e-3, solver.DT_FLOOR, 3.5159660),
                                      (1e-4, solver.U_CAP, 3.5131658)):
             ctrl = SolverControls(check_boundary=False, dt_min=dt_min)
@@ -668,16 +675,31 @@ def test_stop_rule_is_checked_on_every_accepted_step(monkeypatch, p):
     # accepted step from the first on, whatever max|u| is
     calls = []
     extrapolate = solver._extrapolate_blowup
+    attempts, samples = [], []
+    real_attempt = solver._attempt
 
-    def spy(ts, ms, q):
-        calls.append(len(ts))
-        return extrapolate(ts, ms, q)
+    def spy(t, z):
+        calls.append(len(t))
+        samples[:] = t.copy(), z.copy()
+        return extrapolate(t, z)
+
+    def attempt(yu, yv, w1, w3, q, spec, dt):
+        out = real_attempt(yu, yv, w1, w3, q, spec, dt)
+        attempts.append((yu, out[0], float(np.abs(out[5]).max())))
+        return out
     monkeypatch.setattr(solver, "_extrapolate_blowup", spy)
+    monkeypatch.setattr(solver, "_attempt", attempt)
     est, trace = solve_lifespan(torus_family(), p, horizon=20.0,
                                 ctrl=SolverControls(check_boundary=False))
     assert (est.stats.termination, est.stats.bracket) == (solver.ROOT,
                                                          "extrapolated")
     assert calls == list(range(1, len(trace.times) + 1))
+    # the fit's samples are every accepted t and, bit for bit, z as
+    # numpy's array power takes it from the accepted sup norms
+    sup = [m for (_, gu, m), nxt in zip(attempts, attempts[1:] + [None])
+           if nxt is None or nxt[0] is gu]
+    assert np.array_equal(samples[0], trace.times)
+    assert np.array_equal(samples[1], np.array(sup) ** (-(p - 1.0) / 2.0))
 
 
 def test_p3_blow_up_ends_on_the_root_not_on_truncation():
@@ -698,9 +720,9 @@ def test_p3_blow_up_ends_on_the_root_not_on_truncation():
 
 
 def test_march_grows_its_grid_with_the_support(monkeypatch):
-    # the default sweep's eps 0.4 run starts on N = 512 of the family's
-    # N = 2048 and grows to N = 1024; the same loop on the whole grid (the
-    # guard off, no growth) gives the same lifespan
+    # the default sweep's eps 0.4 run starts on N = 384 of the family's
+    # N = 2048 and grows through 512 to 768; the same loop on the whole
+    # grid (the guard off, no growth) gives the same lifespan
     calls = []
     rows = []
     real_attempt, real_nl_hat = solver._attempt, solver._nl_hat
@@ -721,19 +743,21 @@ def test_march_grows_its_grid_with_the_support(monkeypatch):
     est, trace = solve_lifespan(fam, 1.25, horizon=200.0, ctrl=ctrl)
     st = est.stats
     assert est.status == BLOWN_UP and est.grid == spec
-    assert st.points == 1024 and st.regrids >= 1
+    assert st.points == 768 and st.regrids >= 1
     assert st.edge_ratio <= ctrl.boundary_tol / 30.0
     assert st.attempts == len(trace.times) + st.rejected_tol \
         + st.rejected_growth + st.rejected_nonfinite + st.regrids
-    # every grid is centred at the family's h; a regrid doubles it and
-    # retakes the same dt
-    assert calls[0][0].points == 512
+    # every grid is centred at the family's h; a regrid moves it one
+    # ladder size up (x3/2 or x4/3) and retakes the same dt
+    assert calls[0][0].points == 384
     moves = 0
     for (a, dt_a), (b, dt_b) in zip(calls, calls[1:]):
         assert b.h == spec.h
         if b != a:
             moves += 1
-            assert b.points == 2 * a.points and dt_b == dt_a
+            assert b.points == solver._next_points(a.points)
+            assert b.points in (3 * a.points // 2, 4 * a.points // 3)
+            assert dt_b == dt_a
     assert moves == st.regrids
     # a regrid rebuilds w1 and w3 in one 2-row call
     assert st.nl_rows == sum(rows)
@@ -751,7 +775,7 @@ def test_embed_centres_the_sub_grid_values():
     sub = solver._sub_grid(fine, 128)
     assert sub.h == fine.h and solver._sub_grid(fine, 256) is fine
     vals = rng.standard_normal(128)
-    got = np.fft.irfft(solver._embed(np.fft.rfft(vals), 128), 256)
+    got = np.fft.irfft(solver._embed(np.fft.rfft(vals), 128, 256), 256)
     assert_allclose(got[64:192], vals, rtol=0.0, atol=1e-14)
     assert np.max(np.abs(got[:64])) < 1e-14
     assert np.max(np.abs(got[192:])) < 1e-14
@@ -763,6 +787,110 @@ def test_embed_centres_the_sub_grid_values():
     assert np.array_equal(cu, u[64:192]) and not np.any(cv)
     assert solver._edge_amplitude(cu) <= 1e-6
     assert solver._edge_amplitude(u[96:160]) > 1e-6
+
+
+def test_sub_grid_ladder_keeps_h_and_the_family_nodes():
+    # 16 up to 4096 through every 2^k and 3 2^k size, each move x3/2 or
+    # x4/3; every sub-grid of a dyadic family keeps h to the bit and its
+    # nodes are the family's centred slice
+    sizes = [16]
+    while sizes[-1] < 4096:
+        sizes.append(solver._next_points(sizes[-1]))
+    assert sizes == sorted(m << k for m in (1, 3) for k in range(13)
+                           if 16 <= m << k <= 4096)
+    for spec in (GridSpec(64.0, 2048), GridSpec(48.0, 1536),
+                 GridSpec(128.0, 4096), GridSpec(16.0, 256)):
+        n = 16
+        while n < spec.points:
+            sub = solver._sub_grid(spec, n)
+            lo = (spec.points - n) // 2
+            assert sub.points == n and sub.h == spec.h
+            assert np.array_equal(sub.nodes, spec.nodes[lo:lo + n])
+            assert solver._grow(spec, n).points == solver._next_points(n)
+            n = solver._next_points(n)
+        assert solver._sub_grid(spec, n) is spec
+    assert solver._grow(GridSpec(64.0, 2048), 1536) == GridSpec(64.0, 2048)
+
+
+@pytest.mark.parametrize("n,n_new", [(128, 192), (96, 128), (512, 768),
+                                     (768, 1024)])
+def test_embed_into_the_next_ladder_size(n, n_new):
+    # x3/2 and x4/3: the n values land centred among zeros, at the nodes
+    # of the same x on the larger sub-grid
+    rng = np.random.default_rng(n)
+    spec = GridSpec(64.0, 2048)
+    small, large = solver._sub_grid(spec, n), solver._sub_grid(spec, n_new)
+    vals = rng.standard_normal(n)
+    got = np.fft.irfft(solver._embed(np.fft.rfft(vals), n, n_new), n_new)
+    lo = (n_new - n) // 2
+    assert_allclose(got[lo:lo + n], vals, rtol=0.0, atol=1e-13)
+    assert np.max(np.abs(np.delete(got, np.s_[lo:lo + n]))) < 1e-13
+    assert np.array_equal(large.nodes[lo:lo + n], small.nodes)
+
+
+def test_ladder_skips_sizes_that_would_change_h(monkeypatch):
+    # a 3 2^k sub-grid of L = 25.6, N = 1024 cannot keep h = 0.05 to the
+    # bit, so the ladder doubles past it; a 3 2^k family (L = 10,
+    # N = 1536) skips its 2^k sizes the same way
+    spec = GridSpec(25.6, 1024)
+    assert solver._sub_grid(spec, 384) is None
+    assert solver._grow(spec, 256) == solver._sub_grid(spec, 512)
+    assert solver._grow(spec, 512) is spec
+    tri = GridSpec(10.0, 1536)
+    assert solver._sub_grid(tri, 512) is None
+    assert solver._grow(tri, 384).points == 768
+    # the march on such a family grows by doubling and keeps h throughout
+    grids = []
+    real_attempt = solver._attempt
+
+    def attempt(yu, yv, w1, w3, p, grid, dt):
+        grids.append(grid)
+        return real_attempt(yu, yv, w1, w3, p, grid, dt)
+
+    monkeypatch.setattr(solver, "_attempt", attempt)
+    fam = make_data_family("M0_zero_M1_nonzero", 0.4, spec)
+    est, _ = solve_lifespan(fam, 1.25, horizon=12.0)
+    assert est.status == SURVIVED_HORIZON and est.stats.regrids >= 1
+    points = sorted({g.points for g in grids})
+    assert all(b == 2 * a for a, b in zip(points, points[1:]))
+    assert all(g.h == spec.h for g in grids)
+
+
+def test_functionals_switch_leaves_the_march_alone(monkeypatch, tmp_path):
+    # the corridor functionals come from _functional_values on each
+    # accepted candidate, only when asked for, and change no step
+    seen = []
+    real = solver._functional_values
+
+    def functional_values(grid, x, values, t):
+        seen.append((grid, values.copy(), t))
+        return real(grid, x, values, t)
+
+    monkeypatch.setattr(solver, "_functional_values", functional_values)
+    fam = make_data_family("M0_zero_M1_nonzero", 0.4, GridSpec(64.0, 2048))
+    off_est, off = solve_lifespan(fam, 1.25)
+    assert seen == []
+    on_est, on = solve_lifespan(fam, 1.25, functionals=True)
+    assert off_est == on_est
+    assert np.array_equal(off.times, on.times)
+    assert len(on.times) == off_est.stats.attempts - off_est.stats.regrids \
+        - off_est.stats.rejected_tol - off_est.stats.rejected_growth \
+        - off_est.stats.rejected_nonfinite
+    assert [t for _, _, t in seen] == list(on.times)
+    want = np.array([real(g, g.nodes, v, t) for g, v, t in seen]).T
+    for col, name in zip(want, ("U", "w_plus", "w_minus")):
+        assert np.array_equal(getattr(on, name), col, equal_nan=True)
+    assert off.U is None and off.w_plus is None and off.w_minus is None
+    with pytest.raises(ValueError):
+        off.to_csv(tmp_path / "trace.csv")
+    assert not (tmp_path / "trace.csv").exists()
+    on.to_csv(tmp_path / "trace.csv")
+    # zero data survives without a march, with or without functionals
+    zero = make_data_family("M0_nonzero", 0.0, SPEC)
+    z_off = solve_lifespan(zero, 2.0, horizon=5.0)[1]
+    z_on = solve_lifespan(zero, 2.0, horizon=5.0, functionals=True)[1]
+    assert np.array_equal(z_off.times, z_on.times) and z_off.U is None
+    assert (z_on.U[0], z_on.w_plus[0]) == (0.0, 0.0)
 
 
 def test_lifespan_estimate_invariants():
@@ -830,6 +958,8 @@ def test_trace_alignment_and_csv(tmp_path):
     with pytest.raises(ValueError):
         FunctionalTrace(t, np.array([1.0]), np.array([0.1, 0.2]),
                         np.array([-0.1, -0.2]))
+    with pytest.raises(ValueError):
+        FunctionalTrace(t, np.array([1.0, 2.0]))
 
 
 # ----------------------------------------------------------------------
