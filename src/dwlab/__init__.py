@@ -32,7 +32,7 @@ from .propagators import (
 from .solver import (
     SolverControls,
     LifespanEstimate,
-    FunctionalTrace,
+    MarchTrace,
     BlowupSignal,
     SamplingError,
     integrate,

@@ -90,7 +90,7 @@ def kernel_convolve(fu, wk, mq, lag, R, n_out):
 # ----------------------------------------------------------------------
 # memory-kernel ODI march on an adaptive mesh
 #
-# v(t) = seed + t^gamma I(t),  I(t) = int_{t0}^t min(t - tau, 1) F(tau) dtau,
+# v(t) = seed + I(t),  I(t) = int_{t0}^t min(t - tau, 1) F(tau) dtau,
 # F(tau) = v(tau)^p tau^{-beta}.  F is piecewise linear on the mesh and the
 # kernel is integrated exactly against it.  With the cumulative integrals
 #   P_k = int_{t0}^{t_k} F,   G_k = int_{t0}^{t_k} (t_k - tau) F
@@ -109,14 +109,14 @@ def kernel_convolve(fu, wk, mq, lag, R, n_out):
 # length (the integral of dt / sqrt(t (T - t)) over (0, T) is pi); the
 # second takes a fixed number of steps per decade of v as it blows up.
 # tau is v / v', and at most sqrt(v / v'') while the unit window fills
-# (t < t0 + 1), where v'' = t^gamma F drives v from v' = 0.  Blow-up times
+# (t < t0 + 1), where v'' = F drives v from v' = 0.  Blow-up times
 # come out about 1e-4 early (relative) and converge as STEP_THETA^2.
 STEP_THETA = 0.005
 STEP_CAP = 0.3
 _NEWTON_ITERS = 30
 
 
-def odi_march(seed, p, beta, gamma, t0, horizon, blow_level):
+def odi_march(seed, p, beta, t0, horizon, blow_level):
     """March the inequality; returns (nodes, n, blow index or -1).
 
     nodes is an (n, 2) array of (t, v), starting at (t0, seed).  The march
@@ -135,12 +135,9 @@ def odi_march(seed, p, beta, gamma, t0, horizon, blow_level):
         f = seed ** p * t0 ** nb
         F, P, G = [f], [0.0], [0.0]  # at the nodes
         t, v, pn, gn, j = t0, seed, 0.0, 0.0, 0
-        g = t0 ** gamma
         window = 0.0  # int_{t-1}^t F
         while True:
-            dv = gamma * (v - seed) / t + g * window
-            if t < t0 + 1.0:
-                dv = max(dv, math.sqrt(v * g * f))
+            dv = window if t >= t0 + 1.0 else max(window, math.sqrt(v * f))
             # dv is 0 only when F underflows, and then v stays put
             tau = v / dv if dv > 0.0 else math.inf
             h = min(STEP_THETA * math.sqrt(t * tau), STEP_CAP * tau,
@@ -171,10 +168,9 @@ def odi_march(seed, p, beta, gamma, t0, horizon, blow_level):
                         p_s = P[j] + 0.5 * d * (fj + f_s)
                     b = h * h / 6.0
                     a = gn + h * pn - g_s + 2.0 * b * f
-                g = tn ** gamma if gamma else 1.0
                 c = tn ** nb if beta else 1.0
-                A = seed + g * a
-                B = g * b * c
+                A = seed + a
+                B = b * c
                 # Newton on x = A + B x^p from x = A
                 x = A
                 for _ in range(_NEWTON_ITERS):

@@ -5,8 +5,7 @@ Commands
 * decay               linear L^p decay and residual slopes for the three
                       Gaussian-derivative families
 * lifespan            solve_lifespan per eps, one JSON record (bracket and
-                      the march's counts) and one functional-trace CSV per
-                      run
+                      the march's counts) per run
 * sweep               lifespan runs plus a log-log exponent fit (or the
                       two-parameter Lambert form at the p = 3/2 borderline)
                       and a pass/fail/unconverged verdict
@@ -89,7 +88,6 @@ class ExperimentConfig:
     lambert_r2_min: float = 0.95
     constant: float = 1.0
     beta: float = 0.0
-    gamma: float = 0.0
     t0: float = 4.0
     dt_min: float = 1e-12
 
@@ -134,7 +132,7 @@ _DEFAULTS_BY_COMMAND = {
                   eps_list=(1.0,)),
     "lifespan": dict(),
     "sweep": dict(),
-    "odi": dict(p=2.0, beta=0.0, gamma=0.0, horizon=3e5,
+    "odi": dict(p=2.0, beta=0.0, horizon=3e5,
                 eps_list=tuple(np.geomspace(1e-2, 10 ** -3.5, 8))),
     "predict": dict(p=1.5, eps_list=(0.5, 0.1, 0.01)),
     "verify-propagators": dict(points=4096, half_width=64.0,
@@ -145,7 +143,7 @@ _FIELD_PARSERS = {
     "p": float, "horizon": float, "half_width": float, "slope_rtol": float,
     "decay_tol": float, "odi_rtol": float, "r2_min": float,
     "lambert_r2_min": float, "constant": float, "beta": float,
-    "gamma": float, "t0": float, "dt_min": float,
+    "t0": float, "dt_min": float,
     "points": int, "workers": int,
     "moment_class": str, "out_dir": str,
 }
@@ -214,10 +212,10 @@ def _ensure_out(cfg: ExperimentConfig) -> str:
 # ----------------------------------------------------------------------
 
 
-def _lifespan_worker(cfg: ExperimentConfig, functionals: bool, eps: float):
+def _lifespan_worker(cfg: ExperimentConfig, eps: float):
     fam = make_data_family(cfg.moment_class, eps, cfg.spec())
     est, trace = solve_lifespan(fam, cfg.p, horizon=cfg.horizon,
-                                ctrl=cfg.controls(), functionals=functionals)
+                                ctrl=cfg.controls())
     record = {
         "p": cfg.p, "eps": eps, "class": cfg.moment_class,
         "N": cfg.points, "L": cfg.half_width, "dt_min": cfg.dt_min,
@@ -226,14 +224,13 @@ def _lifespan_worker(cfg: ExperimentConfig, functionals: bool, eps: float):
     }
     # the march's deterministic counts; attempts lands beside steps
     record.update(asdict(est.stats))
-    return record, trace
+    return record
 
 
-def _run_all_lifespans(cfg: ExperimentConfig, out: str,
-                       functionals: bool = False):
-    """Run every eps, in input order, and write one run_NNN.json each.
-    The traces carry the corridor functionals only with functionals=True."""
-    worker = functools.partial(_lifespan_worker, cfg, functionals)
+def _run_all_lifespans(cfg: ExperimentConfig, out: str):
+    """Run every eps, in input order, write one run_NNN.json each, and
+    return the records."""
+    worker = functools.partial(_lifespan_worker, cfg)
     if cfg.workers > 1 and len(cfg.eps_list) > 1:
         # deferred: the pool pulls in multiprocessing, which one worker
         # never needs
@@ -242,7 +239,7 @@ def _run_all_lifespans(cfg: ExperimentConfig, out: str,
             results = list(pool.map(worker, cfg.eps_list))
     else:
         results = [worker(e) for e in cfg.eps_list]
-    for i, (record, _) in enumerate(results):
+    for i, record in enumerate(results):
         record["config"] = _config_record(cfg)
         _write_json(os.path.join(out, f"run_{i:03d}.json"), record)
     return results
@@ -257,20 +254,18 @@ def _abort_note(record) -> str:
 
 
 def run_lifespan(cfg: ExperimentConfig):
-    """One record and one trace CSV per eps; verdict is pass unless any
-    run aborted on the truncation rule."""
-    out = _ensure_out(cfg)
-    results = _run_all_lifespans(cfg, out, functionals=True)
+    """One record per eps; verdict is pass unless any run aborted on the
+    truncation rule."""
+    records = _run_all_lifespans(cfg, _ensure_out(cfg))
     lines = []
-    for i, (record, trace) in enumerate(results):
-        trace.to_csv(os.path.join(out, f"trace_{i:03d}.csv"))
+    for record in records:
         line = (f"eps={record['eps']:.6g} status={record['status']} "
                 f"T_low={record['T_low']:.8g} T_high={record['T_high']:.8g} "
                 f"steps={record['steps']} attempts={record['attempts']}")
         if record["status"] == TRUNCATION_ABORT:
             line += f" truncation at {_abort_note(record)}"
         lines.append(line)
-    statuses = [r["status"] for r, _ in results]
+    statuses = [r["status"] for r in records]
     verdict = UNCONVERGED if TRUNCATION_ABORT in statuses else PASS
     lines.append(f"verdict: {verdict}")
     return verdict, lines
@@ -302,7 +297,7 @@ def run_sweep(cfg: ExperimentConfig):
     run_NNN.json per eps, sweep.csv, and fit.json with the verdict.
     """
     out = _ensure_out(cfg)
-    rows = [record for record, _ in _run_all_lifespans(cfg, out)]
+    rows = _run_all_lifespans(cfg, out)
     _sweep_csv(os.path.join(out, "sweep.csv"), rows)
 
     statuses = [r["status"] for r in rows]
@@ -414,7 +409,7 @@ def run_odi(cfg: ExperimentConfig):
     odi_fit.json names the censored eps instead of a fit, and the verdict
     is unconverged.
     """
-    base = OdiConfig(p=cfg.p, beta=cfg.beta, gamma=cfg.gamma, t0=cfg.t0,
+    base = OdiConfig(p=cfg.p, beta=cfg.beta, t0=cfg.t0,
                      eps=cfg.eps_list[0], horizon=cfg.horizon)
     traces, fit = odi_scaling_fit(base, cfg.eps_list)
     out = _ensure_out(cfg)
@@ -425,7 +420,7 @@ def run_odi(cfg: ExperimentConfig):
         fh.write("eps,blowup_time,steps\n")
         for e, tr in marched:
             fh.write(f"{e:.17g},{tr.blowup_time:.17g},{tr.steps}\n")
-    record = {"p": cfg.p, "beta": cfg.beta, "gamma": cfg.gamma}
+    record = {"p": cfg.p, "beta": cfg.beta}
     reason = None
     if fit is None:
         censored = cfg.eps_list[len(traces)]

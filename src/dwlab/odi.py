@@ -2,21 +2,18 @@
 
 Marches
 
-    v(t) = eps + t^gamma * ( int_{t-1}^t (t - tau) f(tau) dtau
-                           + int_{t0}^{t-1}  f(tau) dtau ),
+    v(t) = eps + int_{t-1}^t (t - tau) f(tau) dtau
+               + int_{t0}^{t-1}  f(tau) dtau,
     f(tau) = v(tau)^p * tau^{-beta},
 
 on an adaptive mesh (``_kernels.odi_march``): f is piecewise linear on
 the mesh, the kernel is integrated exactly, and the step follows v's
 growth time, so it grows far past the unit delay while v changes slowly
-and shrinks as v blows up.  For gamma = 0 this is the delay equation
-v'' = f(t) - f(t-1).  A trace stores the node times and v.  Solutions are
+and shrinks as v blows up.  This is the delay equation v'' = f(t) -
+f(t-1).  A trace stores the node times and v.  Solutions are
 self-reinforcing: v never decreases once the window is full, and for
 small eps the blow-up time scales like eps^{-(p-1)/(1-beta)} when
 0 <= beta < 1.
-
-gamma = 0 is the bare memory-kernel form; gamma = 1/2 adds the sqrt(t)
-prefactor of the corridor functional bound.
 """
 from __future__ import annotations
 
@@ -45,7 +42,6 @@ class OdiConfig:
 
     p: float
     beta: float
-    gamma: float = 0.0
     t0: float = 4.0
     eps: float = 1e-3
     horizon: float = 1e5
@@ -126,7 +122,7 @@ def simulate_odi(cfg: OdiConfig) -> OdiTrace:
     # where a numpy scalar would return inf
     seed = float(cfg.eps)
     nodes, n, blow = odi_march(
-        seed, float(cfg.p), float(cfg.beta), float(cfg.gamma), float(cfg.t0),
+        seed, float(cfg.p), float(cfg.beta), float(cfg.t0),
         float(cfg.horizon), BLOW_FACTOR * seed)
     t, v = nodes.T
     return OdiTrace(t, v, t[blow] if blow >= 0 else None)

@@ -57,10 +57,6 @@ edge ratio passes boundary_tol/30: the FFTs cover the solution's support,
 not the whole domain, until the support reaches the family's grid.  The
 sizes are 2^k and 3 2^k (16, 24, 32, 48, ...), so each move is x3/2 or
 x4/3 and a grid holds at most 3/2 of the points its support needs.
-
-The corridor functionals U, w_plus and w_minus are evaluated only when a
-caller asks for them (functionals=True); the trace keeps its time axis
-either way.
 """
 
 from __future__ import annotations
@@ -74,8 +70,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .grid import GridError, GridFunction, GridSpec, Trajectory
-from .propagators import (_cubic_lagrange_weights, _symbol_pair,
-                          damped_symbol, linear_pair_matrix)
+from .propagators import _symbol_pair, damped_symbol, linear_pair_matrix
 from .special import DataFamily
 
 __all__ = [
@@ -88,7 +83,7 @@ __all__ = [
     "SolverControls",
     "MarchStats",
     "LifespanEstimate",
-    "FunctionalTrace",
+    "MarchTrace",
     "integrate",
     "solve_lifespan",
     "duhamel_residual",
@@ -246,46 +241,16 @@ class LifespanEstimate:
 
 
 @dataclass(frozen=True)
-class FunctionalTrace:
-    """Corridor functionals along a run: U(t), w_plus(t), w_minus(t).
-
-    times holds one entry per accepted step.  The three columns are all
-    arrays aligned with it, or all None when the run did not evaluate
-    them (solve_lifespan's functionals=False); such a trace has no CSV.
-    w_plus / w_minus are nan before t = 4, where the corridors are not
-    defined.
-    """
+class MarchTrace:
+    """The times of a lifespan march's accepted steps, one entry each, in
+    order, as a read-only array."""
 
     times: np.ndarray
-    U: np.ndarray = None
-    w_plus: np.ndarray = None
-    w_minus: np.ndarray = None
 
     def __post_init__(self):
-        names = ("U", "w_plus", "w_minus")
-        missing = [getattr(self, name) is None for name in names]
-        if any(missing) and not all(missing):
-            raise ValueError("U, w_plus and w_minus come all or none")
-        t = np.asarray(self.times, dtype=np.float64)
-        cols = []
-        for name in ([] if all(missing) else names):
-            c = np.asarray(getattr(self, name), dtype=np.float64)
-            if c.shape != t.shape:
-                raise ValueError(f"{name} not aligned with times")
-            cols.append(c)
-        for arr, name in zip((t, *cols), ("times",) + names):
-            a = arr.copy()
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
-
-    def to_csv(self, path) -> None:
-        if self.U is None:
-            raise ValueError("the trace holds no functionals; march with "
-                             "functionals=True to write them")
-        with open(path, "w") as fh:
-            fh.write("t,U,w_plus,w_minus\n")
-            for t, a, b, c in zip(self.times, self.U, self.w_plus, self.w_minus):
-                fh.write(f"{t:.17g},{a:.17g},{b:.17g},{c:.17g}\n")
+        t = np.array(self.times, dtype=np.float64)
+        t.setflags(write=False)
+        object.__setattr__(self, "times", t)
 
 
 # ----------------------------------------------------------------------
@@ -464,55 +429,6 @@ def integrate(u0: GridFunction, v0: GridFunction, p: float, t_final: float,
 
 
 # ----------------------------------------------------------------------
-# corridor functionals
-# ----------------------------------------------------------------------
-
-_CORRIDOR_MIN_POINTS = 8
-_CORRIDOR_T0 = 4.0
-
-
-def _sample_offgrid(spec: GridSpec, values: np.ndarray,
-                    xq: np.ndarray) -> np.ndarray:
-    """Cubic Lagrange evaluation between nodes, periodic indexing."""
-    s = (np.asarray(xq, dtype=np.float64) + spec.half_width) / spec.h
-    base = np.floor(s).astype(np.int64)
-    idx = (base[:, None] + np.arange(-1, 3)[None, :]) % spec.points
-    w = _cubic_lagrange_weights(s - base)
-    return (values[idx] * w).sum(axis=1)
-
-
-def _region_inf(spec: GridSpec, x: np.ndarray, values: np.ndarray,
-                lo: float, hi: float, strict: bool) -> float:
-    """Infimum of the samples over an interval; interpolates when nodes
-    are scarce.  x = spec.nodes, which ascend, so the nodes inside are
-    one slice."""
-    if strict:
-        i0 = x.searchsorted(lo, side="right")
-        i1 = x.searchsorted(hi, side="left")
-    else:
-        i0 = x.searchsorted(lo - 1e-12, side="left")
-        i1 = x.searchsorted(hi + 1e-12, side="right")
-    vals = values[i0:max(i0, i1)]
-    if vals.size < _CORRIDOR_MIN_POINTS:
-        xq = np.linspace(lo, hi, _CORRIDOR_MIN_POINTS + 2)[1:-1]
-        vals = np.concatenate([vals, _sample_offgrid(spec, values, xq)])
-    return float(vals.min())
-
-
-def _functional_values(spec: GridSpec, x: np.ndarray, values: np.ndarray,
-                       t: float):
-    rt = math.sqrt(t)
-    uval = rt * _region_inf(spec, x, values, -rt, rt, strict=False)
-    if t >= _CORRIDOR_T0:
-        wp = t * _region_inf(spec, x, values, 0.5 * rt, rt, strict=True)
-        wm = t * _region_inf(spec, x, values, -rt, -0.5 * rt, strict=True)
-    else:
-        wp = math.nan
-        wm = math.nan
-    return uval, wp, wm
-
-
-# ----------------------------------------------------------------------
 # lifespan march
 # ----------------------------------------------------------------------
 
@@ -637,15 +553,14 @@ def _ladder_move(err: float, tol: float) -> int:
 
 
 def solve_lifespan(data: DataFamily, p: float, horizon: float = 200.0,
-                   ctrl: SolverControls = None, functionals: bool = False):
+                   ctrl: SolverControls = None):
     """Adaptive march until blow-up, the horizon, or a truncation abort.
 
-    Returns (LifespanEstimate, FunctionalTrace).  The trace has one time
-    per accepted step, and the corridor functionals at those times only
-    with functionals=True; they do not change the march.  The data family
-    fixes the grid, and the solved fields start from data.initial_data(),
-    data.epsilon * (f0, f1).  Set ctrl.check_boundary = False for
-    torus-type data that is not compactly supported.
+    Returns (LifespanEstimate, MarchTrace), the trace with one time per
+    accepted step; zero data takes none.  The data family fixes the grid,
+    and the solved fields start from data.initial_data(), data.epsilon *
+    (f0, f1).  Set ctrl.check_boundary = False for torus-type data that is
+    not compactly supported.
 
     A blow-up stops on the root window (module docstring), with T_low the
     last accepted t and T_high the extrapolated root.
@@ -674,10 +589,7 @@ def solve_lifespan(data: DataFamily, p: float, horizon: float = 200.0,
                            spec.points, HORIZON, "none")
         est = LifespanEstimate(SURVIVED_HORIZON, horizon, horizon, spec,
                                stats)
-        w0 = 0.0 if horizon >= _CORRIDOR_T0 else math.nan
-        cols = (np.array([0.0]), np.array([w0]), np.array([w0])) \
-            if functionals else ()
-        return est, FunctionalTrace(np.array([horizon]), *cols)
+        return est, MarchTrace(np.empty(0))
 
     p = float(p)
     u_cap = 1e250 ** (1.0 / p)
@@ -688,7 +600,6 @@ def solve_lifespan(data: DataFamily, p: float, horizon: float = 200.0,
         grid, u_phys, v_phys = _start_grid(spec, u_phys, v_phys, grow_tol)
     yu = np.fft.rfft(u_phys)
     yv = np.fft.rfft(v_phys)
-    x = grid.nodes
     t = 0.0
     # dt is level k of the step ladder; past k_lo and k_hi the clamp holds
     k = 0
@@ -705,7 +616,6 @@ def solve_lifespan(data: DataFamily, p: float, horizon: float = 200.0,
     n_acc = 0
     t_buf, z_buf = np.empty(256), np.empty(256)
     z_exp = -(p - 1.0) / 2.0
-    us, wps, wms = [], [], []
     status = cause = root = None
     T_low = T_high = None
 
@@ -768,7 +678,6 @@ def solve_lifespan(data: DataFamily, p: float, horizon: float = 200.0,
                 yu, yv = _embed(yu, n, grid.points), _embed(yv, n, grid.points)
                 w1, w3 = _head(yu, yv, p, _stage_ops(grid, dt_eff))
                 w3_dt = dt_eff
-                x = grid.nodes
                 tail0 = math.ceil(grid.points / 3)
                 regrids += 1
                 continue
@@ -790,11 +699,6 @@ def solve_lifespan(data: DataFamily, p: float, horizon: float = 200.0,
             z[0] = maxu
             z **= z_exp
             n_acc += 1
-            if functionals:
-                uval, wp, wm = _functional_values(grid, x, cand, t)
-                us.append(uval)
-                wps.append(wp)
-                wms.append(wm)
             edge_max = max(edge_max, edge / scale)
             tail = (2.0 / grid.points) * float(np.abs(gu[tail0:]).sum())
             tail_max = max(tail_max, tail / scale)
@@ -831,9 +735,7 @@ def solve_lifespan(data: DataFamily, p: float, horizon: float = 200.0,
                        dt_lo if n_acc else None, dt_hi if n_acc else None,
                        edge_max, tail_max, grid.points, cause, bracket)
     est = LifespanEstimate(status, T_low, T_high, spec, stats)
-    cols = (np.array(us), np.array(wps), np.array(wms)) if functionals \
-        else ()
-    return est, FunctionalTrace(t_buf[:n_acc], *cols)
+    return est, MarchTrace(t_buf[:n_acc])
 
 
 # ----------------------------------------------------------------------

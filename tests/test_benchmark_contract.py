@@ -120,9 +120,19 @@ def test_solve_lifespan_hook_counts_accepted_steps():
                 - s.rejected_nonfinite - s.regrids)
     assert accepted > 0
     assert len(trace.times) == accepted
+    hook = _hook(tracing, "dwlab.solver", "solve_lifespan")
     rec = tracing.Recorder()
-    _hook(tracing, "dwlab.solver", "solve_lifespan")(rec, args, result)
+    hook(rec, args, result)
     assert rec.counts["solver.accepted_steps"] == accepted
+    # the same family at amplitude 0 survives without a step, and the
+    # hook counts none
+    zero = DataFamily(fam.f0, fam.f1, "M0_nonzero", "torus_constant", 0.0)
+    stepless = solve_lifespan(zero, 2.0, horizon=20.0,
+                              ctrl=SolverControls(check_boundary=False))
+    assert stepless[0].stats.attempts == 0
+    rec = tracing.Recorder()
+    hook(rec, (zero, 2.0), stepless)
+    assert rec.counts["solver.accepted_steps"] == 0
 
 
 def test_odi_hooks_read_march_length_and_config(monkeypatch):

@@ -14,10 +14,9 @@ from dwlab.grid import GridError, GridFunction, GridSpec, lp_norm
 from dwlab.propagators import (apply_dtS, apply_S, damped_symbol,
                                linear_pair_matrix)
 from dwlab.solver import (BLOWN_UP, SURVIVED_HORIZON, TRUNCATION_ABORT,
-                          BlowupSignal, FunctionalTrace, LifespanEstimate,
-                          SamplingError, SolverControls, _cubic_spline,
-                          _functional_values, duhamel_residual, integrate,
-                          solve_lifespan)
+                          BlowupSignal, LifespanEstimate, SamplingError,
+                          SolverControls, _cubic_spline, duhamel_residual,
+                          integrate, solve_lifespan)
 from dwlab.special import DataFamily, make_data_family
 
 SPEC = GridSpec(32.0, 1024)
@@ -537,10 +536,14 @@ def test_survival_and_zero_data():
     est, trace = solve_lifespan(fam, 3.0, horizon=6.0)
     assert est.status == SURVIVED_HORIZON
     assert est.T_low == est.T_high == 6.0
+    assert trace.times[-1] == pytest.approx(6.0)
+    assert not trace.times.flags.writeable
+    # zero data survives without a march: no step taken, none reported
     z = make_data_family("M0_nonzero", 0.0, SPEC)
     est0, trace0 = solve_lifespan(z, 2.0, horizon=5.0)
     assert est0.status == SURVIVED_HORIZON
-    assert len(trace0.times) == 1
+    assert est0.stats.attempts == 0
+    assert len(trace0.times) == 0
 
 
 def test_truncation_abort_on_undersized_box():
@@ -856,43 +859,6 @@ def test_ladder_skips_sizes_that_would_change_h(monkeypatch):
     assert all(g.h == spec.h for g in grids)
 
 
-def test_functionals_switch_leaves_the_march_alone(monkeypatch, tmp_path):
-    # the corridor functionals come from _functional_values on each
-    # accepted candidate, only when asked for, and change no step
-    seen = []
-    real = solver._functional_values
-
-    def functional_values(grid, x, values, t):
-        seen.append((grid, values.copy(), t))
-        return real(grid, x, values, t)
-
-    monkeypatch.setattr(solver, "_functional_values", functional_values)
-    fam = make_data_family("M0_zero_M1_nonzero", 0.4, GridSpec(64.0, 2048))
-    off_est, off = solve_lifespan(fam, 1.25)
-    assert seen == []
-    on_est, on = solve_lifespan(fam, 1.25, functionals=True)
-    assert off_est == on_est
-    assert np.array_equal(off.times, on.times)
-    assert len(on.times) == off_est.stats.attempts - off_est.stats.regrids \
-        - off_est.stats.rejected_tol - off_est.stats.rejected_growth \
-        - off_est.stats.rejected_nonfinite
-    assert [t for _, _, t in seen] == list(on.times)
-    want = np.array([real(g, g.nodes, v, t) for g, v, t in seen]).T
-    for col, name in zip(want, ("U", "w_plus", "w_minus")):
-        assert np.array_equal(getattr(on, name), col, equal_nan=True)
-    assert off.U is None and off.w_plus is None and off.w_minus is None
-    with pytest.raises(ValueError):
-        off.to_csv(tmp_path / "trace.csv")
-    assert not (tmp_path / "trace.csv").exists()
-    on.to_csv(tmp_path / "trace.csv")
-    # zero data survives without a march, with or without functionals
-    zero = make_data_family("M0_nonzero", 0.0, SPEC)
-    z_off = solve_lifespan(zero, 2.0, horizon=5.0)[1]
-    z_on = solve_lifespan(zero, 2.0, horizon=5.0, functionals=True)[1]
-    assert np.array_equal(z_off.times, z_on.times) and z_off.U is None
-    assert (z_on.U[0], z_on.w_plus[0]) == (0.0, 0.0)
-
-
 def test_lifespan_estimate_invariants():
     with pytest.raises(ValueError):
         LifespanEstimate(BLOWN_UP, 10.0, 9.0, SPEC)
@@ -901,65 +867,6 @@ def test_lifespan_estimate_invariants():
         LifespanEstimate(BLOWN_UP, 5.0, 9.0, SPEC)
     ok = LifespanEstimate(BLOWN_UP, 9.92, 10.0, SPEC)
     assert ok.T_high == 10.0
-
-
-# ----------------------------------------------------------------------
-# corridor functionals
-# ----------------------------------------------------------------------
-
-
-def test_functionals_on_constant_state():
-    U, wp, wm = _functional_values(SPEC, SPEC.nodes, np.ones(SPEC.points),
-                                   16.0)
-    assert U == pytest.approx(4.0, rel=1e-12)
-    assert wp == pytest.approx(16.0, rel=1e-9)
-    assert wm == pytest.approx(16.0, rel=1e-9)
-
-
-def test_scarce_corridor_adds_interpolated_points():
-    # at t = 0.01 the corridor [-0.1, 0.1] holds 3 nodes of SPEC (h = 1/16),
-    # so 8 interior points are interpolated; cubic interpolation is exact
-    # on a cubic, and this one takes its minimum at x = -0.0777..., beyond
-    # the last node inside the corridor
-    def cubic(x):
-        return 1.0 + 2.0 * x + x ** 3
-
-    t = 0.01
-    x = SPEC.nodes
-    U, wp, wm = _functional_values(SPEC, x, cubic(x), t)
-    inside = x[np.abs(x) <= 0.1]
-    assert len(inside) == 3
-    xq = np.linspace(-0.1, 0.1, 10)[1:-1]
-    expect = math.sqrt(t) * min(cubic(inside).min(), cubic(xq).min())
-    assert abs(U - expect) <= 1e-14
-    assert U < math.sqrt(t) * cubic(inside).min()
-    assert math.isnan(wp) and math.isnan(wm)
-
-
-def test_corridor_signs_for_odd_data():
-    # evolved g' stays odd: right corridor negative, left positive
-    fam = make_data_family("M0_zero_M1_nonzero", 0.05, SPEC)
-    u0, u1 = fam.initial_data()
-    traj = integrate(u0, u1, p=2.0, t_final=30.0, dt=0.05, nonlinear=False)
-    u_end = traj.states[-1][0]
-    _, wp, wm = _functional_values(SPEC, SPEC.nodes, u_end.values, 30.0)
-    assert wp < 0.0 < wm
-
-
-def test_trace_alignment_and_csv(tmp_path):
-    t = np.array([5.0, 6.0])
-    tr = FunctionalTrace(t, np.array([1.0, 2.0]), np.array([0.1, 0.2]),
-                         np.array([-0.1, -0.2]))
-    path = tmp_path / "trace.csv"
-    tr.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t,U,w_plus,w_minus"
-    assert len(lines) == 3
-    with pytest.raises(ValueError):
-        FunctionalTrace(t, np.array([1.0]), np.array([0.1, 0.2]),
-                        np.array([-0.1, -0.2]))
-    with pytest.raises(ValueError):
-        FunctionalTrace(t, np.array([1.0, 2.0]))
 
 
 # ----------------------------------------------------------------------
