@@ -266,7 +266,7 @@ def _pair_ops(spec: GridSpec, t: float):
 class _StageOps(NamedTuple):
     """The operators of one step size dt: E = M(dt), the rows of
     Eh = M(dt/2) that the stages use, and their products with the step's
-    constants."""
+    constants, all complex128 like the spectra they multiply."""
 
     a11: np.ndarray
     a12: np.ndarray
@@ -279,22 +279,40 @@ class _StageOps(NamedTuple):
     b12dt: np.ndarray  # dt b12
 
 
-@lru_cache(maxsize=256)
+# A march meets its step sizes one after another, so a few recent ones
+# hit as often as every one would; the real pairs behind them stay cached.
+@lru_cache(maxsize=8)
 def _stage_ops(spec: GridSpec, dt: float) -> _StageOps:
+    # a product of a real operator with a spectrum casts it to complex128
+    # anyway, so the complex copies keep every bit of the products
     b11, b12, _, b22 = _pair_ops(spec, 0.5 * dt)
-    return _StageOps(*_pair_ops(spec, dt), b11, b12, 2.0 * b12, 2.0 * b22,
-                     dt * b12)
+    ops = (*_pair_ops(spec, dt), b11, b12, 2.0 * b12, 2.0 * b22, dt * b12)
+    return _StageOps(*(op.astype(np.complex128) for op in ops))
 
 
-class _NlWork(threading.local):
-    """_nl_hat's work buffers, input shape -> (2x grid, its rfft).  Each
-    thread has its own, so concurrent marches never write into one."""
+class _Work(threading.local):
+    """Work buffers, (owner, input shape) -> arrays.  Each thread has its
+    own, so concurrent marches never write into one."""
 
     def __init__(self):
         self.by_shape = {}
 
 
-_NL_WORK = _NlWork()
+_NL_WORK = _Work()      # _nl_hat's: (2x grid, its rfft, the scaled input)
+_STAGE_WORK = _Work()   # the stage functions': see _stage_work
+
+
+def _stage_work(shape):
+    """Per thread and spectrum shape: a 2-row stage input, two spectra and
+    one real row; the stage functions write their temporaries there."""
+    work = _STAGE_WORK.by_shape.get(shape)
+    if work is None:
+        work = _STAGE_WORK.by_shape[shape] = (
+            np.empty((2,) + shape, dtype=np.complex128),
+            np.empty(shape, dtype=np.complex128),
+            np.empty(shape, dtype=np.complex128),
+            np.empty(shape))
+    return work
 
 
 def _nl_hat(yu: np.ndarray, p: float, field: bool = False):
@@ -304,8 +322,9 @@ def _nl_hat(yu: np.ndarray, p: float, field: bool = False):
     irfft/rfft pair and each comes out bit-identical to a single call.
     With field=True the return is (rfft of |u|^p, u on the grid), u of
     the first row only: the even samples of the 2x grid, irfft(yu, N) up
-    to rounding.  The 2x grid and its rfft are written into work buffers
-    kept per thread and input shape; no returned array aliases them.
+    to rounding.  The 2x grid, its rfft and the scaled input are written
+    into work buffers kept per thread and input shape; no returned array
+    aliases them.
     """
     m = yu.shape[-1] - 1
     work = _NL_WORK.by_shape.get(yu.shape)
@@ -313,12 +332,13 @@ def _nl_hat(yu: np.ndarray, p: float, field: bool = False):
         lead = yu.shape[:-1]
         work = _NL_WORK.by_shape[yu.shape] = (
             np.empty(lead + (4 * m,)),
-            np.empty(lead + (2 * m + 1,), dtype=np.complex128))
-    fine, wh = work
+            np.empty(lead + (2 * m + 1,), dtype=np.complex128),
+            np.empty(yu.shape, dtype=np.complex128))
+    fine, wh, fh = work
     # the 2x grid's field is 2 irfft(yu with its Nyquist mode halved);
     # the factor 2 goes on the input, which scales every operation of
     # the transform exactly
-    fh = yu * 2.0
+    np.multiply(yu, 2.0, out=fh)
     fh[..., m] = yu[..., m]
     np.fft.irfft(fh, 4 * m, out=fine)  # zero-padded to the 2x grid
     u = (fine[0] if fine.ndim > 1 else fine)[::2].copy() if field else None
@@ -331,6 +351,11 @@ def _nl_hat(yu: np.ndarray, p: float, field: bool = False):
     return (out, u) if field else out
 
 
+# The stage products below keep the operand order of the formulas in the
+# module docstring: numpy's complex multiply is not bitwise commutative
+# where it fuses multiply-adds.
+
+
 def _head(yu, yv, p, ops: _StageOps, field=False):
     """N(y) and N(Eh y) in one 2-row _nl_hat call.
 
@@ -338,9 +363,11 @@ def _head(yu, yv, p, ops: _StageOps, field=False):
     stage input is Eh y whatever w2 is.  At the end of an attempt they
     are w5 = N(y') and the next attempt's w3, guessed at the same dt.
     """
-    rows = np.empty((2,) + yu.shape, dtype=np.complex128)
+    rows, t1, _, _ = _stage_work(yu.shape)
     rows[0] = yu
-    np.add(ops.b11 * yu, ops.b12 * yv, out=rows[1])
+    np.multiply(ops.b11, yu, out=rows[1])
+    np.multiply(ops.b12, yv, out=t1)
+    rows[1] += t1
     return _nl_hat(rows, p, field)
 
 
@@ -353,16 +380,36 @@ def _lawson_rk4(yu, yv, w1, w3, p, ops: _StageOps, dt):
     invalid="ignore").
     """
     a11, a12, a21, a22, b11, b12, b12x2, b22x2, b12dt = ops
-    eu = a11 * yu + a12 * yv
-    ev = a21 * yu + a22 * yv
-    rows = np.empty((2,) + yu.shape, dtype=np.complex128)
-    np.add(b11 * yu, b12 * (yv + (0.5 * dt) * w1), out=rows[0])
-    np.add(eu, b12dt * w3, out=rows[1])
+    rows, t1, t2, _ = _stage_work(yu.shape)
+    eu = a11 * yu
+    np.multiply(a12, yv, out=t1)
+    eu += t1
+    ev = a21 * yu
+    np.multiply(a22, yv, out=t1)
+    ev += t1
+    # w2's input b11 yu + b12 (yv + dt/2 w1), w4's eu + dt b12 w3
+    np.multiply(0.5 * dt, w1, out=t1)
+    np.add(yv, t1, out=t1)
+    np.multiply(b12, t1, out=t1)
+    np.multiply(b11, yu, out=rows[0])
+    rows[0] += t1
+    np.multiply(b12dt, w3, out=rows[1])
+    np.add(eu, rows[1], out=rows[1])
     w2, w4 = _nl_hat(rows, p)
-    w23 = w2 + w3
+    w23 = np.add(w2, w3, out=t2)
     c = dt / 6.0
-    return (eu + c * (a12 * w1 + b12x2 * w23),
-            ev + c * (a22 * w1 + b22x2 * w23 + w4), w4)
+    # u' = eu + c (a12 w1 + 2 b12 w23)
+    np.multiply(a12, w1, out=t1)
+    t1 += np.multiply(b12x2, w23, out=rows[0])
+    np.multiply(c, t1, out=t1)
+    eu += t1
+    # v' = ev + c (a22 w1 + 2 b22 w23 + w4)
+    np.multiply(a22, w1, out=t1)
+    t1 += np.multiply(b22x2, w23, out=rows[0])
+    t1 += w4
+    np.multiply(c, t1, out=t1)
+    ev += t1
+    return eu, ev, w4
 
 
 def _fixed_step(yu, yv, p, ops: _StageOps, dt, nonlinear):
@@ -386,11 +433,14 @@ def _attempt(yu, yv, w1, w3, p, spec, dt):
     ops = _stage_ops(spec, dt)
     gu, gv, w4 = _lawson_rk4(yu, yv, w1, w3, p, ops, dt)
     (w5, w3_next), u = _head(gu, gv, p, ops, True)
-    scale = max(float(np.abs(gu).max()), float(np.abs(gv).max()), 1e-300)
+    rows, t1, t2, mag = _stage_work(gu.shape)
+    scale = max(float(np.abs(gu, out=mag).max()),
+                float(np.abs(gv, out=mag).max()), 1e-300)
     s = 1.0 / scale
-    dv = ((0.1 * dt) * s) * (w4 - w5)
-    su = s * gu
-    sv = s * gv
+    dv = np.subtract(w4, w5, out=t1)
+    np.multiply((0.1 * dt) * s, dv, out=dv)
+    su = np.multiply(s, gu, out=t2)
+    sv = np.multiply(s, gv, out=rows[0])
     n = gu.shape[-1]
     num = math.sqrt(np.vdot(dv, dv).real / n)
     den = math.sqrt((np.vdot(su, su).real + np.vdot(sv, sv).real) / n) + 1e-300

@@ -393,6 +393,80 @@ def test_nl_hat_buffers_are_per_thread():
     assert bad == []
 
 
+def _fresh_head(yu, yv, p, dt, spec, field=False):
+    """_head with real operators and a fresh array for every product."""
+    b11, b12, _, _ = linear_pair_matrix(0.5 * dt, spec)
+    rows = np.empty((2,) + yu.shape, dtype=np.complex128)
+    rows[0] = yu
+    np.add(b11 * yu, b12 * yv, out=rows[1])
+    return _unbuffered_nl_hat(rows, p, field)
+
+
+def _fresh_lawson_rk4(yu, yv, w1, w3, p, dt, spec):
+    """_lawson_rk4 with real operators and a fresh array for every
+    product."""
+    a11, a12, a21, a22 = linear_pair_matrix(dt, spec)
+    b11, b12, _, b22 = linear_pair_matrix(0.5 * dt, spec)
+    b12x2, b22x2, b12dt = 2.0 * b12, 2.0 * b22, dt * b12
+    eu = a11 * yu + a12 * yv
+    ev = a21 * yu + a22 * yv
+    rows = np.empty((2,) + yu.shape, dtype=np.complex128)
+    np.add(b11 * yu, b12 * (yv + (0.5 * dt) * w1), out=rows[0])
+    np.add(eu, b12dt * w3, out=rows[1])
+    w2, w4 = _unbuffered_nl_hat(rows, p)
+    w23 = w2 + w3
+    c = dt / 6.0
+    return (eu + c * (a12 * w1 + b12x2 * w23),
+            ev + c * (a22 * w1 + b22x2 * w23 + w4), w4)
+
+
+def _fresh_attempt(yu, yv, w1, w3, p, dt, spec):
+    """_attempt with real operators and a fresh array for every product."""
+    gu, gv, w4 = _fresh_lawson_rk4(yu, yv, w1, w3, p, dt, spec)
+    (w5, w3_next), u = _fresh_head(gu, gv, p, dt, spec, True)
+    scale = max(float(np.abs(gu).max()), float(np.abs(gv).max()), 1e-300)
+    s = 1.0 / scale
+    dv = ((0.1 * dt) * s) * (w4 - w5)
+    su = s * gu
+    sv = s * gv
+    n = gu.shape[-1]
+    num = math.sqrt(np.vdot(dv, dv).real / n)
+    den = math.sqrt((np.vdot(su, su).real + np.vdot(sv, sv).real) / n) + 1e-300
+    return gu, gv, w5, w3_next, num / den, u
+
+
+@pytest.mark.parametrize("n", [64, 768])
+def test_stage_buffers_change_no_bit(n):
+    # the stage functions, with complex operators and work buffers, are
+    # bit for bit the formulas with real operators and fresh arrays; a
+    # later call on the same shape leaves the earlier outputs alone
+    spec = GridSpec(n / 32.0, n)
+    dt, p = 0.0625, 1.25
+    ops = solver._stage_ops(spec, dt)
+    states = [(0.2 * _random_spectra(n, None, s),
+               0.1 * _random_spectra(n, None, s + 1)) for s in (7, 9)]
+    outs, wants = [], []
+    for yu, yv in states:
+        w1, w3 = _fresh_head(yu, yv, p, dt, spec)
+        got = solver._head(yu, yv, p, ops)
+        assert np.array_equal(got, np.stack([w1, w3]))
+        want = _fresh_lawson_rk4(yu, yv, w1, w3, p, dt, spec)
+        got = solver._lawson_rk4(yu, yv, w1, w3, p, ops, dt)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        want = _fresh_attempt(yu, yv, w1, w3, p, dt, spec)
+        got = solver._attempt(yu, yv, w1, w3, p, spec, dt)
+        assert got[4] == want[4]
+        assert all(np.array_equal(got[i], want[i]) for i in (0, 1, 2, 3, 5))
+        outs.append(got)
+        wants.append(want)
+    first, want = outs[0], wants[0]
+    assert all(np.array_equal(first[i], want[i]) for i in (0, 1, 2, 3, 5))
+    work = solver._STAGE_WORK.by_shape[(n // 2 + 1,)] \
+        + solver._NL_WORK.by_shape[(2, n // 2 + 1)]
+    for out in (first[i] for i in (0, 1, 2, 3, 5)):
+        assert not any(np.shares_memory(out, buf) for buf in work)
+
+
 @pytest.mark.parametrize("dt_init,step_tol", [(0.02, 1e-8), (0.25, 1e-8),
                                                (0.02, 1e-2)])
 def test_controller_stays_on_the_dt_ladder(monkeypatch, dt_init, step_tol):
