@@ -54,11 +54,14 @@ class KernelRangeError(ValueError):
 _SEAM_Z = 0.1  # switch to the Taylor series when |t| * sqrt(|1/4 - xi^2|) < this
 
 
-def _symbol_pair(t, xi: np.ndarray):
+def _symbol_pair(t, xi: np.ndarray, rate: bool = True):
     """(sigma, d sigma/dt) at time t on an arbitrary wavenumber array.
 
     t may also be a 1-D array of times; each output then has one row per
     time, and every row equals the scalar call at that time bit for bit.
+    With rate=False d sigma/dt is not built and comes back as None.  Where
+    e^{-t/2} underflows to 0 (t above about 1490) the oscillatory modes
+    are 0 without a sine or cosine taken.
     """
     ts = np.asarray(t, dtype=float)
     if np.any(ts < 0.0):
@@ -70,11 +73,17 @@ def _symbol_pair(t, xi: np.ndarray):
     damp = np.array([math.exp(-0.5 * s) for s in ts.flat]).reshape(col)
     T, W, D = (np.broadcast_to(a, shape) for a in (ts.reshape(col), w, damp))
     sigma = np.empty(shape)
-    sigma_t = np.empty(shape)
+    sigma_t = np.empty(shape) if rate else None
 
     seam = T * np.sqrt(np.abs(w)) < _SEAM_Z   # z = t sqrt|w|
     hyp = (w > 0.0) & ~seam
     trig = (w < 0.0) & ~seam
+    if not damp.all():
+        under = trig & (D == 0.0)
+        trig &= ~under
+        sigma[under] = 0.0
+        if rate:
+            sigma_t[under] = 0.0
 
     if np.any(seam):
         # sinh(t mu)/mu and cosh(t mu) are entire in w = mu^2; six terms of
@@ -86,11 +95,13 @@ def _symbol_pair(t, xi: np.ndarray):
         qk = np.ones_like(q)
         for m in range(6):
             s += qk / math.factorial(2 * m + 1)
-            c += qk / math.factorial(2 * m)
+            if rate:
+                c += qk / math.factorial(2 * m)
             qk = qk * q
         sig = di * ti * s
         sigma[seam] = sig
-        sigma_t[seam] = di * c - 0.5 * sig
+        if rate:
+            sigma_t[seam] = di * c - 0.5 * sig
 
     if np.any(hyp):
         ti = T[hyp]
@@ -100,14 +111,16 @@ def _symbol_pair(t, xi: np.ndarray):
         em = np.exp(-ti * (mu + 0.5))
         sig = (ep - em) / (2.0 * mu)
         sigma[hyp] = sig
-        sigma_t[hyp] = 0.5 * (ep + em) - 0.5 * sig
+        if rate:
+            sigma_t[hyp] = 0.5 * (ep + em) - 0.5 * sig
 
     if np.any(trig):
         ti, di = T[trig], D[trig]
         nu = np.sqrt(-W[trig])
         sig = di * np.sin(ti * nu) / nu
         sigma[trig] = sig
-        sigma_t[trig] = di * np.cos(ti * nu) - 0.5 * sig
+        if rate:
+            sigma_t[trig] = di * np.cos(ti * nu) - 0.5 * sig
 
     return sigma, sigma_t
 
@@ -273,7 +286,22 @@ class DecayReport:
 @lru_cache(maxsize=1)
 def _scan_sigmas(spec: GridSpec, times: tuple) -> tuple:
     """sigma(t) on spec for each scan time; the scans of one input share it."""
-    return tuple(damped_symbol(t, spec).sigma for t in times)
+    return tuple(_symbol_pair(t, spec.freqs, rate=False)[0] for t in times)
+
+
+@lru_cache(maxsize=1)
+def _scan_gaps(spec: GridSpec, times: tuple) -> tuple:
+    """The residual scan's multipliers sigma(t) - e^{-t xi^2}, one per scan
+    time, as (k, the multiplier on modes < k).  From mode k on the heat
+    symbol has underflowed to 0, so the multiplier there is sigma(t) to the
+    bit; the scans of every input share these heads with _scan_sigmas."""
+    xi = spec.freqs
+    gaps = []
+    for t, sig in zip(times, _scan_sigmas(spec, times)):
+        heat = _heat_symbol(t, xi)
+        k = int(np.flatnonzero(heat)[-1]) + 1
+        gaps.append((k, sig[:k] - heat[:k]))
+    return tuple(gaps)
 
 
 def _scan_terms(f: GridFunction, times: np.ndarray):
@@ -314,12 +342,15 @@ def residual_scan(f: GridFunction, p: float, times, window=None) -> DecayReport:
     """Decay of S(t)f minus its parabolic approximation,
     ||S(t)f - e^{t Lap} f||_{L^p}, e^{t Lap} by the multiplier e^{-t xi^2}.
 
-    The gap is one multiplier, sigma(t) - e^{-t xi^2}, applied to rfft(f);
-    its norm is taken as in decay_scan.
+    The gap is one multiplier, sigma(t) - e^{-t xi^2}, applied to rfft(f)
+    (see _scan_gaps); its norm is taken as in decay_scan.
     """
     times = np.asarray(times, dtype=float)
     fh, sigmas = _scan_terms(f, times)
-    xi = f.spec.freqs
-    norms = np.array([_scan_norm(fh * (sig - _heat_symbol(t, xi)), f.spec, p)
-                      for t, sig in zip(times, sigmas)])
+    norms = []
+    for sig, (k, head) in zip(sigmas, _scan_gaps(f.spec, tuple(times.tolist()))):
+        g = fh * sig
+        g[:k] = fh[:k] * head
+        norms.append(_scan_norm(g, f.spec, p))
+    norms = np.array(norms)
     return DecayReport(times, norms, fit_loglog(times, norms, window))

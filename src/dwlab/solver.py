@@ -880,7 +880,8 @@ def duhamel_residual(traj: Trajectory, p: float,
             wq = 0.5 * tc * wg
             nl = np.abs(spline(tau)) ** p
             nlh = np.fft.rfft(nl, axis=1)
-            sig = _symbol_pair(tc - tau, spec.freqs)[0]   # row q: sigma(tc - tau_q)
+            # row q: sigma(tc - tau_q)
+            sig = _symbol_pair(tc - tau, spec.freqs, rate=False)[0]
             acc = np.zeros(n // 2 + 1, dtype=np.complex128)
             for q in range(len(tau)):
                 acc += wq[q] * sig[q] * nlh[q]

@@ -70,12 +70,23 @@ def test_symbol_pair_rows_match_scalar_calls():
     for t in (3.0, 200.0):
         off_seam = t * root_w >= _SEAM_Z
         assert np.any(off_seam & (xi < 0.5)) and np.any(off_seam & (xi > 0.5))
-    times = np.array([0.0, all_seam, crossing, 3.0, 200.0])
+    # at t = 1600 e^{-t/2} underflows: the oscillatory modes are 0
+    times = np.array([0.0, all_seam, crossing, 3.0, 200.0, 1600.0])
     sigma, sigma_t = _symbol_pair(times, xi)
     assert sigma.shape == sigma_t.shape == (len(times), len(xi))
     for k, t in enumerate(times):
         s, st = _symbol_pair(float(t), xi)
         assert np.array_equal(sigma[k], s) and np.array_equal(sigma_t[k], st)
+    trig = (xi > 0.5) & (1600.0 * root_w >= _SEAM_Z)
+    assert np.any(trig)
+    assert np.all(sigma[-1][trig] == 0.0) and np.all(sigma_t[-1][trig] == 0.0)
+    assert np.all(sigma[-1][xi < 0.49] > 0.0)
+    # sigma alone is the same sigma, bit for bit, batched or not
+    alone, none = _symbol_pair(times, xi, rate=False)
+    assert none is None and np.array_equal(alone, sigma)
+    for k, t in enumerate(times):
+        assert np.array_equal(_symbol_pair(float(t), xi, rate=False)[0],
+                              sigma[k])
     with pytest.raises(ValueError):
         _symbol_pair(np.array([1.0, -1e-9]), xi)
 
@@ -241,6 +252,25 @@ def test_parseval_norm_reads_the_spectrum_as_irfft_does(n):
     assert propagators._scan_norm(g, spec, 3.0) == lp_norm(field, 3.0)
 
 
+def test_residual_scan_keeps_every_bit_of_the_full_multiplier():
+    # sigma-only symbols and the cached heads of sigma - e^{-t xi^2} give
+    # the norms of rfft(f) (sigma - e^{-t xi^2}) with both symbols built in
+    # full, bit for bit; lab decay's grid and times, where e^{-t/2}
+    # underflows past t = 1490 and the heat symbol past a few modes
+    spec = GridSpec(2000.0, 32768)
+    times = np.geomspace(100.0, 1e4, 12)
+    f = gaussian_derivative(1, spec)
+    fh = np.fft.rfft(f.values)
+    for p in (2.0, 1.5):
+        want = [propagators._scan_norm(
+            fh * (damped_symbol(t, spec).sigma
+                  - propagators._heat_symbol(t, spec.freqs)), spec, p)
+            for t in times]
+        assert np.array_equal(residual_scan(f, p, times).norms, want)
+    heads = propagators._scan_gaps(spec, tuple(times.tolist()))
+    assert all(0 < k < len(spec.freqs) // 8 for k, _ in heads)
+
+
 @pytest.mark.parametrize("j", [0, 1, 2])
 def test_scans_match_per_time_reference(j):
     # against one apply_S / heat per time.  At p = 2 the scans take
@@ -278,10 +308,13 @@ def test_scans_build_each_symbol_once(monkeypatch):
     times = np.geomspace(1.5, 35.0, 7)
     f = gaussian_derivative(1, spec)
     propagators._scan_sigmas.cache_clear()
-    calls = {"symbol": 0, "rfft": 0}
-    symbol, rfft = propagators.damped_symbol, np.fft.rfft
+    propagators._scan_gaps.cache_clear()
+    calls = {"symbol": 0, "rfft": 0, "heat": 0}
+    symbol, rfft = propagators._symbol_pair, np.fft.rfft
 
     def counted_symbol(*args, **kw):
+        # the scans build sigma alone, never d sigma/dt
+        assert kw == {"rate": False}
         calls["symbol"] += 1
         return symbol(*args, **kw)
 
@@ -289,12 +322,24 @@ def test_scans_build_each_symbol_once(monkeypatch):
         calls["rfft"] += 1
         return rfft(*args, **kw)
 
-    monkeypatch.setattr(propagators, "damped_symbol", counted_symbol)
+    def counted_heat(*args, **kw):
+        calls["heat"] += 1
+        return heat(*args, **kw)
+
+    heat = propagators._heat_symbol
+    monkeypatch.setattr(propagators, "_symbol_pair", counted_symbol)
+    monkeypatch.setattr(propagators, "_heat_symbol", counted_heat)
     monkeypatch.setattr(np.fft, "rfft", counted_rfft)
+    n = len(times)
     decay_scan(f, 2.0, times)
-    assert calls == {"symbol": len(times), "rfft": 1}
+    assert calls == {"symbol": n, "rfft": 1, "heat": 0}
     residual_scan(f, 2.0, times)
-    assert calls == {"symbol": len(times), "rfft": 2}
+    assert calls == {"symbol": n, "rfft": 2, "heat": n}
+    # a second input reuses the symbols and the residual's multipliers
+    g = gaussian_derivative(2, spec)
+    decay_scan(g, 2.0, times)
+    residual_scan(g, 2.0, times)
+    assert calls == {"symbol": n, "rfft": 4, "heat": n}
     with pytest.raises(TruncationError):
         decay_scan(GridFunction(spec, np.ones(spec.points)), 2.0, times)
 
