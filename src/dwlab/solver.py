@@ -38,17 +38,24 @@ rejection, and a doubling sup norm or a non-finite candidate halves it.
 dt lives on the ladder dt_init 2^(k/4), clamped to [dt_min, dt_max]: the
 controller moves the integer k by 4 log2 fac rounded to the nearest
 integer, so a run meets only a few dozen distinct step sizes and their
-stage operators stay cached.
+linear pairs stay cached.  The stage operators, complex copies built from
+them, are cached for the last eight step sizes: a march meets its step
+sizes one after another.
 
-The stop rule is one window, checked after every accepted step: a run is
-declared blown up once the extrapolated divergence time T lies within
-0.5% of T past t.  T is the root of a least-squares line through
-z = max|u|^(-(p-1)/2) over the last 20 accepted steps; z falls linearly
-at the ODE blow-up rate u ~ (T - t)^(-2/(p-1)) (Merle & Zaag, Amer. J.
-Math. 125 (2003) 1147-1164) whatever max|u| is, so no sup-norm level
-gates the check.  The march then reports the bracket [t, T].  Overflow
-past u_cap, or to inf with dt at its floor, ends it too, with T clamped
-to the same window.
+The stop rule is one window: a run is declared blown up at the first
+accepted step t whose extrapolated divergence time T lies within 0.9% of
+T past t.  T is the first root past t of a least-squares cubic through
+z = max|u|^(-(p-1)/2) over the last 20 accepted steps.  z is linear in
+T - t to first order at the ODE blow-up rate u ~ (T - t)^(-2/(p-1))
+(Merle & Zaag, Amer. J. Math. 125 (2003) 1147-1164) whatever max|u| is,
+so no sup-norm level gates the check, and the cubic takes up the
+curvature that biases a line's root late.  The cubic is fitted only once
+the root of the least-squares line through the same samples, computed
+after every accepted step, lies within 2% of itself past t; the line's
+root sits later than the cubic's on the gate ladders, so the trigger
+skips no step that could stop.  The march then reports the bracket
+[t, T].  Overflow past u_cap, or to inf with dt at its floor, ends it
+too, with T clamped to the same window.
 
 On a truncated line (the truncation guard on) the march starts on the
 smallest centred sub-grid of the family's grid, at the same h, whose
@@ -127,7 +134,8 @@ class SolverControls:
     attempt costs two batched nonlinear calls, four rows, plus one row
     when its dt differs from the previous attempt's.  max_steps counts
     step attempts, rejected ones included, not accepted steps.  No field
-    sets the stop: that is the root window _ROOT_WINDOW (module
+    sets the stop: that is the cubic root's window _ROOT_WINDOW, 0.9%,
+    behind the line's trigger window _TRIGGER_WINDOW, 2% (module
     docstring).
 
     check_boundary turns on the truncation guard: a run aborts once the
@@ -194,11 +202,15 @@ class MarchStats:
     those modes add to any grid value, over max|u|.
     termination is one of ROOT, U_CAP, DT_FLOOR, HORIZON, TRUNCATION.
     bracket says where a blow-up's T_high came from: "extrapolated" when
-    it is the extrapolated root, above T_low; "clamped" when the root is
+    it is the cubic's root, above T_low; "clamped" when the root is
     missing, falls at or before the last sample (T_high = T_low), lies
     past the stop window (1 + _ROOT_WINDOW) T_low, or when any step was a
     forced accept, whose error the bracket does not cover.  It is "none"
-    when the run did not blow up.
+    when the run did not blow up.  root_gap is |T_2 - T_3| / T_3 for the
+    roots T_3 of the cubic and T_2 of the least-squares parabola through
+    the same 20 samples, fitted once at the stop: how far a second
+    extrapolant sits from T_high.  It is None when either root is
+    missing or the run did not blow up.
     """
 
     attempts: int
@@ -215,6 +227,7 @@ class MarchStats:
     points: int
     termination: str
     bracket: str
+    root_gap: float
 
 
 @dataclass(frozen=True)
@@ -279,8 +292,8 @@ class _StageOps(NamedTuple):
     b12dt: np.ndarray  # dt b12
 
 
-# A march meets its step sizes one after another, so a few recent ones
-# hit as often as every one would; the real pairs behind them stay cached.
+# a march meets its step sizes one after another, so the last eight hit as
+# often as all of them would, at a fraction of the memory
 @lru_cache(maxsize=8)
 def _stage_ops(spec: GridSpec, dt: float) -> _StageOps:
     # a product of a real operator with a spectrum casts it to complex128
@@ -291,8 +304,8 @@ def _stage_ops(spec: GridSpec, dt: float) -> _StageOps:
 
 
 class _Work(threading.local):
-    """Work buffers, (owner, input shape) -> arrays.  Each thread has its
-    own, so concurrent marches never write into one."""
+    """Work buffers, input shape -> arrays, one instance per owner.  Each
+    thread has its own, so concurrent marches never write into one."""
 
     def __init__(self):
         self.by_shape = {}
@@ -482,9 +495,13 @@ def integrate(u0: GridFunction, v0: GridFunction, p: float, t_final: float,
 # lifespan march
 # ----------------------------------------------------------------------
 
-# the stop rule: a march ends once the extrapolated root is within this
-# fraction of itself past t
-_ROOT_WINDOW = 0.005
+# the stop rule: a march ends once the cubic's root is within this fraction
+# of itself past t; the cubic is fitted once the line's root is within
+# _TRIGGER_WINDOW of itself past t
+_ROOT_WINDOW = 0.009
+_TRIGGER_WINDOW = 0.02
+# the fits run through this many of the last accepted samples
+_FIT_SAMPLES = 20
 
 
 def _extrapolate_blowup(t: np.ndarray, z: np.ndarray):
@@ -496,7 +513,7 @@ def _extrapolate_blowup(t: np.ndarray, z: np.ndarray):
     u ~ C (T-t)^{-2/(p-1)}, so its t-intercept estimates T.  Returns None
     while the fit does not yet predict divergence at a finite time.
     """
-    k = min(20, len(t))
+    k = min(_FIT_SAMPLES, len(t))
     if k < 3:
         return None
     t = t[-k:]
@@ -512,6 +529,104 @@ def _extrapolate_blowup(t: np.ndarray, z: np.ndarray):
     if not a < 0.0:
         return None
     return max(tm - zm / a, float(t[-1]))
+
+
+def _horner(c, x: float) -> float:
+    """sum c[j] x^j."""
+    acc = 0.0
+    for cj in reversed(c):
+        acc = acc * x + cj
+    return acc
+
+
+def _bracketed_root(c, d, a: float, b: float) -> float:
+    """The root of the polynomial c in [a, b], where it falls monotonically
+    from p(a) > 0 to p(b) <= 0; d is its derivative.  Newton's method from
+    the secant point, bisecting whenever a step leaves the bracket."""
+    fa, fb = _horner(c, a), _horner(c, b)
+    x = a + (b - a) * (fa / (fa - fb))
+    for _ in range(100):
+        fx = _horner(c, x)
+        if fx > 0.0:
+            a = x
+        else:
+            b = x
+        slope = _horner(d, x)
+        xn = x - fx / slope if slope != 0.0 else 0.5 * (a + b)
+        if not a <= xn <= b:
+            xn = 0.5 * (a + b)
+        if abs(xn - x) <= 1e-15 * xn:
+            return xn
+        x = xn
+    return x
+
+
+def _first_root(c):
+    """The smallest x >= 0 with p(x) = sum c[j] x^j = 0, for a polynomial
+    of degree at most 3; 0 when p(0) <= 0, None when p > 0 on [0, inf).
+
+    The critical points cut [0, inf) into pieces on which p is monotone;
+    the root lies in the first piece whose end has p <= 0, or in the last,
+    unbounded one when p falls to -inf there."""
+    if not c[0] > 0.0:
+        return 0.0
+    d = [j * c[j] for j in range(1, len(c))]
+    # the real critical points: roots of p' = d[0] + d[1] x (+ d[2] x^2)
+    if len(d) == 3 and d[2] != 0.0:
+        disc = d[1] * d[1] - 4.0 * d[2] * d[0]
+        crit = []
+        if disc >= 0.0:
+            q = -0.5 * (d[1] + math.copysign(math.sqrt(disc), d[1]))
+            crit = [q / d[2]] + ([d[0] / q] if q != 0.0 else [])
+    else:
+        crit = [-d[0] / d[1]] if len(d) > 1 and d[1] != 0.0 else []
+    a = 0.0
+    for b in sorted(x for x in crit if x > 0.0):
+        if not _horner(c, b) > 0.0:
+            return _bracketed_root(c, d, a, b)
+        a = b
+    lead = next((cj for cj in reversed(c) if cj != 0.0), 0.0)
+    if not lead < 0.0:
+        return None
+    b = max(2.0 * a, 1.0)
+    while not _horner(c, b) <= 0.0:
+        b *= 2.0
+        if math.isinf(b):
+            return None
+    return _bracketed_root(c, d, a, b)
+
+
+def _fit_root(t: np.ndarray, z: np.ndarray, degree: int = 3):
+    """The first root past the last sample of the least-squares polynomial
+    of the given degree, 2 or 3, through the last 20 samples of z.
+
+    t and z are as in _extrapolate_blowup.  z = (T - t) (s + O(T - t)) near
+    the blow-up (Merle & Zaag), so the curvature the line leaves out sets
+    its bias; the cubic absorbs it.  The fit runs in x = (t - t_last)/span,
+    x in [-1, 0], by its normal equations.  Returns the last sample's t
+    when the fitted z there is not positive, and None when the fit has no
+    root past it or fewer than degree + 1 samples.
+    """
+    k = min(_FIT_SAMPLES, len(t))
+    if k <= degree:
+        return None
+    t_last = float(t[-1])
+    span = t_last - float(t[-k])
+    # rows 1, x, x^2, ... of the design matrix
+    powers = np.empty((degree + 1, k))
+    powers[0] = 1.0
+    x = np.subtract(t[-k:], t_last, out=powers[1])
+    x /= span
+    for j in range(2, degree + 1):
+        np.multiply(powers[j - 1], x, out=powers[j])
+    try:
+        c = np.linalg.solve(powers @ powers.T, powers @ z[-k:]).tolist()
+    except np.linalg.LinAlgError:
+        return None
+    if not all(map(math.isfinite, c)):
+        return None
+    root = _first_root(c)
+    return None if root is None else t_last + span * root
 
 
 def _edge_amplitude(values: np.ndarray) -> float:
@@ -613,7 +728,7 @@ def solve_lifespan(data: DataFamily, p: float, horizon: float = 200.0,
     not compactly supported.
 
     A blow-up stops on the root window (module docstring), with T_low the
-    last accepted t and T_high the extrapolated root.
+    last accepted t and T_high the cubic's root.
 
     With the guard on, the family's grid is a ceiling.  The march starts
     on the smallest centred sub-grid at the same h, at least 16 points,
@@ -636,7 +751,7 @@ def solve_lifespan(data: DataFamily, p: float, horizon: float = 200.0,
     maxu = float(np.max(np.abs(u_phys)))
     if maxu == 0.0 and not np.any(v_phys):
         stats = MarchStats(0, 0, 0, 0, 0, 0, 0, None, None, 0.0, 0.0,
-                           spec.points, HORIZON, "none")
+                           spec.points, HORIZON, "none", None)
         est = LifespanEstimate(SURVIVED_HORIZON, horizon, horizon, spec,
                                stats)
         return est, MarchTrace(np.empty(0))
@@ -760,12 +875,15 @@ def solve_lifespan(data: DataFamily, p: float, horizon: float = 200.0,
                 status, cause = BLOWN_UP, U_CAP
                 T_low = t
                 break
-            root = _extrapolate_blowup(t_buf[:n_acc], z_buf[:n_acc])
-            if root is not None and root - t <= _ROOT_WINDOW * root:
-                status, cause = BLOWN_UP, ROOT
-                T_low = t
-                T_high = root
-                break
+            # the line triggers the cubic, whose root is the stop's
+            line = _extrapolate_blowup(t_buf[:n_acc], z_buf[:n_acc])
+            if line is not None and line - t <= _TRIGGER_WINDOW * line:
+                root = _fit_root(t_buf[:n_acc], z_buf[:n_acc])
+                if root is not None and root - t <= _ROOT_WINDOW * root:
+                    status, cause = BLOWN_UP, ROOT
+                    T_low = t
+                    T_high = root
+                    break
             move = _ladder_move(err, ctrl.step_tol)
             k = min(max(k + (min(move, 0) if rejected else move), k_lo), k_hi)
             dt = _ladder_dt(ctrl, k)
@@ -774,16 +892,23 @@ def solve_lifespan(data: DataFamily, p: float, horizon: float = 200.0,
     if status == BLOWN_UP and T_high is None:
         # declared through u_cap or overflow: the root, clamped to the
         # window; the root is never below the last sample, T_low
-        root = _extrapolate_blowup(t_buf[:n_acc], z_buf[:n_acc])
+        root = _fit_root(t_buf[:n_acc], z_buf[:n_acc])
         T_high = T_low if root is None else \
             min(root, T_low * (1.0 + _ROOT_WINDOW))
     bracket = "none" if status != BLOWN_UP else \
         "extrapolated" if T_low < T_high == root and not forced else \
         "clamped"
+    root_gap = None
+    if status == BLOWN_UP and root is not None:
+        # one parabola at the stop: how far the second extrapolant sits
+        parabola = _fit_root(t_buf[:n_acc], z_buf[:n_acc], 2)
+        if parabola is not None:
+            root_gap = abs(parabola - root) / root
     stats = MarchStats(attempts, rej_tol, rej_growth, rej_nonfinite, forced,
                        regrids, 2 + 4 * attempts + rebuilds + 2 * regrids,
                        dt_lo if n_acc else None, dt_hi if n_acc else None,
-                       edge_max, tail_max, grid.points, cause, bracket)
+                       edge_max, tail_max, grid.points, cause, bracket,
+                       root_gap)
     est = LifespanEstimate(status, T_low, T_high, spec, stats)
     return est, MarchTrace(t_buf[:n_acc])
 

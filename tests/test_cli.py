@@ -313,7 +313,7 @@ def test_lifespan_on_a_3x2k_family_grid(tmp_path):
     rec = json.loads((out / "run_000.json").read_text())
     assert (rec["N"], rec["L"], rec["points"]) == (1536, 48.0, 768)
     assert (rec["status"], rec["bracket"]) == ("blown_up", "extrapolated")
-    assert rec["T_high"] == pytest.approx(18.7931171, rel=1e-7)
+    assert rec["T_high"] == pytest.approx(18.7927953, rel=1e-7)
     assert sorted(os.listdir(out)) == ["run_000.json"]
 
 
@@ -329,10 +329,12 @@ def test_lifespan_records(tmp_path, capsys):
                 "rejected_growth", "rejected_nonfinite", "forced_accepts",
                 "regrids", "nl_rows", "accepted_dt_min", "accepted_dt_max",
                 "edge_ratio", "tail_ratio", "points", "termination",
-                "bracket"):
+                "bracket", "root_gap"):
         assert key in rec
     assert rec["status"] == "blown_up"
     assert rec["termination"] == "extrapolated_root"
+    # the parabola's root sits within a fraction of the window of the cubic's
+    assert 0.0 <= rec["root_gap"] < 1e-3
     assert rec["forced_accepts"] == 0
     # every attempt is an accepted step, a rejection or a regrid
     rejections = (rec["rejected_tol"] + rec["rejected_growth"]

@@ -569,6 +569,77 @@ def test_extrapolate_blowup_matches_polyfit():
                                       _z([1.0, 2.0], 2.0)) is None
 
 
+def _np_fit_root(ts, zs, degree):
+    """The first root past ts[-1] of np.polyfit's fit, by np.roots."""
+    ts, zs = np.asarray(ts)[-20:], np.asarray(zs)[-20:]
+    shift, span = ts[-1], ts[-1] - ts[0]
+    c = np.polyfit((ts - shift) / span, zs, degree)
+    if np.polyval(c, 0.0) <= 0.0:
+        return float(ts[-1])
+    real = [r.real for r in np.roots(c)
+            if abs(r.imag) <= 1e-9 * abs(r) and r.real > 0.0]
+    return shift + span * min(real) if real else None
+
+
+def test_fit_root_matches_polyfit():
+    # the normal equations and the bracketed Newton root against np.polyfit
+    # and np.roots, on noisy samples toward blow-up with curvature of
+    # either sign, and on samples that turn away from zero
+    rng = np.random.default_rng(11)
+    found = 0
+    for trial in range(300):
+        degree = 2 + trial % 2
+        T = rng.uniform(2.0, 400.0)
+        k = int(rng.integers(degree + 1, 30))
+        tau = np.sort(rng.uniform(0.005, 0.03, k))[::-1] * T
+        a, b = rng.uniform(-3.0, 3.0, 2) / T
+        z = tau * (1.0 + a * tau + b * tau * tau) \
+            * (1.0 + 1e-6 * rng.standard_normal(k))
+        if trial % 7 == 0:
+            z = z[::-1]   # z grows: no root past the samples
+        got = solver._fit_root(T - tau, z, degree)
+        want = _np_fit_root(T - tau, z, degree)
+        assert (got is None) == (want is None)
+        if want is not None:
+            found += 1
+            assert got == pytest.approx(want, rel=1e-9)
+    assert found > 200
+    # too few samples for the degree
+    assert solver._fit_root(np.array([1.0, 2.0, 3.0]),
+                            np.array([3.0, 2.0, 1.0])) is None
+
+
+@pytest.mark.parametrize("p", [2.0, 2.5])
+def test_cubic_root_recovers_the_blowup_time(p):
+    # on z exactly cubic in T - t the root is T; on the scalar ODE's own
+    # profile y'' + y' = y^p, sampled as a march's last 20 steps before a
+    # 0.9% stop, the cubic lands within 1e-8 of T, where the line is off by
+    # about 3e-5
+    T = 3.5
+    tau = 0.009 * T * np.geomspace(1.15, 1.0, 20)
+    z = tau * (0.3 + 2.0 * tau + 5.0 * tau * tau)
+    assert solver._fit_root(T - tau, z) == pytest.approx(T, rel=1e-11)
+
+    def rhs(t, y):
+        return [y[1], abs(y[0]) ** p - y[1]]
+
+    def blow(t, y):
+        return y[0] - 1e16
+    blow.terminal = True
+    blow.direction = 1.0
+    sol = solve_ivp(rhs, (0.0, 50.0), [1.0, 0.0], method="DOP853",
+                    rtol=1e-13, atol=1e-13, events=blow, dense_output=True)
+    # past the event y ~ C (T - t)^(-2/(p-1)) with C^(p-1) = 2(p+1)/(p-1)^2
+    C = (2.0 * (p + 1.0) / (p - 1.0) ** 2) ** (1.0 / (p - 1.0))
+    T = float(sol.t_events[0][0]) + (C / 1e16) ** ((p - 1.0) / 2.0)
+    tau = 0.009 * T * np.geomspace(1.15, 1.0, 20)
+    z = sol.sol(T - tau)[0] ** (-(p - 1.0) / 2.0)
+    cubic = solver._fit_root(T - tau, z)
+    line = solver._extrapolate_blowup(T - tau, z)
+    assert abs(cubic - T) <= 1e-8 * T
+    assert abs(line - T) >= 1e-5 * T
+
+
 def test_step_budget_error_reports_the_state():
     # at the default step_tol: one step of dt_init 0.02, one of 0.04, then
     # one of 0.04 2^(3/4), the dt of the next attempt
@@ -661,6 +732,7 @@ def test_march_stats_name_every_termination(monkeypatch):
     # overflow once dt sits at its floor; either clamps T_high to T_low
     with monkeypatch.context() as m:
         m.setattr(solver, "_extrapolate_blowup", lambda t, z: None)
+        m.setattr(solver, "_fit_root", lambda t, z, degree=3: None)
         for dt_min, cause, T_low in ((1e-3, solver.DT_FLOOR, 3.5159660),
                                      (1e-4, solver.U_CAP, 3.5131658)):
             ctrl = SolverControls(check_boundary=False, dt_min=dt_min)
@@ -669,21 +741,25 @@ def test_march_stats_name_every_termination(monkeypatch):
             assert (est.stats.termination, est.stats.bracket) == (cause,
                                                                  "clamped")
             assert est.stats.accepted_dt_min == dt_min
+            assert est.stats.root_gap is None
             assert est.T_low == est.T_high == pytest.approx(T_low, rel=1e-7)
     est, _ = solve_lifespan(fam, 2.0, horizon=2.0,
                             ctrl=SolverControls(check_boundary=False))
     assert est.status == SURVIVED_HORIZON
     assert (est.stats.termination, est.stats.bracket) == (solver.HORIZON,
                                                          "none")
+    assert est.stats.root_gap is None
     small = GridSpec(8.0, 256)
     est, _ = solve_lifespan(make_data_family("M0_nonzero", 0.5, small),
                             2.2, horizon=100.0)
     assert est.status == TRUNCATION_ABORT
     assert est.stats.termination == solver.TRUNCATION
     assert est.stats.edge_ratio > SolverControls().boundary_tol
+    assert est.stats.root_gap is None
     est, _ = solve_lifespan(make_data_family("M0_nonzero", 0.0, SPEC), 2.0,
                             horizon=5.0)
     assert est.stats.attempts == est.stats.nl_rows == 0
+    assert est.stats.root_gap is None
     assert est.stats.accepted_dt_min is None
     assert (est.stats.termination, est.stats.bracket) == (solver.HORIZON,
                                                          "none")
@@ -748,35 +824,79 @@ def test_forced_accepts_at_dt_min_clamp_the_bracket():
 
 @pytest.mark.parametrize("p", [2.0, 2.5])
 def test_stop_rule_is_checked_on_every_accepted_step(monkeypatch, p):
-    # criterion 10's torus runs: the root is extrapolated after each
-    # accepted step from the first on, whatever max|u| is
-    calls = []
-    extrapolate = solver._extrapolate_blowup
+    # criterion 10's torus runs: the line's root is extrapolated after each
+    # accepted step from the first on, whatever max|u| is, and the cubic
+    # is fitted on exactly the steps where that root is within 2% of t
+    lines, cubics = [], []
+    line_fit, cubic_fit = solver._extrapolate_blowup, solver._fit_root
     attempts, samples = [], []
     real_attempt = solver._attempt
 
-    def spy(t, z):
-        calls.append(len(t))
+    def line_spy(t, z):
+        root = line_fit(t, z)
+        lines.append((len(t), root))
         samples[:] = t.copy(), z.copy()
-        return extrapolate(t, z)
+        return root
+
+    def cubic_spy(t, z, degree=3):
+        if degree == 3:
+            cubics.append(len(t))
+        return cubic_fit(t, z, degree)
 
     def attempt(yu, yv, w1, w3, q, spec, dt):
         out = real_attempt(yu, yv, w1, w3, q, spec, dt)
         attempts.append((yu, out[0], float(np.abs(out[5]).max())))
         return out
-    monkeypatch.setattr(solver, "_extrapolate_blowup", spy)
+    monkeypatch.setattr(solver, "_extrapolate_blowup", line_spy)
+    monkeypatch.setattr(solver, "_fit_root", cubic_spy)
     monkeypatch.setattr(solver, "_attempt", attempt)
     est, trace = solve_lifespan(torus_family(), p, horizon=20.0,
                                 ctrl=SolverControls(check_boundary=False))
     assert (est.stats.termination, est.stats.bracket) == (solver.ROOT,
                                                          "extrapolated")
-    assert calls == list(range(1, len(trace.times) + 1))
+    n = len(trace.times)
+    assert [k for k, _ in lines] == list(range(1, n + 1))
+    triggered = [k for k, root in lines if root is not None
+                 and root - trace.times[k - 1] <= 0.02 * root]
+    assert cubics == triggered and triggered[-1] == n
     # the fit's samples are every accepted t and, bit for bit, z as
     # numpy's array power takes it from the accepted sup norms
     sup = [m for (_, gu, m), nxt in zip(attempts, attempts[1:] + [None])
            if nxt is None or nxt[0] is gu]
     assert np.array_equal(samples[0], trace.times)
     assert np.array_equal(samples[1], np.array(sup) ** (-(p - 1.0) / 2.0))
+
+
+@pytest.mark.parametrize("p", [2.0, 2.5, 1.25],
+                         ids=["torus p=2", "torus p=2.5", "sweep eps 0.4"])
+def test_stop_replays_the_cubic_root_rule(monkeypatch, p):
+    # replayed on the run's own samples without the line's trigger, the
+    # rule stops at the same step: the first accepted step whose cubic root
+    # lies within _ROOT_WINDOW of itself past t, and T_high is that root
+    samples = []
+    cubic_fit = solver._fit_root
+
+    def cubic_spy(t, z, degree=3):
+        samples[:] = t.copy(), z.copy()
+        return cubic_fit(t, z, degree)
+    monkeypatch.setattr(solver, "_fit_root", cubic_spy)
+    if p > 1.25:
+        fam, horizon = torus_family(), 20.0
+        ctrl = SolverControls(check_boundary=False)
+    else:
+        fam = make_data_family("M0_zero_M1_nonzero", 0.4, GridSpec(64.0, 2048))
+        horizon, ctrl = 200.0, SolverControls()
+    est, trace = solve_lifespan(fam, p, horizon=horizon, ctrl=ctrl)
+    t, z = samples
+    assert np.array_equal(t, trace.times)
+    stops = []
+    for k in range(1, len(t) + 1):
+        root = cubic_fit(t[:k], z[:k])
+        if root is not None and root - t[k - 1] <= solver._ROOT_WINDOW * root:
+            stops.append((k, root))
+    assert stops[0] == (len(t), est.T_high)
+    assert est.T_low == t[-1]
+    assert 0.0 < est.stats.root_gap < 1e-4
 
 
 def test_p3_blow_up_ends_on_the_root_not_on_truncation():
@@ -792,7 +912,7 @@ def test_p3_blow_up_ends_on_the_root_not_on_truncation():
                                                              "extrapolated")
         assert est.stats.edge_ratio <= SolverControls().boundary_tol / 30.0
         highs.append(est.T_high)
-    assert highs[0] == pytest.approx(3.3093286, rel=1e-6)
+    assert highs[0] == pytest.approx(3.3092036, rel=1e-6)
     assert highs[1] == pytest.approx(highs[0], rel=1e-7)
 
 
