@@ -439,12 +439,14 @@ def _fresh_attempt(yu, yv, w1, w3, p, dt, spec):
 def test_stage_buffers_change_no_bit(n):
     # the stage functions, with complex operators and work buffers, are
     # bit for bit the formulas with real operators and fresh arrays; a
-    # later call on the same shape leaves the earlier outputs alone
+    # later call on the same shape leaves the earlier outputs alone.  A
+    # large step on large data keeps the nonlinear increments comparable
+    # to the linear part, so a changed rounding in them shows in y'
     spec = GridSpec(n / 32.0, n)
-    dt, p = 0.0625, 1.25
+    dt, p = 0.3, 1.25
     ops = solver._stage_ops(spec, dt)
-    states = [(0.2 * _random_spectra(n, None, s),
-               0.1 * _random_spectra(n, None, s + 1)) for s in (7, 9)]
+    states = [(2.0 * _random_spectra(n, None, s),
+               _random_spectra(n, None, s + 1)) for s in (7, 9)]
     outs, wants = [], []
     for yu, yv in states:
         w1, w3 = _fresh_head(yu, yv, p, dt, spec)
