@@ -6,8 +6,9 @@
   Simpson x cubic-Lagrange weights into one fine-grid stencil and applies
   it with one circular FFT convolution.
 * ODI march: ``odi_march``, an adaptive-mesh march on Python floats:
-  piecewise-linear F, the kernel integrated exactly, O(1) per step, and
-  steps that grow far past the unit delay while v changes slowly.
+  F a cubic Hermite on each step, the kernel integrated exactly, O(1) per
+  step, fourth order in the step constants, and steps that grow far past
+  the unit delay while v changes slowly.
 
 ``perfbench/run.py --trace 1`` reports each kernel's time as a traced
 span of the benchmark workloads that call it.
@@ -91,16 +92,20 @@ def kernel_convolve(fu, wk, mq, lag, R, n_out):
 # memory-kernel ODI march on an adaptive mesh
 #
 # v(t) = seed + I(t),  I(t) = int_{t0}^t min(t - tau, 1) F(tau) dtau,
-# F(tau) = v(tau)^p tau^{-beta}.  F is piecewise linear on the mesh and the
-# kernel is integrated exactly against it.  With the cumulative integrals
+# F(tau) = v(tau)^p tau^{-beta}.  F is a cubic Hermite on each mesh step,
+# through F and F' at its two nodes, and the kernel is integrated exactly
+# against it.  F' costs nothing extra: v' = P(t) - P(t - 1) is the unit
+# window the march keeps, and F' = p F v' / v - beta F / t.  With the
+# cumulative integrals
 #   P_k = int_{t0}^{t_k} F,   G_k = int_{t0}^{t_k} (t_k - tau) F
-# at the nodes, I(t) = G(t) - G(t - 1).  G(t - 1) is read off the node
-# below t - 1, which a pointer that only moves forward finds, so a step
-# costs O(1) however long the march.  A step longer than the unit delay
-# puts t - 1 inside the step itself; the kernel is then integrated over
-# the step's own linear F.  Either way the new node enters I with a
-# weight b, and v there solves x = A + B x^p.  Newton from x = A climbs
-# monotonically to the root, since the residual is concave in x.
+# at the nodes, I(t) = G(t) - G(t - 1).  G(t - 1) and P(t - 1) are
+# partial integrals of the cubic on the step that holds t - 1, which a
+# pointer that only moves forward finds, so a step costs O(1) however long
+# the march.  A step longer than the unit delay holds t - 1 itself.  Either
+# way I and v' at the new node are affine in its (F, F'), so F' there
+# solves one linear equation for each trial v, and v solves the scalar
+# implicit equation x = seed + I(x) by Newton, from the v that
+# F = F' = 0 at the new node would give.
 # ----------------------------------------------------------------------
 
 # The accuracy of the march.  At a node where v has growth time tau, the
@@ -109,11 +114,36 @@ def kernel_convolve(fu, wk, mq, lag, R, n_out):
 # length (the integral of dt / sqrt(t (T - t)) over (0, T) is pi); the
 # second takes a fixed number of steps per decade of v as it blows up.
 # tau is v / v', and at most sqrt(v / v'') while the unit window fills
-# (t < t0 + 1), where v'' = F drives v from v' = 0.  Blow-up times
-# come out about 1e-4 early (relative) and converge as STEP_THETA^2.
-STEP_THETA = 0.005
-STEP_CAP = 0.3
+# (t < t0 + 1), where v'' = F drives v from v' = 0.  Blow-up times and
+# v at the horizon converge as the fourth power of both constants.  Most
+# of the error left accrues while v grows its first 100-fold, in steps
+# that STEP_CAP sets.
+STEP_THETA = 0.035
+STEP_CAP = 0.16
 _NEWTON_ITERS = 30
+
+
+def _hermite_weights(r):
+    """Partial integrals of the cubic Hermite on a step, as weights.
+
+    For F on [0, h] with values f0, f1 and slopes d0, d1 at its ends,
+    returns the weights of (f0, h d0, f1, h d1) in
+    int_0^{rh} F / h (the first four) and int_0^{rh} (rh - u) F du / h^2
+    (the last four).
+    """
+    r2 = r * r
+    r3 = r2 * r
+    r4 = r3 * r
+    r5 = r4 * r
+    return (r - r3 + 0.5 * r4, 0.5 * r2 - 2.0 * r3 / 3.0 + 0.25 * r4,
+            r3 - 0.5 * r4, 0.25 * r4 - r3 / 3.0,
+            0.5 * r2 - 0.25 * r4 + 0.1 * r5, (r3 - r4) / 6.0 + 0.05 * r5,
+            0.25 * r4 - 0.1 * r5, 0.05 * r5 - r4 / 12.0)
+
+
+# the integrals over a whole step: h (f0 + f1) / 2 + h^2 (d0 - d1) / 12
+# and h^2 (7 f0 + 3 f1) / 20 + h^3 (d0 / 20 - d1 / 30)
+_W_FULL = _hermite_weights(1.0)
 
 
 def odi_march(seed, p, beta, t0, horizon, blow_level):
@@ -130,12 +160,16 @@ def odi_march(seed, p, beta, t0, horizon, blow_level):
     is halved and tried again.
     """
     nb = -beta
+    pm1 = p - 1.0
     ts, vs = [t0], [seed]
     try:
         f = seed ** p * t0 ** nb
-        F, P, G = [f], [0.0], [0.0]  # at the nodes
+        # F' at t0, where v' = 0
+        df = nb * f / t0 if beta else 0.0
+        F, D, P, G = [f], [df], [0.0], [0.0]  # at the nodes
         t, v, pn, gn, j = t0, seed, 0.0, 0.0, 0
-        window = 0.0  # int_{t-1}^t F
+        window = 0.0  # v' = int_{t-1}^t F
+        w0f, w0d, w1f, w1d, k0f, k0d, k1f, k1d = _W_FULL
         while True:
             dv = window if t >= t0 + 1.0 else max(window, math.sqrt(v * f))
             # dv is 0 only when F underflows, and then v stays put
@@ -147,13 +181,20 @@ def odi_march(seed, p, beta, t0, horizon, blow_level):
                 tn = horizon if h == horizon - t else t + h
                 if tn == t:
                     return np.array([ts, vs]).T, len(ts), len(ts) - 1
+                hd = h * df
+                hh = h * h
                 s = tn - 1.0
+                # I(tn) = a0 + af F(tn) + ad F'(tn), v'(tn) likewise
                 if s >= t:
                     # the unit window lies inside this step
-                    d = h - 1.0
-                    b = (h * h * h - d * d * d) / (6.0 * h)
-                    a = pn + (h - 0.5 - b) * f
-                    p_s = None
+                    q0f, q0d, q1f, q1d, l0f, l0d, l1f, l1d = \
+                        _hermite_weights((s - t) / h)
+                    a0 = pn + hh * ((k0f - l0f) * f + (k0d - l0d) * hd)
+                    af = hh * (k1f - l1f)
+                    ad = hh * h * (k1d - l1d)
+                    w0 = h * ((w0f - q0f) * f + (w0d - q0d) * hd)
+                    wf = h * (w1f - q1f)
+                    wd = hh * (w1d - q1d)
                 else:
                     if s <= t0:
                         g_s = p_s = 0.0
@@ -161,26 +202,43 @@ def odi_march(seed, p, beta, t0, horizon, blow_level):
                         j = j0
                         while ts[j + 1] <= s:
                             j += 1
-                        tj, fj = ts[j], F[j]
-                        d = s - tj
-                        f_s = fj + d * (F[j + 1] - fj) / (ts[j + 1] - tj)
-                        g_s = G[j] + d * (P[j] + d * (2.0 * fj + f_s) / 6.0)
-                        p_s = P[j] + 0.5 * d * (fj + f_s)
-                    b = h * h / 6.0
-                    a = gn + h * pn - g_s + 2.0 * b * f
+                        tj = ts[j]
+                        hj = ts[j + 1] - tj
+                        q0f, q0d, q1f, q1d, l0f, l0d, l1f, l1d = \
+                            _hermite_weights((s - tj) / hj)
+                        fj, dj = F[j], hj * D[j]
+                        fk, dk = F[j + 1], hj * D[j + 1]
+                        p_s = P[j] + hj * (q0f * fj + q0d * dj
+                                           + q1f * fk + q1d * dk)
+                        g_s = G[j] + (s - tj) * P[j] + hj * hj * (
+                            l0f * fj + l0d * dj + l1f * fk + l1d * dk)
+                    a0 = gn + h * pn - g_s + hh * (k0f * f + k0d * hd)
+                    af = hh * k1f
+                    ad = hh * h * k1d
+                    w0 = pn - p_s + h * (w0f * f + w0d * hd)
+                    wf = h * w1f
+                    wd = hh * w1d
                 c = tn ** nb if beta else 1.0
-                A = seed + a
-                B = b * c
-                # Newton on x = A + B x^p from x = A
+                bt = beta / tn
+                A = seed + a0
+                wfb = wf - wd * bt
+                # Newton on x = A + af F + ad F' from x = A, where F = c x^p,
+                # v' = w0 + wf F + wd F' and F' = k v' - bt F with k = dF/dx
                 x = A
                 for _ in range(_NEWTON_ITERS):
-                    xp = x ** p
-                    den = 1.0 - p * B * xp / x
-                    if den <= 0.0:
+                    fx = c * x ** p
+                    k = p * fx / x
+                    den = 1.0 - k * wd
+                    w = (w0 + wfb * fx) / den
+                    dfx = k * w - bt * fx
+                    # d(af F + ad F')/dx
+                    slope = k * (af + ad * (pm1 * w / x + wf * k - bt) / den)
+                    if den <= 0.0 or slope >= 1.0:
+                        den = 0.0
                         break
-                    dx = (A + B * xp - x) / den
-                    x += dx
-                    if dx <= 1e-15 * x:
+                    step = (A + af * fx + ad * dfx - x) / (1.0 - slope)
+                    x += step
+                    if abs(step) <= 1e-15 * x:
                         break
                 else:
                     den = 0.0
@@ -194,17 +252,17 @@ def odi_march(seed, p, beta, t0, horizon, blow_level):
                 ts.append(t + h * (zn - zl) / (zn - zx))
                 vs.append(blow_level)
                 return np.array([ts, vs]).T, len(ts), len(ts) - 1
-            gn += h * (pn + h * (2.0 * f + fn) / 6.0)
-            pn += 0.5 * h * (f + fn)
-            if p_s is None:
-                # the window on this step's linear F, which is f_s at tn - 1
-                window = 0.5 * (f + (h - 1.0) * (fn - f) / h + fn)
-            else:
-                window = pn - p_s
-            t, v, f = tn, x, fn
+            k = p * fn / x
+            window = (w0 + wfb * fn) / (1.0 - k * wd)
+            dn = k * window - bt * fn
+            hdn = h * dn
+            gn += h * pn + hh * (k0f * f + k0d * hd + k1f * fn + k1d * hdn)
+            pn += h * (w0f * f + w0d * hd + w1f * fn + w1d * hdn)
+            t, v, f, df = tn, x, fn, dn
             ts.append(t)
             vs.append(v)
             F.append(f)
+            D.append(df)
             P.append(pn)
             G.append(gn)
             if t == horizon:

@@ -6,10 +6,10 @@ Marches
                + int_{t0}^{t-1}  f(tau) dtau,
     f(tau) = v(tau)^p * tau^{-beta},
 
-on an adaptive mesh (``_kernels.odi_march``): f is piecewise linear on
-the mesh, the kernel is integrated exactly, and the step follows v's
-growth time, so it grows far past the unit delay while v changes slowly
-and shrinks as v blows up.  This is the delay equation v'' = f(t) -
+on an adaptive mesh (``_kernels.odi_march``): f is a cubic Hermite on
+each mesh step, the kernel is integrated exactly, and the step follows
+v's growth time, so it grows far past the unit delay while v changes
+slowly and shrinks as v blows up.  This is the delay equation v'' = f(t) -
 f(t-1).  A trace stores the node times and v.  Solutions are
 self-reinforcing: v never decreases once the window is full, and for
 small eps the blow-up time scales like eps^{-(p-1)/(1-beta)} when

@@ -18,7 +18,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
 
 from dwlab.fitting import fit_critical_lifespan, fit_loglog
 from dwlab.grid import GridFunction, GridSpec, moment
@@ -225,7 +224,7 @@ def test_criterion_09_duhamel_consistency_and_order():
     assert ok
 
 
-def test_criterion_10_constant_mode_matches_ode():
+def test_criterion_10_constant_mode_matches_ode(ode_blowup_time):
     spec = GridSpec(math.pi, 64)
     one = GridFunction(spec, np.ones(spec.points))
     zero = GridFunction(spec, np.zeros(spec.points))
@@ -235,20 +234,10 @@ def test_criterion_10_constant_mode_matches_ode():
         fam = DataFamily(one, zero, "M0_nonzero", "torus_constant", 1.0)
         est, _ = solve_lifespan(fam, p, horizon=20.0, ctrl=ctrl)
         assert est.status == BLOWN_UP
-
-        def rhs(t, y):
-            return [y[1], abs(y[0]) ** p - y[1]]
-
-        def blow(t, y):
-            return y[0] - 1e9
-        blow.terminal = True
-        blow.direction = 1.0
-        sol = solve_ivp(rhs, (0.0, 50.0), [1.0, 0.0], method="DOP853",
-                        rtol=1e-12, atol=1e-12, events=blow)
-        T_ref = float(sol.t_events[0][0])
+        T_ref = ode_blowup_time(1.0, p)
         rel = abs(est.T_high - T_ref) / T_ref
         ok &= rel <= 0.01
-        parts.append(f"p={p:g}: {est.T_high:.5f} vs {T_ref:.5f} "
+        parts.append(f"p={p:g}: {est.T_high:.7f} vs {T_ref:.7f} "
                      f"(rel {rel:.2e})")
     report(10, "torus constant data vs scalar ODE", ok, "; ".join(parts))
     assert ok

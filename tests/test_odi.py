@@ -3,9 +3,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 
 import dwlab._kernels
-from dwlab._kernels import odi_march
+from dwlab._kernels import _W_FULL, _hermite_weights, odi_march
 from dwlab.cli import load_config
 from dwlab.odi import (OdiConfig, OdiTrace, odi_scaling_fit, odi_target_slope,
                        simulate_odi)
@@ -140,44 +141,96 @@ def test_target_slope_table():
 
 
 def test_default_ladder_step_count():
-    # a deterministic cost guard: `lab odi`'s default ladder takes 5,175
-    # steps (8 marches of 635-653); a step-control regression that makes
+    # a deterministic cost guard: `lab odi`'s default ladder takes 1,336
+    # steps (8 marches of 163-170); a step-control regression that makes
     # the march much slower fails here without timing anything
     cfg = load_config("odi")
     base = OdiConfig(p=cfg.p, beta=cfg.beta, t0=cfg.t0, horizon=cfg.horizon)
     traces, fit = odi_scaling_fit(base, cfg.eps_list)
     assert fit is not None and len(traces) == 8
-    assert sum(tr.steps for tr in traces) <= 2 * 5_175
+    assert sum(tr.steps for tr in traces) <= 2 * 1_336
 
 
 def test_refinement_shifts_blowup_under_5pct(monkeypatch):
     # an 8-fold refinement of both step constants moves the blow-up time
-    # by 4.8e-3 (relative)
-    fine = blow_time(OdiConfig(p=2.0, beta=0.0, eps=3e-3))
-    monkeypatch.setattr(dwlab._kernels, "STEP_THETA",
-                        8 * dwlab._kernels.STEP_THETA)
-    monkeypatch.setattr(dwlab._kernels, "STEP_CAP",
-                        8 * dwlab._kernels.STEP_CAP)
+    # by 9.5e-6 (relative)
     coarse = blow_time(OdiConfig(p=2.0, beta=0.0, eps=3e-3))
+    monkeypatch.setattr(dwlab._kernels, "STEP_THETA",
+                        dwlab._kernels.STEP_THETA / 8)
+    monkeypatch.setattr(dwlab._kernels, "STEP_CAP",
+                        dwlab._kernels.STEP_CAP / 8)
+    fine = blow_time(OdiConfig(p=2.0, beta=0.0, eps=3e-3))
     assert abs(coarse - fine) / fine < 0.05
+
+
+def test_unsolved_steps_are_halved(monkeypatch):
+    # a step whose Newton iterates have not converged is halved and tried
+    # again, never accepted.  With 3 iterates allowed instead of 30, the
+    # p = 3 march halves 3,344 steps and takes 963 nodes instead of 154;
+    # its blow-up time moves by -6.7e-5, onto its refined value.
+    args = (1e-3, 3.0, 0.0, 4.0, 1e7, 1e5)
+    nodes, n, blow = odi_march(*args)
+    monkeypatch.setattr(dwlab._kernels, "_NEWTON_ITERS", 3)
+    few, n_few, blow_few = odi_march(*args)
+    assert blow_few == n_few - 1
+    assert n_few > 3 * n
+    assert abs(few[-1, 0] - nodes[-1, 0]) <= 1e-4 * nodes[-1, 0]
 
 
 @pytest.mark.parametrize("args", [(1e-2, 2.0, 0.0),
                                   (1e-3, 3.0, 0.0)],
                          ids=["p2_b0_eps1e-2", "p3_b0_eps1e-3"])
-def test_step_refinement_converges_at_second_order(monkeypatch, args):
+def test_step_refinement_converges_at_fourth_order(monkeypatch, args):
     # halving the step constants shifts the blow-up time by about a
-    # quarter of the previous shift.  The p = 3 march halves some of its
-    # steps near blow-up, where the implicit equation has no root.
+    # sixteenth of the previous shift.  Measured ratios over three
+    # halvings: 17.8, 16.5 (p = 2) and 22.5, 18.4 (p = 3).
+    theta, cap = dwlab._kernels.STEP_THETA, dwlab._kernels.STEP_CAP
     times = []
-    for k in range(3):
-        monkeypatch.setattr(dwlab._kernels, "STEP_THETA", 0.005 / 2 ** k)
-        monkeypatch.setattr(dwlab._kernels, "STEP_CAP", 0.3 / 2 ** k)
+    for k in range(4):
+        monkeypatch.setattr(dwlab._kernels, "STEP_THETA", theta / 2 ** k)
+        monkeypatch.setattr(dwlab._kernels, "STEP_CAP", cap / 2 ** k)
         nodes, n, blow = odi_march(*args, 4.0, 1e7, 1e8 * args[0])
         assert blow == n - 1
         times.append(nodes[-1, 0])
     assert abs(times[0] - times[2]) / times[2] < 2e-4
-    assert 3.0 < (times[0] - times[1]) / (times[1] - times[2]) < 5.0
+    assert 12.0 < (times[1] - times[2]) / (times[2] - times[3]) < 20.0
+
+
+def test_hermite_weights_integrate_a_cubic_exactly():
+    # the march's integrals of F on a step, for a random cubic F:
+    # the whole step (_W_FULL), t - 1 inside a past step (0 < r < 1), and
+    # t - 1 inside the step being taken, whose length h exceeds 1
+    rng = np.random.default_rng(24)
+    for _ in range(20):
+        F = Polynomial(rng.normal(size=4))
+        h = rng.uniform(1.05, 6.0)
+        dF = F.deriv()
+        ends = np.array([F(0.0), h * dF(0.0), F(h), h * dF(h)])
+
+        def partials(w):
+            return h * np.dot(w[:4], ends), h * h * np.dot(w[4:], ends)
+
+        def exact(a, b, weight):   # int_a^b weight(u) F(u) du
+            q = (weight * F).integ()
+            return q(b) - q(a)
+
+        one = Polynomial([1.0])
+        # a whole step: int F and int (h - u) F
+        got = partials(np.array(_W_FULL))
+        want = exact(0.0, h, one), exact(0.0, h, Polynomial([h, -1.0]))
+        assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
+        # t - 1 at d = r h inside a past step: int_0^d F, int_0^d (d - u) F
+        d = rng.uniform(0.0, h)
+        got = partials(np.array(_hermite_weights(d / h)))
+        want = exact(0.0, d, one), exact(0.0, d, Polynomial([d, -1.0]))
+        assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
+        # t - 1 at d = h - 1 inside this step: the window int_d^h F, and
+        # the step's share of I, int_0^h min(h - u, 1) F
+        d = h - 1.0
+        got = partials(np.subtract(_W_FULL, _hermite_weights(d / h)))
+        want = (exact(d, h, one),
+                exact(0.0, d, one) + exact(d, h, Polynomial([h, -1.0])))
+        assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
 
 
 def test_float_march_maps_overflow_to_inf():
@@ -208,9 +261,9 @@ def test_float_march_maps_overflow_to_inf():
 def test_blowup_follows_the_ode_rate(p, beta, tol):
     # the march runs to v = 1e40, where T is within 1e-9 of the
     # singularity; the exponent is fitted over the nodes with v in
-    # [1e6, 1e12].  Measured deviations: 1e-9 (p = 2), 1.2e-3 (p = 1.5).
-    # C is not checked: the march's coarse steps near blow-up put the
-    # fitted C 4% (p = 2) and 2% (p = 1.5) below the ODE's.
+    # [1e6, 1e12].  Measured deviations: 1.7e-9 (p = 2), 7.0e-5 (p = 1.5).
+    # C is not checked; the fitted C is 5.7e-5 (p = 2) above and 1.2e-3
+    # (p = 1.5) below the ODE's.
     alpha = 2.0 / (p - 1.0)
     nodes, n, blow = odi_march(1e-2, p, beta, 4.0, 1e4, 1e40)
     assert blow == n - 1
@@ -290,9 +343,10 @@ MARCHES = {
 }
 
 # Relative tolerances against the loop extrapolated from dt = 1/128 and
-# 1/256.  Worst measured: -2.2e-4 on blow-up times (p3_b0_eps1e-1: the
-# march runs about 1e-4 early, and the loop is not yet second order near
-# blow-up at these dt), 1.6e-5 on v at the horizon (p3_b0.9_eps2e-1).
+# 1/256.  Worst measured: -8.5e-5 on blow-up times (p3_b0_eps1e-1, where
+# the loop is not yet second order near blow-up at these dt: the march is
+# within 2.7e-5 of its own converged value), 1.9e-6 on v at the horizon
+# (p3_b0.9_eps2e-1).
 BLOWUP_RTOL = 3e-4
 HORIZON_RTOL = 3e-5
 

@@ -35,20 +35,6 @@ def torus_family(amp=1.0):
     return DataFamily(one, zero, "M0_nonzero", "torus_constant", 1.0)
 
 
-def ode_blowup_time(a, p, rtol=1e-12):
-    """Independent oracle for y'' + y' = y^p, y(0)=a, y'(0)=0."""
-    def rhs(t, y):
-        return [y[1], y[0] ** p - y[1]]
-
-    def blow(t, y):
-        return y[0] - 1e9
-    blow.terminal = True
-    blow.direction = 1.0
-    sol = solve_ivp(rhs, (0.0, 100.0), [a, 0.0], method="DOP853",
-                    rtol=rtol, atol=1e-12, events=blow, dense_output=True)
-    return float(sol.t_events[0][0])
-
-
 # ----------------------------------------------------------------------
 # stepping
 # ----------------------------------------------------------------------
@@ -179,7 +165,7 @@ def test_linear_l2_monotone_after_t1():
 # ----------------------------------------------------------------------
 
 
-def test_torus_lifespan_brackets_ode_oracle():
+def test_torus_lifespan_brackets_ode_oracle(ode_blowup_time):
     fam = torus_family()
     ctrl = SolverControls(check_boundary=False)
     est, trace = solve_lifespan(fam, 2.0, horizon=20.0, ctrl=ctrl)
@@ -188,6 +174,17 @@ def test_torus_lifespan_brackets_ode_oracle():
     assert est.T_low < T_ref < est.T_high
     assert abs(est.T_high - T_ref) / T_ref < 0.01
     assert len(trace.times) >= 1
+
+
+@pytest.mark.parametrize("p", [2.0, 2.5])
+def test_ode_oracle_is_converged(ode_blowup_time, p):
+    # the oracle's blow-up time moves with neither the level where the
+    # tail takes over (the tail is 2.4e-3 of T at level 1e6, p = 2) nor
+    # its tolerance: measured shifts 1.4e-11 (level 1e6) and 4.5e-12
+    # (rtol 1e-10), so its own error is below 1e-9
+    T = ode_blowup_time(1.0, p)
+    for kw in (dict(level=1e6), dict(level=1e12), dict(rtol=1e-10)):
+        assert abs(ode_blowup_time(1.0, p, **kw) - T) <= 1e-9 * T
 
 
 @pytest.mark.parametrize("p", [2.0, 1.5])
@@ -802,7 +799,7 @@ def test_guard_aborts_a_developing_truncation():
     assert est.stats.edge_ratio > SolverControls().boundary_tol
 
 
-def test_forced_accepts_at_dt_min_clamp_the_bracket():
+def test_forced_accepts_at_dt_min_clamp_the_bracket(ode_blowup_time):
     # dt_min 1e-2 and 3e-3 accept steps out of tolerance near blow-up; the
     # bracket does not cover their error, so it is not called extrapolated
     # even where it holds the ODE's blow-up time, as at dt_min 1e-2
