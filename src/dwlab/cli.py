@@ -16,8 +16,10 @@ Commands
                       multiplier duality, semigroup composition)
 
 Configuration is a single INI file with one section per command (a
-[DEFAULT] section applies everywhere); --p, --eps-list, --out and
---workers override the file.  Every report embeds the fully resolved
+[DEFAULT] section applies everywhere) and nine keys: eps_list, class,
+out, p, horizon, half_width, points, workers and beta.  --p, --eps-list,
+--out and --workers override the file.  The verdict thresholds are fixed
+at the acceptance gates' values.  Every report embeds the fully resolved
 configuration.  Output files are deterministic: runs are keyed by input
 index, results are gathered in input order regardless of worker count,
 and no timestamps are written.
@@ -55,13 +57,21 @@ __all__ = ["ConfigError", "ExperimentConfig", "load_config", "main",
 
 COMMANDS = ("decay", "lifespan", "sweep", "odi", "predict",
             "verify-propagators")
-# the commands that build a grid from points/half_width, and those that
-# also march with SolverControls(dt_min=dt_min)
+# the commands that build a grid from points/half_width
 _GRID_COMMANDS = ("decay", "lifespan", "sweep", "verify-propagators")
-_MARCH_COMMANDS = ("lifespan", "sweep")
 
 PASS, FAIL, UNCONVERGED = "pass", "fail", "unconverged"
 _EXIT = {PASS: 0, FAIL: 1, UNCONVERGED: 2}
+
+# the verdict thresholds, each the band of its acceptance gate: decay
+# slopes (criterion 02), the ODI fit's relative slope band and r^2
+# (criterion 04), the sweep's relative slope band (criterion 06) and the
+# borderline Lambert fit's r^2 (criterion 08)
+DECAY_TOL = 0.05
+ODI_RTOL = 0.10
+R2_MIN = 0.98
+SLOPE_RTOL = 0.20
+LAMBERT_R2_MIN = 0.95
 
 
 class ConfigError(ValueError):
@@ -81,15 +91,7 @@ class ExperimentConfig:
     horizon: float = 200.0
     workers: int = 1
     out_dir: str = "lab_out"
-    slope_rtol: float = 0.2
-    decay_tol: float = 0.05
-    odi_rtol: float = 0.1
-    r2_min: float = 0.98
-    lambert_r2_min: float = 0.95
-    constant: float = 1.0
     beta: float = 0.0
-    t0: float = 4.0
-    dt_min: float = 1e-12
 
     def __post_init__(self):
         if self.command not in COMMANDS:
@@ -99,6 +101,8 @@ class ExperimentConfig:
         eps = tuple(float(e) for e in self.eps_list)
         if len(eps) == 0:
             raise ConfigError("eps_list must be non-empty")
+        if not all(math.isfinite(e) for e in eps):
+            raise ConfigError("eps_list entries must be finite")
         if any(e <= 0.0 for e in eps):
             raise ConfigError("eps_list entries must be positive")
         if any(later >= earlier for later, earlier in zip(eps[1:], eps)):
@@ -110,21 +114,15 @@ class ExperimentConfig:
             raise ConfigError("workers must be a positive integer")
         if not self.horizon > 0.0:
             raise ConfigError("horizon must be positive")
-        # the grid and the controls are checked here, before any output
-        # directory is made
-        try:
-            if self.command in _GRID_COMMANDS:
+        # the grid is checked here, before any output directory is made
+        if self.command in _GRID_COMMANDS:
+            try:
                 self.spec()
-            if self.command in _MARCH_COMMANDS:
-                self.controls()
-        except ValueError as exc:   # GridError is one
-            raise ConfigError(str(exc)) from exc
+            except ValueError as exc:   # GridError is one
+                raise ConfigError(str(exc)) from exc
 
     def spec(self) -> GridSpec:
         return GridSpec(self.half_width, self.points)
-
-    def controls(self) -> SolverControls:
-        return SolverControls(dt_min=self.dt_min)
 
 
 _DEFAULTS_BY_COMMAND = {
@@ -140,12 +138,8 @@ _DEFAULTS_BY_COMMAND = {
 }
 
 _FIELD_PARSERS = {
-    "p": float, "horizon": float, "half_width": float, "slope_rtol": float,
-    "decay_tol": float, "odi_rtol": float, "r2_min": float,
-    "lambert_r2_min": float, "constant": float, "beta": float,
-    "t0": float, "dt_min": float,
+    "p": float, "horizon": float, "half_width": float, "beta": float,
     "points": int, "workers": int,
-    "moment_class": str, "out_dir": str,
 }
 
 
@@ -190,8 +184,13 @@ def load_config(command: str, path=None, overrides=None) -> ExperimentConfig:
 
 def _write_json(path, payload) -> None:
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
+
+
+def _finite_or_none(x: float):
+    """x, or None (JSON null) where it is NaN or infinite."""
+    return x if math.isfinite(x) else None
 
 
 def _config_record(cfg: ExperimentConfig) -> dict:
@@ -214,11 +213,10 @@ def _ensure_out(cfg: ExperimentConfig) -> str:
 
 def _lifespan_worker(cfg: ExperimentConfig, eps: float):
     fam = make_data_family(cfg.moment_class, eps, cfg.spec())
-    est, trace = solve_lifespan(fam, cfg.p, horizon=cfg.horizon,
-                                ctrl=cfg.controls())
+    est, trace = solve_lifespan(fam, cfg.p, horizon=cfg.horizon)
     record = {
         "p": cfg.p, "eps": eps, "class": cfg.moment_class,
-        "N": cfg.points, "L": cfg.half_width, "dt_min": cfg.dt_min,
+        "N": cfg.points, "L": cfg.half_width,
         "status": est.status, "T_low": est.T_low, "T_high": est.T_high,
         "steps": len(trace.times),
     }
@@ -288,13 +286,15 @@ def run_sweep(cfg: ExperimentConfig):
     """Lifespan ladder, exponent fit, and verdict.
 
     The fitted slope of T_high against eps is compared with the predicted
-    regime exponent; pass needs agreement within slope_rtol of the target
+    regime exponent; pass needs agreement within SLOPE_RTOL of the target
     and every run to blow up.  At the p = 3/2 borderline for the
     M1-carrying class the predictor is not a pure power, so the
     two-parameter form T = A eps^{-2/3} exp(2 W(B eps^{-1/2}) / 3) is
-    fitted instead and judged by its r^2.  A truncation abort skips the
-    fit and makes the verdict unconverged.  Every path writes one
-    run_NNN.json per eps, sweep.csv, and fit.json with the verdict.
+    fitted instead and judged by its r^2.  Either fit needs at least
+    MIN_POINTS = 3 eps: with fewer the verdict is fail, and the power-law
+    path writes a null slope.  A truncation abort skips the fit and makes
+    the verdict unconverged.  Every path writes one run_NNN.json per eps,
+    sweep.csv, and fit.json with the verdict.
     """
     out = _ensure_out(cfg)
     rows = _run_all_lifespans(cfg, out)
@@ -317,25 +317,25 @@ def run_sweep(cfg: ExperimentConfig):
             for r in rows if r["status"] == TRUNCATION_ABORT)
     elif _is_critical_sweep(cfg):
         A, B, r2 = fit_critical_lifespan(eps, T)
-        ok = all_blown and r2 >= cfg.lambert_r2_min
+        ok = all_blown and r2 >= LAMBERT_R2_MIN
         verdict = PASS if ok else FAIL
         fit_record.update({"model": "A*eps^(-2/3)*exp(2W(B*eps^(-1/2))/3)",
                            "A": A, "B": B, "r2": r2,
-                           "lambert_r2_min": cfg.lambert_r2_min})
+                           "lambert_r2_min": LAMBERT_R2_MIN})
         lines.append(f"lambert fit: A={A:.8g} B={B:.8g} r2={r2:.6f}")
     else:
         target = predicted_exponent(cfg.p, cfg.moment_class)
-        fit = fit_loglog(eps, T, window=(float(np.min(eps)),
-                                         float(np.max(eps))))
-        fit_record.update({"slope": fit.slope, "r2": fit.r_squared,
+        fit = fit_loglog(eps, T)
+        fit_record.update({"slope": _finite_or_none(fit.slope),
+                           "r2": fit.r_squared,
                            "predicted_slope": target,
-                           "slope_rtol": cfg.slope_rtol})
+                           "slope_rtol": SLOPE_RTOL})
         if target is None:
             verdict = UNCONVERGED
             reason = "no pure-power prediction for this regime"
         else:
             ok = (all_blown and math.isfinite(fit.slope)
-                  and abs(fit.slope - target) <= cfg.slope_rtol * abs(target))
+                  and abs(fit.slope - target) <= SLOPE_RTOL * abs(target))
             verdict = PASS if ok else FAIL
             lines.append(f"fit: slope={fit.slope:.6f} target={target:.6f} "
                          f"r2={fit.r_squared:.6f}")
@@ -362,24 +362,23 @@ def run_decay(cfg: ExperimentConfig):
         raise ConfigError(f"decay horizon must be finite, got {cfg.horizon}")
     out = _ensure_out(cfg)
     spec = cfg.spec()
-    window = (cfg.horizon / 100.0, cfg.horizon)
-    times = np.geomspace(window[0], window[1], 12)
+    times = np.geomspace(cfg.horizon / 100.0, cfg.horizon, 12)
     targets = HEAT_EXPANSION_SLOPES(cfg.p)
     rows, lines = [], []
     ok, converged = True, True
     for k, kind in enumerate(("M0_nonzero", "M0_zero_M1_nonzero",
                               "M0_M1_zero")):
         f = gaussian_derivative(k, spec)
-        rep = decay_scan(f, cfg.p, times, window=window)
-        res = residual_scan(f, cfg.p, times, window=window)
+        rep = decay_scan(f, cfg.p, times)
+        res = residual_scan(f, cfg.p, times)
         row = {"family": kind, "norm_p": cfg.p,
-               "slope": rep.fit.slope, "target": targets[k],
+               "slope": _finite_or_none(rep.fit.slope), "target": targets[k],
                "r2": rep.fit.r_squared, "accepted": rep.fit.accepted,
-               "residual_slope": res.fit.slope,
+               "residual_slope": _finite_or_none(res.fit.slope),
                "residual_r2": res.fit.r_squared}
         rows.append(row)
         rep.to_csv(os.path.join(out, f"decay_{kind}.csv"))
-        hit = abs(rep.fit.slope - targets[k]) <= cfg.decay_tol
+        hit = abs(rep.fit.slope - targets[k]) <= DECAY_TOL
         ok &= hit
         converged &= rep.fit.accepted
         lines.append(
@@ -390,7 +389,7 @@ def run_decay(cfg: ExperimentConfig):
                                                else UNCONVERGED)
     _write_json(os.path.join(out, "decay.json"),
                 {"rows": rows, "verdict": verdict,
-                 "decay_tol": cfg.decay_tol,
+                 "decay_tol": DECAY_TOL,
                  "config": _config_record(cfg)})
     lines.append(f"verdict: {verdict}")
     return verdict, lines
@@ -409,8 +408,8 @@ def run_odi(cfg: ExperimentConfig):
     odi_fit.json names the censored eps instead of a fit, and the verdict
     is unconverged.
     """
-    base = OdiConfig(p=cfg.p, beta=cfg.beta, t0=cfg.t0,
-                     eps=cfg.eps_list[0], horizon=cfg.horizon)
+    base = OdiConfig(p=cfg.p, beta=cfg.beta, eps=cfg.eps_list[0],
+                     horizon=cfg.horizon)
     traces, fit = odi_scaling_fit(base, cfg.eps_list)
     out = _ensure_out(cfg)
     marched = list(zip(cfg.eps_list, traces))
@@ -432,8 +431,8 @@ def run_odi(cfg: ExperimentConfig):
         target = odi_target_slope(cfg.p, cfg.beta)
         record.update({"slope": fit.slope, "target_slope": target,
                        "r2": fit.r_squared})
-        ok = (abs(fit.slope - target) <= cfg.odi_rtol * abs(target)
-              and fit.r_squared >= cfg.r2_min)
+        ok = (abs(fit.slope - target) <= ODI_RTOL * abs(target)
+              and fit.r_squared >= R2_MIN)
         verdict = PASS if ok else FAIL
         lines.append(f"fit: slope={fit.slope:.6f} target={target:.6f} "
                      f"r2={fit.r_squared:.6f}")
@@ -448,22 +447,24 @@ def run_odi(cfg: ExperimentConfig):
 
 
 def run_predict(cfg: ExperimentConfig):
-    """Closed-form lifespan table across moment classes and eps."""
+    """Closed-form lifespan table across moment classes and eps.  A law
+    past the float range prints inf and is written as null."""
     out = _ensure_out(cfg)
     rows, lines = [], []
-    lines.append(f"p={cfg.p:g} constant={cfg.constant:g}")
+    lines.append(f"p={cfg.p:g}")
     lines.append(f"{'eps':>10} {'class':>22} {'regime':>16} "
                  f"{'T_pred':>14} {'T_threshold':>14}")
     for e in cfg.eps_list:
         try:
-            thresh = tilde_T2p(cfg.p, e, C=cfg.constant)
+            thresh = tilde_T2p(cfg.p, e)
             thresh_txt = f"{thresh:.6g}"
         except HorizonError:
             thresh, thresh_txt = None, "-"
         for klass in MOMENT_CLASSES:
-            pred = predict_lifespan(cfg.p, e, klass, c=cfg.constant)
+            pred = predict_lifespan(cfg.p, e, klass)
             rows.append({"eps": e, "class": klass, "regime": pred.regime,
-                         "T_pred": pred.value, "T_threshold": thresh})
+                         "T_pred": _finite_or_none(pred.value),
+                         "T_threshold": thresh})
             lines.append(f"{e:>10.4g} {klass:>22} {pred.regime:>16} "
                          f"{pred.value:>14.6g} {thresh_txt:>14}")
     _write_json(os.path.join(out, "predict.json"),
@@ -494,18 +495,18 @@ def run_verify_propagators(cfg: ExperimentConfig):
     mass0 = moment(f, 0)
     rows = []
     for t in (1.0, 5.0, 20.0):
-        got = moment(apply_S(t, f, check_boundary=False), 0)
+        got = moment(apply_S(t, f), 0)
         want = (1.0 - math.exp(-t)) * mass0
         rows.append(_row("mass_anchor_S", t, abs(got - want) / abs(mass0),
                          1e-8))
-        got_d = moment(apply_dtS(t, f, check_boundary=False), 0)
+        got_d = moment(apply_dtS(t, f), 0)
         want_d = math.exp(-t) * mass0
         rows.append(_row("mass_anchor_dtS", t,
                          abs(got_d - want_d) / abs(mass0), 1e-8))
     for t in (1.0, 5.0, 100.0):
         try:
             direct = apply_S_kernel(t, f)
-            mult = apply_S(t, f, check_boundary=False)
+            mult = apply_S(t, f)
             rows.append(_row("kernel_duality", t,
                              lp_norm(direct - mult, 2) / lp_norm(mult, 2),
                              1e-6))

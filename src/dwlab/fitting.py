@@ -11,44 +11,41 @@ from .special import lambert_w0
 __all__ = ["ExponentFit", "fit_loglog", "fit_critical_lifespan"]
 
 R2_ACCEPT = 0.98
+# fewer samples than this leave a fit nothing to test: a line goes
+# through any two points, and the two-parameter critical form too
+MIN_POINTS = 3
 
 
 @dataclass(frozen=True)
 class ExponentFit:
-    """Least-squares power law y = exp(intercept) * x^slope over a window."""
+    """Least-squares power law y = exp(intercept) * x^slope."""
 
     slope: float
     intercept: float
     r_squared: float
-    window: tuple
     accepted: bool
 
 
-def fit_loglog(x, y, window=None) -> ExponentFit:
-    """Fit log y against log x by least squares.
+def fit_loglog(x, y) -> ExponentFit:
+    """Fit log y against log x by least squares over every sample.
 
-    Non-positive samples are dropped.  window = (lo, hi) restricts the fit to
-    lo <= x <= hi; by default the largest decade [max(x)/10, max(x)] is used.
-    The fit is flagged unaccepted when r^2 < R2_ACCEPT or fewer than 3
-    points survive the masking.
+    Non-positive and non-finite samples are dropped; a caller fits a
+    sub-range by slicing its data.  The fit is flagged unaccepted when
+    r^2 < R2_ACCEPT or fewer than MIN_POINTS samples survive the masking,
+    and then slope and intercept are NaN.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     mask = (x > 0) & (y > 0) & np.isfinite(x) & np.isfinite(y)
-    if window is None:
-        hi = np.max(x[mask]) if np.any(mask) else 1.0
-        window = (hi / 10.0, hi)
-    lo, hi = float(window[0]), float(window[1])
-    mask &= (x >= lo) & (x <= hi)
     xm, ym = np.log(x[mask]), np.log(y[mask])
-    if len(xm) < 3:
-        return ExponentFit(math.nan, math.nan, 0.0, (lo, hi), False)
+    if len(xm) < MIN_POINTS:
+        return ExponentFit(math.nan, math.nan, 0.0, False)
     slope, intercept = np.polyfit(xm, ym, 1)
     resid = ym - (slope * xm + intercept)
     ss_res = float(np.sum(resid ** 2))
     ss_tot = float(np.sum((ym - np.mean(ym)) ** 2))
     r2 = 0.0 if ss_tot <= 1e-300 else max(0.0, 1.0 - ss_res / ss_tot)
-    return ExponentFit(float(slope), float(intercept), min(r2, 1.0), (lo, hi),
+    return ExponentFit(float(slope), float(intercept), min(r2, 1.0),
                        bool(r2 >= R2_ACCEPT))
 
 
@@ -76,7 +73,8 @@ def fit_critical_lifespan(eps, T):
 
     B is found by a golden-section search in log B on [-15, 15] (A is
     closed-form at fixed B, the model being linear in log A).  Returns
-    (A, B, r_squared).
+    (A, B, r_squared); r_squared is 0 below MIN_POINTS samples, which the
+    form fits whatever they are.
 
     On criterion 08's ladder (p = 3/2, eps 0.5 ... 0.05, L = 64, N = 2048)
     the squared error grows with B, so B lands at e^-15, the lower end of
@@ -98,6 +96,8 @@ def fit_critical_lifespan(eps, T):
     B = math.exp(logB)
     w = (2.0 / 3.0) * lambert_w0(B * x)
     A = math.exp(float(np.mean(y - w)))
+    if len(T) < MIN_POINTS:
+        return A, B, 0.0
     # score the fit on log T itself, not on the detrended variable y,
     # so that a near-power-law data set is not penalized for its trend
     logT = np.log(T)

@@ -53,8 +53,9 @@ class OdiConfig:
             raise ValueError(f"beta must lie in [0, 1), got {self.beta}")
         if not self.t0 >= 4.0:
             raise ValueError(f"t0 must be >= 4, got {self.t0}")
-        if not self.eps >= 0.0:
-            raise ValueError("eps must be non-negative")
+        if not (self.eps >= 0.0 and math.isfinite(self.eps)):
+            raise ValueError(f"eps must be finite and non-negative, "
+                             f"got {self.eps}")
         if not self.horizon > self.t0:
             raise ValueError("horizon must exceed t0")
         if not math.isfinite(self.horizon):
@@ -139,8 +140,7 @@ def odi_scaling_fit(cfg_base: OdiConfig, eps_list):
     """March each eps in order, then fit blow-up time against eps.
 
     Returns (traces, fit): the traces of the eps that blew up, in list
-    order, and the log-log fit of their blow-up times over the full eps
-    range.  The march stops at the first eps that survives to
+    order, and the log-log fit of their blow-up times over every eps.  The march stops at the first eps that survives to
     cfg_base.horizon, since its time is censored; fit is then None and
     traces holds the eps before it.
     Compare the slope with odi_target_slope(cfg_base.p, cfg_base.beta).
@@ -148,14 +148,13 @@ def odi_scaling_fit(cfg_base: OdiConfig, eps_list):
     eps_arr = np.asarray(eps_list, dtype=float)
     if eps_arr.ndim != 1 or len(eps_arr) < 3:
         raise ValueError("need at least 3 eps values")
-    if np.any(eps_arr <= 0.0):
-        raise ValueError("eps values must be positive")
+    if not np.all((eps_arr > 0.0) & np.isfinite(eps_arr)):
+        raise ValueError("eps values must be positive and finite")
     traces = []
     for e in eps_arr:
         trace = simulate_odi(replace(cfg_base, eps=float(e)))
         if not trace.blown_up:
             return traces, None
         traces.append(trace)
-    window = (float(np.min(eps_arr)), float(np.max(eps_arr)))
     times = [tr.blowup_time for tr in traces]
-    return traces, fit_loglog(eps_arr, times, window=window)
+    return traces, fit_loglog(eps_arr, times)

@@ -165,17 +165,16 @@ def _apply_multiplier(f: GridFunction, mult: np.ndarray) -> GridFunction:
     return GridFunction(f.spec, out)
 
 
-def apply_S(t: float, f: GridFunction, check_boundary: bool = True) -> GridFunction:
-    """S(t) f via the Fourier multiplier."""
-    if check_boundary:
-        _check_boundary(f)
+def apply_S(t: float, f: GridFunction) -> GridFunction:
+    """S(t) f via the Fourier multiplier; f must vanish at the boundary."""
+    _check_boundary(f)
     return _apply_multiplier(f, damped_symbol(t, f.spec).sigma)
 
 
-def apply_dtS(t: float, f: GridFunction, check_boundary: bool = True) -> GridFunction:
-    """dS/dt (t) f via the Fourier multiplier; equals f at t = 0."""
-    if check_boundary:
-        _check_boundary(f)
+def apply_dtS(t: float, f: GridFunction) -> GridFunction:
+    """dS/dt (t) f via the Fourier multiplier; equals f at t = 0.  f must
+    vanish at the boundary."""
+    _check_boundary(f)
     return _apply_multiplier(f, damped_symbol(t, f.spec).sigma_t)
 
 
@@ -326,8 +325,9 @@ def _scan_norm(g: np.ndarray, spec: GridSpec, p: float) -> float:
     return lp_norm(GridFunction(spec, np.fft.irfft(g, n=spec.points)), p)
 
 
-def decay_scan(f: GridFunction, p: float, times, window=None) -> DecayReport:
-    """||S(t) f||_{L^p} over the given times with a log-log fit.
+def decay_scan(f: GridFunction, p: float, times) -> DecayReport:
+    """||S(t) f||_{L^p} over the given times with a log-log fit over all
+    of them.
 
     One rfft(f) per scan; each norm comes from the spectrum rfft(f)*sigma(t),
     by Parseval at p = 2 and through one irfft per time otherwise.
@@ -335,12 +335,13 @@ def decay_scan(f: GridFunction, p: float, times, window=None) -> DecayReport:
     times = np.asarray(times, dtype=float)
     fh, sigmas = _scan_terms(f, times)
     norms = np.array([_scan_norm(fh * sig, f.spec, p) for sig in sigmas])
-    return DecayReport(times, norms, fit_loglog(times, norms, window))
+    return DecayReport(times, norms, fit_loglog(times, norms))
 
 
-def residual_scan(f: GridFunction, p: float, times, window=None) -> DecayReport:
+def residual_scan(f: GridFunction, p: float, times) -> DecayReport:
     """Decay of S(t)f minus its parabolic approximation,
-    ||S(t)f - e^{t Lap} f||_{L^p}, e^{t Lap} by the multiplier e^{-t xi^2}.
+    ||S(t)f - e^{t Lap} f||_{L^p}, e^{t Lap} by the multiplier e^{-t xi^2},
+    fitted as in decay_scan.
 
     The gap is one multiplier, sigma(t) - e^{-t xi^2}, applied to rfft(f)
     (see _scan_gaps); its norm is taken as in decay_scan.
@@ -353,4 +354,4 @@ def residual_scan(f: GridFunction, p: float, times, window=None) -> DecayReport:
         g[:k] = fh[:k] * head
         norms.append(_scan_norm(g, f.spec, p))
     norms = np.array(norms)
-    return DecayReport(times, norms, fit_loglog(times, norms, window))
+    return DecayReport(times, norms, fit_loglog(times, norms))

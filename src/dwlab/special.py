@@ -146,25 +146,31 @@ class LifespanPrediction:
 
 
 def _t1p(eta: float, p: float) -> float:
-    """T_{1,p}(eta): eta^{-2(p-1)/(3-p)} for p < 3, exp(eta^{-2}) at p = 3."""
-    if abs(p - 3.0) < 1e-12:
-        return math.exp(eta ** (-2.0))
-    return eta ** (-2.0 * (p - 1.0) / (3.0 - p))
+    """T_{1,p}(eta): eta^{-2(p-1)/(3-p)} for p < 3, exp(eta^{-2}) at p = 3;
+    math.inf where that passes the float range (at p = 3 already for
+    eta = 1e-3, and near p = 3 for a larger eta)."""
+    try:
+        if abs(p - 3.0) < 1e-12:
+            return math.exp(eta ** (-2.0))
+        return eta ** (-2.0 * (p - 1.0) / (3.0 - p))
+    except (OverflowError, ZeroDivisionError):  # the latter: eta == 0.0
+        return math.inf
 
 
 def _is_critical(p: float) -> bool:
     return abs(p - 1.5) < 1e-12
 
 
-def predict_lifespan(p: float, eps: float, moment_class: str,
-                     c: float = 1.0) -> LifespanPrediction:
+def predict_lifespan(p: float, eps: float,
+                     moment_class: str) -> LifespanPrediction:
     """Predicted lifespan for small data of size eps in the given moment class.
 
     With M0 = 0 the three regimes are: p < 3/2 and M1 != 0 gives
-    c * eps^{-(p-1)/(2-p)}; p = 3/2 and M1 != 0 gives
-    c * eps^{-2/3} * exp(2 W(c eps^{-1/2}) / 3); otherwise T_{1,p}(c eps^p).
-    Data with M0 != 0 follows the classical law T_p(c eps) instead
-    (same exponent family applied to eps rather than eps^p).
+    eps^{-(p-1)/(2-p)}; p = 3/2 and M1 != 0 gives
+    eps^{-2/3} * exp(2 W(eps^{-1/2}) / 3); otherwise T_{1,p}(eps^p).
+    Data with M0 != 0 follows the classical law T_p(eps) instead
+    (same exponent family applied to eps rather than eps^p).  A law past
+    the float range is math.inf.
     """
     p = float(p)
     eps = float(eps)
@@ -172,21 +178,20 @@ def predict_lifespan(p: float, eps: float, moment_class: str,
         raise ValueError(f"p must lie in (1, 3], got {p}")
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    c = float(c)
 
     if moment_class == M0_NONZERO:
-        return LifespanPrediction(GENERIC, _t1p(c * eps, p))
+        return LifespanPrediction(GENERIC, _t1p(eps, p))
     if moment_class == M0_M1_ZERO:
-        return LifespanPrediction(GENERIC, _t1p(c * eps ** p, p))
+        return LifespanPrediction(GENERIC, _t1p(eps ** p, p))
     if moment_class != M0_ZERO_M1_NONZERO:
         raise ValueError(f"unknown moment class {moment_class!r}")
 
     if _is_critical(p):
-        val = c * eps ** (-2.0 / 3.0) * math.exp(2.0 * lambert_w0(c / math.sqrt(eps)) / 3.0)
+        val = eps ** (-2.0 / 3.0) * math.exp(2.0 * lambert_w0(1.0 / math.sqrt(eps)) / 3.0)
         return LifespanPrediction(CRITICAL_M1, val)
     if p < 1.5:
-        return LifespanPrediction(SUBCRITICAL_M1, c * eps ** (-(p - 1.0) / (2.0 - p)))
-    return LifespanPrediction(GENERIC, _t1p(c * eps ** p, p))
+        return LifespanPrediction(SUBCRITICAL_M1, eps ** (-(p - 1.0) / (2.0 - p)))
+    return LifespanPrediction(GENERIC, _t1p(eps ** p, p))
 
 
 def predicted_exponent(p: float, moment_class: str):
@@ -220,23 +225,27 @@ def _tilde_lhs(T: float, p: float) -> float:
     return math.sqrt(T + 1.0) * integral
 
 
-def tilde_T2p(p: float, eps: float, C: float = 1.0) -> float:
-    """Root T > 1 of (T+1)^{1/2} int_0^T (1+t)^{-(2p-1)/2} dt = C eps^{-(p-1)}.
+def tilde_T2p(p: float, eps: float) -> float:
+    """Root T > 1 of (T+1)^{1/2} int_0^T (1+t)^{-(2p-1)/2} dt = eps^{-(p-1)}.
 
     Bracketed bisection on the monotone left-hand side; raises HorizonError
-    when the root falls at or below T = 1 (eps too large for the regime).
+    when the root falls at or below T = 1 (eps too large for the regime)
+    or above 1e30.  A constant C on the right-hand side is the same
+    equation at eps C^{-1/(p-1)}.
     """
     p = float(p)
     eps = float(eps)
-    C = float(C)
     if not (1.0 < p <= 3.0):
         raise ValueError(f"p must lie in (1, 3], got {p}")
-    if eps <= 0.0 or C <= 0.0:
-        raise ValueError("eps and C must be positive")
-    rhs = C * eps ** (-(p - 1.0))
+    if eps <= 0.0:
+        raise ValueError("eps must be positive")
+    try:
+        rhs = eps ** (-(p - 1.0))
+    except OverflowError:   # past the float range: no root below 1e30
+        rhs = math.inf
     if _tilde_lhs(1.0, p) >= rhs:
         raise HorizonError(
-            f"threshold equation has no root above T = 1 for p={p}, eps={eps}, C={C}")
+            f"threshold equation has no root above T = 1 for p={p}, eps={eps}")
     lo, hi = 1.0, 2.0
     while _tilde_lhs(hi, p) < rhs:
         hi *= 4.0
@@ -251,17 +260,17 @@ def tilde_T2p(p: float, eps: float, C: float = 1.0) -> float:
     return 0.5 * (lo + hi)
 
 
-def tilde_T2p_closed_form(p: float, eps: float, C: float = 1.0) -> float:
+def tilde_T2p_closed_form(p: float, eps: float) -> float:
     """Leading-order closed forms for the threshold root.
 
-    p > 3/2: C eps^{-2(p-1)}; p < 3/2: C eps^{-(p-1)/(2-p)}.  At p = 3/2 the
-    defining equation sqrt(T+1) log(T+1) = C eps^{-1/2} is solved exactly by
-    T + 1 = exp(2 W(C eps^{-1/2} / 2)); the factor 2 inside W is required for
-    the root to match (it is usually absorbed into the free constant).
+    p > 3/2: eps^{-2(p-1)}; p < 3/2: eps^{-(p-1)/(2-p)}.  At p = 3/2 the
+    defining equation sqrt(T+1) log(T+1) = eps^{-1/2} is solved exactly by
+    T + 1 = exp(2 W(eps^{-1/2} / 2)); the factor 2 inside W is required for
+    the root to match (it is usually absorbed into a free constant).
     """
     p = float(p)
     if _is_critical(p):
-        return math.exp(2.0 * lambert_w0(0.5 * C * eps ** -0.5)) - 1.0
+        return math.exp(2.0 * lambert_w0(0.5 * eps ** -0.5)) - 1.0
     if p > 1.5:
-        return C * eps ** (-2.0 * (p - 1.0))
-    return C * eps ** (-(p - 1.0) / (2.0 - p))
+        return eps ** (-2.0 * (p - 1.0))
+    return eps ** (-(p - 1.0) / (2.0 - p))

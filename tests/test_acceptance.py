@@ -72,7 +72,7 @@ def test_criterion_01_propagator_anchors():
     anchor = 0.0
     for t in (1.0, 5.0, 20.0):
         want = 1.0 - math.exp(-t)
-        got = moment(apply_S(t, g, check_boundary=False), 0)
+        got = moment(apply_S(t, g), 0)
         anchor = max(anchor, abs(got - want * mass0) / abs(mass0))
         _, w = kernel_quadrature(t, spec.h)
         anchor = max(anchor, abs(float(np.sum(w)) - want))
@@ -82,7 +82,7 @@ def test_criterion_01_propagator_anchors():
         scale = float(np.max(np.abs(f.values)))
         for t in (1.0, 5.0, 20.0):
             gap = np.max(np.abs(apply_S_kernel(t, f).values
-                                - apply_S(t, f, check_boundary=False).values))
+                                - apply_S(t, f).values))
             duality = max(duality, float(gap) / scale)
     ok = anchor <= 1e-8 and duality <= 1e-6
     report(1, "propagator anchors and kernel duality", ok,
@@ -93,13 +93,11 @@ def test_criterion_01_propagator_anchors():
 
 def test_criterion_02_linear_decay_slopes():
     spec = GridSpec(2000.0, 32768)
-    window = (1e2, 1e4)
-    times = np.geomspace(*window, 12)
+    times = np.geomspace(1e2, 1e4, 12)
     targets = (-0.25, -0.75, -1.25)
     devs = []
     for j in range(3):
-        rep = decay_scan(gaussian_derivative(j, spec), 2.0, times,
-                         window=window)
+        rep = decay_scan(gaussian_derivative(j, spec), 2.0, times)
         devs.append(abs(rep.fit.slope - targets[j]))
     ok = max(devs) <= 0.05
     report(2, "L2 decay slopes -1/4,-3/4,-5/4", ok,
@@ -109,10 +107,8 @@ def test_criterion_02_linear_decay_slopes():
 
 def test_criterion_03_heat_residual_slope():
     spec = GridSpec(2000.0, 32768)
-    window = (1e2, 1e4)
-    times = np.geomspace(*window, 12)
-    rep = residual_scan(gaussian_derivative(0, spec), 2.0, times,
-                        window=window)
+    times = np.geomspace(1e2, 1e4, 12)
+    rep = residual_scan(gaussian_derivative(0, spec), 2.0, times)
     dev = abs(rep.fit.slope - (-1.25))
     ok = dev <= 0.1
     report(3, "heat-approximation residual slope -5/4", ok,
@@ -160,8 +156,7 @@ def test_criterion_05_threshold_root_finder():
 def test_criterion_06_lifespan_scaling_below_borderline(
         p125_small_eps_ladder):
     eps, ladder = p125_small_eps_ladder
-    fit = fit_loglog(eps, ladder, window=(float(eps.min()),
-                                          float(eps.max())))
+    fit = fit_loglog(eps, ladder)
     ctrl = SolverControls(dt_init=0.01, dt_max=0.125)
     T_fine = solve_T("M0_zero_M1_nonzero", eps[0], 1.25,
                      GridSpec(128.0, 8192), horizon=300.0, ctrl=ctrl)

@@ -8,11 +8,23 @@ import pytest
 
 import dwlab.cli
 import dwlab.odi
-from dwlab.cli import (ConfigError, ExperimentConfig, _config_record,
-                       load_config, main, run_predict)
+from dwlab.cli import (COMMANDS, ConfigError, ExperimentConfig,
+                       _config_record, load_config, main, run_predict)
 from dwlab.odi import OdiConfig, simulate_odi
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+
+# the fields every command's `config` record holds, no more
+CONFIG_FIELDS = {"command", "p", "moment_class", "eps_list", "points",
+                 "half_width", "horizon", "beta"}
+
+
+def _strict_json(path):
+    """Parse a JSON file, refusing NaN and Infinity, which JSON lacks."""
+    def refuse(name):
+        raise ValueError(f"{path}: non-JSON constant {name}")
+    with open(path) as fh:
+        return json.load(fh, parse_constant=refuse)
 
 
 def _modules_loaded_by_cli_import(*names):
@@ -109,6 +121,52 @@ def test_embedded_record_drops_execution_details():
     rec = _config_record(load_config("predict"))
     assert "workers" not in rec and "out_dir" not in rec
     assert rec["command"] == "predict"
+    for command in COMMANDS:
+        assert set(_config_record(load_config(command))) == CONFIG_FIELDS
+
+
+def test_verdict_thresholds_are_the_gates():
+    # criteria 02, 04 (band and r^2), 06 and 08; no config key moves them
+    cli = dwlab.cli
+    assert (cli.DECAY_TOL, cli.ODI_RTOL, cli.R2_MIN, cli.SLOPE_RTOL,
+            cli.LAMBERT_R2_MIN) == (0.05, 0.10, 0.98, 0.20, 0.95)
+
+
+# key -> a command that read it and the value it used to default to
+_REMOVED_KEYS = {
+    "slope_rtol": ("sweep", "0.2"), "decay_tol": ("decay", "0.05"),
+    "odi_rtol": ("odi", "0.1"), "r2_min": ("odi", "0.98"),
+    "lambert_r2_min": ("sweep", "0.95"), "constant": ("predict", "1"),
+    "t0": ("odi", "4"), "dt_min": ("lifespan", "1e-12"),
+    "moment_class": ("lifespan", "M0_nonzero"), "out_dir": ("predict", "x"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_REMOVED_KEYS))
+def test_removed_settings_are_unknown_config_keys(tmp_path, capsys, key):
+    # the verdict thresholds are the gates', the laws carry no constant,
+    # the ODI and the march use their own defaults, and the INI spells
+    # the class and the output directory `class` and `out`
+    command, value = _REMOVED_KEYS[key]
+    ini = tmp_path / "lab.ini"
+    ini.write_text(f"[{command}]\n{key} = {value}\n")
+    out = tmp_path / "o"
+    assert main([command, "--config", str(ini), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: unknown config key '{key}'")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+@pytest.mark.parametrize("command", COMMANDS)
+def test_non_finite_eps_is_refused_before_the_output_directory(
+        tmp_path, capsys, command, bad):
+    out = tmp_path / "o"
+    code = main([command, "--eps-list", f"{bad},0.4,0.1", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        "error: eps_list entries must be finite")
+    assert not out.exists()
 
 
 # ----------------------------------------------------------------------
@@ -131,7 +189,9 @@ def test_predict_known_values(tmp_path, capsys):
     # borderline exponent: the log-corrected closed form at eps = 0.01
     code = main(["predict", "--out", str(tmp_path / "a")])
     assert code == 0
-    assert "68.9" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert out.splitlines()[0] == "p=1.5"
+    assert "68.9" in out
     # plain power regime below the borderline
     code = main(["predict", "--p", "1.2", "--eps-list", "0.01",
                  "--out", str(tmp_path / "b")])
@@ -139,6 +199,21 @@ def test_predict_known_values(tmp_path, capsys):
     payload = json.loads((tmp_path / "b" / "predict.json").read_text())
     row = [r for r in payload["rows"] if r["class"] == "M0_zero_M1_nonzero"]
     assert row[0]["T_pred"] == pytest.approx(0.01 ** (-0.25), rel=1e-12)
+
+
+def test_predict_at_p3_writes_laws_past_the_float_range_as_null(tmp_path,
+                                                                capsys):
+    # exp(eta^-2) overflows for M0_M1_zero at eps 0.1 (eta 1e-3)
+    out = tmp_path / "o"
+    assert main(["predict", "--p", "3", "--out", str(out)]) == 0
+    rows = _strict_json(out / "predict.json")["rows"]
+    assert len(rows) == 9
+    row = [r for r in rows if (r["eps"], r["class"]) == (0.1, "M0_M1_zero")]
+    assert row[0]["T_pred"] is None
+    assert rows[0]["T_pred"] == pytest.approx(np.exp(4.0), rel=1e-12)
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.split()[:2] == ["0.1", "M0_M1_zero"]
+               and line.split()[3] == "inf" for line in lines)
 
 
 def test_verify_propagators_passes(tmp_path, capsys):
@@ -178,6 +253,20 @@ def test_decay_infinite_horizon_is_a_config_error(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err.startswith("error:")
     assert not out.exists()
+
+
+def test_decay_past_the_damping_writes_null_slopes(tmp_path):
+    # at horizon 1e300 e^{-t/2} underflows and S(t) keeps only the mean:
+    # g' has none, and S(t) f - e^{t Lap} f vanishes for every family, so
+    # those fits have no samples left and their slopes are written as null
+    ini = tmp_path / "lab.ini"
+    ini.write_text("[decay]\nhorizon = 1e300\n")
+    out = tmp_path / "o"
+    assert main(["decay", "--config", str(ini), "--out", str(out)]) == 2
+    rows = _strict_json(out / "decay.json")["rows"]
+    assert rows[1]["slope"] is None
+    assert all(r["residual_slope"] is None and not r["accepted"]
+               for r in rows)
 
 
 def test_odi_report_schema(tmp_path, capsys, monkeypatch):
@@ -287,11 +376,9 @@ def test_odi_dt_is_an_unknown_config_key(tmp_path, capsys):
 def test_invalid_grid_is_refused_before_the_output_directory(tmp_path,
                                                                capsys,
                                                                command):
-    # the grid and the march's controls are built while the config
-    # resolves: a bad one exits 2 with no directory left behind
+    # the grid is built while the config resolves: a bad one exits 2
+    # with no directory left behind
     bad = ["points = 1000", "half_width = -3"]
-    if command in ("lifespan", "sweep"):
-        bad.append("dt_min = 0")
     for i, line in enumerate(bad):
         ini = tmp_path / f"bad{i}.ini"
         ini.write_text(f"[{command}]\n{line}\n")
@@ -324,7 +411,8 @@ def test_lifespan_records(tmp_path, capsys):
                  "--out", str(tmp_path / "o")])
     assert code == 0
     rec = json.loads((tmp_path / "o" / "run_000.json").read_text())
-    for key in ("p", "eps", "class", "N", "L", "dt_min", "status",
+    assert "dt_min" not in rec   # the march's own default, not a setting
+    for key in ("p", "eps", "class", "N", "L", "status",
                 "T_low", "T_high", "steps", "attempts", "rejected_tol",
                 "rejected_growth", "rejected_nonfinite", "forced_accepts",
                 "regrids", "nl_rows", "accepted_dt_min", "accepted_dt_max",
@@ -405,6 +493,46 @@ def test_sweep_outputs_match_across_worker_counts(tmp_path):
     assert csv[0] == "eps,T_low,T_high,status"
     assert len(csv) == 4
     assert all(line.endswith("blown_up") for line in csv[1:])
+
+
+def test_borderline_sweep_needs_three_eps(tmp_path, capsys):
+    # a two-parameter form fits one lifespan exactly, so its r^2 says
+    # nothing: below three eps the verdict is fail
+    out = tmp_path / "o"
+    assert main(["sweep", "--p", "1.5", "--eps-list", "0.5",
+                 "--out", str(out)]) == 1
+    fit = _strict_json(out / "fit.json")
+    assert (fit["r2"], fit["verdict"]) == (0.0, "fail")
+    assert capsys.readouterr().out.splitlines()[-1] == "verdict: fail"
+
+
+def test_power_law_sweep_on_two_eps_writes_a_null_slope(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["sweep", "--eps-list", "0.4,0.2", "--out", str(out)]) == 1
+    fit = _strict_json(out / "fit.json")
+    assert (fit["slope"], fit["r2"], fit["verdict"]) == (None, 0.0, "fail")
+    assert capsys.readouterr().out.splitlines()[-1] == "verdict: fail"
+
+
+# the documented exit code of each command at its built-in defaults: the
+# default sweep fits the preasymptotic eps window [0.1, 0.4] and fails
+_DEFAULT_EXIT = {"decay": 0, "lifespan": 0, "sweep": 1, "odi": 0,
+                 "predict": 0, "verify-propagators": 0}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_command_runs_at_its_defaults(tmp_path, capsys, command):
+    out = tmp_path / "o"
+    assert main([command, "--out", str(out)]) == _DEFAULT_EXIT[command]
+    assert capsys.readouterr().err == ""
+    names = sorted(os.listdir(out))
+    assert any(name.endswith(".json") for name in names)
+    for name in names:
+        if name.endswith(".json"):
+            rec = _strict_json(out / name)
+            if "config" in rec:
+                assert set(rec["config"]) == CONFIG_FIELDS
+                assert rec["config"]["command"] == command
 
 
 def test_main_reports_config_errors(tmp_path, capsys):

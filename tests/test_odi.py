@@ -30,6 +30,8 @@ def test_config_validation():
                 dict(p=2.0, beta=-0.1),
                 dict(p=2.0, beta=0.0, t0=3.9),
                 dict(p=2.0, beta=0.0, eps=-1e-3),
+                dict(p=2.0, beta=0.0, eps=math.inf),
+                dict(p=2.0, beta=0.0, eps=math.nan),
                 dict(p=2.0, beta=0.0, horizon=4.0),
                 dict(p=2.0, beta=0.0, horizon=math.inf),
                 dict(p=2.0, beta=0.0, horizon=math.nan)):
@@ -120,6 +122,9 @@ def test_scaling_fit_input_checks():
         odi_scaling_fit(cfg, [1e-3, 1e-2])
     with pytest.raises(ValueError):
         odi_scaling_fit(cfg, [1e-3, -1e-3, 1e-2])
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            odi_scaling_fit(cfg, [1e-2, bad, 1e-3])
     # a censored eps stops the march there: no fit, and only the traces
     # of the eps before it
     censored = OdiConfig(p=2.0, beta=0.0, eps=1e-6, horizon=10.0)
@@ -145,7 +150,7 @@ def test_default_ladder_step_count():
     # steps (8 marches of 163-170); a step-control regression that makes
     # the march much slower fails here without timing anything
     cfg = load_config("odi")
-    base = OdiConfig(p=cfg.p, beta=cfg.beta, t0=cfg.t0, horizon=cfg.horizon)
+    base = OdiConfig(p=cfg.p, beta=cfg.beta, horizon=cfg.horizon)
     traces, fit = odi_scaling_fit(base, cfg.eps_list)
     assert fit is not None and len(traces) == 8
     assert sum(tr.steps for tr in traces) <= 2 * 1_336

@@ -199,10 +199,6 @@ def test_truncation_guard():
     bad = GridFunction(SPEC, np.ones(SPEC.points))
     with pytest.raises(TruncationError):
         apply_S(1.0, bad)
-    # but the check can be disabled for torus-type data
-    out = apply_S(1.0, bad, check_boundary=False)
-    assert_allclose(out.values, (1.0 - math.exp(-1.0)) * np.ones(SPEC.points),
-                    rtol=1e-12)
 
 
 def test_heat_semigroup_self_similarity():
@@ -219,19 +215,16 @@ def test_decay_scan_smoke_slopes():
     # moderate window keeps this quick; tight slopes are acceptance work
     spec = GridSpec(256.0, 8192)
     times = np.geomspace(10.0, 100.0, 8)
-    rep = decay_scan(gaussian_derivative(0, spec), 2.0, times,
-                     window=(10.0, 100.0))
+    rep = decay_scan(gaussian_derivative(0, spec), 2.0, times)
     assert abs(rep.fit.slope - HEAT_EXPANSION_SLOPES(2.0)[0]) < 0.05
-    res = residual_scan(gaussian_derivative(0, spec), 2.0, times,
-                        window=(10.0, 100.0))
+    res = residual_scan(gaussian_derivative(0, spec), 2.0, times)
     assert res.fit.slope < rep.fit.slope  # residual decays faster
 
 
 def test_decay_report_csv(tmp_path):
     spec = GridSpec(64.0, 2048)
     times = np.geomspace(5.0, 50.0, 5)
-    rep = decay_scan(gaussian_derivative(1, spec), 2.0, times,
-                     window=(5.0, 50.0))
+    rep = decay_scan(gaussian_derivative(1, spec), 2.0, times)
     path = tmp_path / "decay.csv"
     rep.to_csv(path)
     lines = path.read_text().splitlines()

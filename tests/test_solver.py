@@ -1098,8 +1098,7 @@ def _ref_duhamel_residual(traj, p, include_nonlinear=True):
     for i in idx:
         tc = float(times[i])
         target = U[i]
-        rhs = apply_S(tc, lin0, check_boundary=False).values \
-            + apply_dtS(tc, u0, check_boundary=False).values
+        rhs = apply_S(tc, lin0).values + apply_dtS(tc, u0).values
         if include_nonlinear:
             tau = 0.5 * tc * (xg + 1.0)
             wq = 0.5 * tc * wg

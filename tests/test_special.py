@@ -134,6 +134,18 @@ def test_predict_lifespan_class_ordering_small_eps():
         assert t1 < t3
 
 
+def test_predict_lifespan_past_the_float_range_is_inf():
+    # exp(eta^-2) at p = 3 overflows from eta = 1e-3 (M0_M1_zero, eps 0.1),
+    # eta^{-2(p-1)/(3-p)} just below p = 3, and eta = eps^3 underflows to 0
+    for p, eps, klass in ((3.0, 0.1, M0_M1_ZERO),
+                          (3.0, 0.1, M0_ZERO_M1_NONZERO),
+                          (2.99, 1e-3, M0_NONZERO),
+                          (3.0, 1e-120, M0_M1_ZERO)):
+        assert predict_lifespan(p, eps, klass).value == math.inf
+    assert predict_lifespan(3.0, 0.1, M0_NONZERO).value == pytest.approx(
+        math.exp(100.0), rel=1e-12)
+
+
 def test_predicted_exponent_table():
     assert predicted_exponent(1.25, M0_ZERO_M1_NONZERO) == pytest.approx(-1.0 / 3.0)
     assert predicted_exponent(2.0, M0_ZERO_M1_NONZERO) == pytest.approx(-4.0)
@@ -163,6 +175,8 @@ def test_tilde_monotone_and_errors():
     assert tilde_T2p(2.0, 1e-4) > tilde_T2p(2.0, 1e-3)
     with pytest.raises(HorizonError):
         tilde_T2p(2.0, 10.0)      # no root above T = 1
+    with pytest.raises(HorizonError):
+        tilde_T2p(3.0, 1e-200)    # eps^-2 overflows: no root below 1e30
     with pytest.raises(ValueError):
         tilde_T2p(0.9, 1e-3)
     with pytest.raises(ValueError):
