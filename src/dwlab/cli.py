@@ -15,14 +15,14 @@ Commands
 * verify-propagators  propagator invariant suite (mass anchors, kernel vs
                       multiplier duality, semigroup composition)
 
-Configuration is a single INI file with one section per command (a
-[DEFAULT] section applies everywhere) and nine keys: eps_list, class,
-out, p, horizon, half_width, points, workers and beta.  --p, --eps-list,
---out and --workers override the file.  The verdict thresholds are fixed
-at the acceptance gates' values.  Every report embeds the fully resolved
-configuration.  Output files are deterministic: runs are keyed by input
-index, results are gathered in input order regardless of worker count,
-and no timestamps are written.
+Configuration is a single INI file with one section per command, whose
+keys are the settings that command reads (_SETTINGS); [DEFAULT] keys
+apply wherever a command reads them.  --p, --eps-list, --out and
+--workers override the file; a setting the command does not read exits 2
+as an unknown config key.  The verdict thresholds are the acceptance gates'.
+Every JSON report embeds the settings its command read.  Output files are
+deterministic: runs are keyed by input index, results are gathered in
+input order regardless of worker count, and no timestamps are written.
 
 Exit codes: 0 all verdicts pass, 1 any verdict fails, 2 unconverged or
 configuration error.
@@ -35,7 +35,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -55,10 +55,20 @@ __all__ = ["ConfigError", "ExperimentConfig", "load_config", "main",
            "run_decay", "run_lifespan", "run_sweep", "run_odi",
            "run_predict", "run_verify_propagators"]
 
-COMMANDS = ("decay", "lifespan", "sweep", "odi", "predict",
-            "verify-propagators")
-# the commands that build a grid from points/half_width
-_GRID_COMMANDS = ("decay", "lifespan", "sweep", "verify-propagators")
+# each command's settings and their defaults: it takes, checks and
+# records no others, and builds a grid exactly when it reads points
+_MARCH = dict(eps_list=(0.4, 0.283, 0.2, 0.141, 0.1),
+              moment_class=M0_ZERO_M1_NONZERO, p=1.25, horizon=200.0,
+              half_width=64.0, points=2048, workers=1)
+_SETTINGS = {command: dict(keys, out_dir="lab_out") for command, keys in {
+    "decay": dict(p=2.0, horizon=1e4, half_width=2000.0, points=32768),
+    "lifespan": _MARCH, "sweep": _MARCH,
+    "odi": dict(eps_list=tuple(np.geomspace(1e-2, 10 ** -3.5, 8)), p=2.0,
+                horizon=3e5, beta=0.0),
+    "predict": dict(eps_list=(0.5, 0.1, 0.01), p=1.5),
+    "verify-propagators": dict(half_width=64.0, points=4096),
+}.items()}
+COMMANDS = tuple(_SETTINGS)
 
 PASS, FAIL, UNCONVERGED = "pass", "fail", "unconverged"
 _EXIT = {PASS: 0, FAIL: 1, UNCONVERGED: 2}
@@ -80,42 +90,50 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Resolved settings for one command invocation."""
+    """Checked settings of one command invocation.  A field the command
+    does not read (_SETTINGS) stays None; a value there is an unknown key."""
 
     command: str
-    p: float = 1.25
-    moment_class: str = M0_ZERO_M1_NONZERO
-    eps_list: tuple = (0.4, 0.283, 0.2, 0.141, 0.1)
-    points: int = 2048
-    half_width: float = 64.0
-    horizon: float = 200.0
-    workers: int = 1
-    out_dir: str = "lab_out"
-    beta: float = 0.0
+    p: float | None = None
+    moment_class: str | None = None
+    eps_list: tuple | None = None
+    points: int | None = None
+    half_width: float | None = None
+    horizon: float | None = None
+    workers: int | None = None
+    out_dir: str | None = None
+    beta: float | None = None
 
     def __post_init__(self):
-        if self.command not in COMMANDS:
+        keys = _SETTINGS.get(self.command)
+        if keys is None:
             raise ConfigError(f"unknown command {self.command!r}")
-        if not (1.0 < self.p <= 3.0):
+        for field in fields(self)[1:]:
+            if getattr(self, field.name) is None:
+                object.__setattr__(self, field.name, keys.get(field.name))
+            elif field.name not in keys:
+                raise ConfigError(f"unknown config key {field.name!r}")
+        if self.p is not None and not (1.0 < self.p <= 3.0):
             raise ConfigError(f"p must lie in (1, 3], got {self.p}")
-        eps = tuple(float(e) for e in self.eps_list)
-        if len(eps) == 0:
-            raise ConfigError("eps_list must be non-empty")
-        if not all(math.isfinite(e) for e in eps):
-            raise ConfigError("eps_list entries must be finite")
-        if any(e <= 0.0 for e in eps):
-            raise ConfigError("eps_list entries must be positive")
-        if any(later >= earlier for later, earlier in zip(eps[1:], eps)):
-            raise ConfigError("eps_list must be sorted in descending order")
-        object.__setattr__(self, "eps_list", eps)
-        if self.moment_class not in MOMENT_CLASSES:
+        if self.eps_list is not None:
+            eps = tuple(float(e) for e in self.eps_list)
+            if len(eps) == 0:
+                raise ConfigError("eps_list must be non-empty")
+            if not all(math.isfinite(e) for e in eps):
+                raise ConfigError("eps_list entries must be finite")
+            if any(e <= 0.0 for e in eps):
+                raise ConfigError("eps_list entries must be positive")
+            if any(later >= earlier for later, earlier in zip(eps[1:], eps)):
+                raise ConfigError("eps_list must be sorted in descending "
+                                  "order")
+            object.__setattr__(self, "eps_list", eps)
+        if self.moment_class not in (None, *MOMENT_CLASSES):
             raise ConfigError(f"unknown moment class {self.moment_class!r}")
-        if self.workers < 1:
+        if self.workers is not None and self.workers < 1:
             raise ConfigError("workers must be a positive integer")
-        if not self.horizon > 0.0:
+        if self.horizon is not None and not self.horizon > 0.0:
             raise ConfigError("horizon must be positive")
-        # the grid is checked here, before any output directory is made
-        if self.command in _GRID_COMMANDS:
+        if "points" in keys:
             try:
                 self.spec()
             except ValueError as exc:   # GridError is one
@@ -125,60 +143,45 @@ class ExperimentConfig:
         return GridSpec(self.half_width, self.points)
 
 
-_DEFAULTS_BY_COMMAND = {
-    "decay": dict(p=2.0, points=32768, half_width=2000.0, horizon=1e4,
-                  eps_list=(1.0,)),
-    "lifespan": dict(),
-    "sweep": dict(),
-    "odi": dict(p=2.0, beta=0.0, horizon=3e5,
-                eps_list=tuple(np.geomspace(1e-2, 10 ** -3.5, 8))),
-    "predict": dict(p=1.5, eps_list=(0.5, 0.1, 0.01)),
-    "verify-propagators": dict(points=4096, half_width=64.0,
-                               eps_list=(1.0,)),
-}
-
-_FIELD_PARSERS = {
-    "p": float, "horizon": float, "half_width": float, "beta": float,
-    "points": int, "workers": int,
-}
-
-
 def _parse_eps_list(text: str) -> tuple:
-    items = [tok for tok in text.replace(",", " ").split() if tok]
     try:
-        return tuple(float(tok) for tok in items)
+        return tuple(float(tok) for tok in text.replace(",", " ").split())
     except ValueError as exc:
         raise ConfigError(f"bad eps_list entry in {text!r}") from exc
 
 
+# INI key -> (the ExperimentConfig field it sets, its parser)
+_INI_KEYS = {"eps_list": ("eps_list", _parse_eps_list),
+             "class": ("moment_class", str), "out": ("out_dir", str),
+             "points": ("points", int), "workers": ("workers", int),
+             **{k: (k, float) for k in ("p", "horizon", "half_width", "beta")}}
+
+
 def load_config(command: str, path=None, overrides=None) -> ExperimentConfig:
-    """Merge built-in defaults, the INI section for `command`, and overrides."""
-    settings = dict(_DEFAULTS_BY_COMMAND.get(command, {}))
+    """Merge command's defaults, the INI file at path (whose [DEFAULT] keys
+    apply where command reads them) and the overrides that are not None."""
+    settings, keys = {}, _SETTINGS.get(command, {})
     if path is not None:
         import configparser  # only a config file needs it
-        parser = configparser.ConfigParser()
-        read = parser.read(path)
-        if not read:
+        # [DEFAULT] is read as a plain section, so that parser[command]
+        # yields the section's own keys only; values are taken literally
+        parser = configparser.ConfigParser(default_section="",
+                                           interpolation=None)
+        if not parser.read(path):
             raise ConfigError(f"cannot read config file {path!r}")
-        section = parser[command] if parser.has_section(command) \
-            else parser["DEFAULT"]
-        for key, raw in section.items():
-            if key == "eps_list":
-                settings["eps_list"] = _parse_eps_list(raw)
-            elif key == "class":
-                settings["moment_class"] = raw.strip()
-            elif key == "out":
-                settings["out_dir"] = raw.strip()
-            elif key in _FIELD_PARSERS:
+        for section in [s for s in ("DEFAULT", command) if s in parser]:
+            for key, raw in parser[section].items():
+                name, parse = _INI_KEYS.get(key, (None, None))
+                if name not in keys:
+                    if name is None or section == command:
+                        raise ConfigError(f"unknown config key {key!r}")
+                    continue  # a [DEFAULT] key that command does not read
                 try:
-                    settings[key] = _FIELD_PARSERS[key](raw)
+                    settings[name] = parse(raw)
                 except ValueError as exc:
-                    raise ConfigError(f"bad value for {key}: {raw!r}") from exc
-            else:
-                raise ConfigError(f"unknown config key {key!r}")
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            settings[key] = value
+                    raise ConfigError(f"bad {key} value: {raw!r}") from exc
+    settings.update((key, value) for key, value in (overrides or {}).items()
+                    if value is not None)
     return ExperimentConfig(command=command, **settings)
 
 
@@ -194,11 +197,10 @@ def _finite_or_none(x: float):
 
 
 def _config_record(cfg: ExperimentConfig) -> dict:
-    rec = asdict(cfg)
-    rec["eps_list"] = list(cfg.eps_list)
-    # execution details that cannot affect the numbers stay out of reports
-    del rec["workers"], rec["out_dir"]
-    return rec
+    """The settings cfg.command read, less the execution details that
+    cannot affect the numbers (workers, out_dir)."""
+    return dict({key: getattr(cfg, key) for key in _SETTINGS[cfg.command]
+                 if key not in ("workers", "out_dir")}, command=cfg.command)
 
 
 def _ensure_out(cfg: ExperimentConfig) -> str:
@@ -408,8 +410,7 @@ def run_odi(cfg: ExperimentConfig):
     odi_fit.json names the censored eps instead of a fit, and the verdict
     is unconverged.
     """
-    base = OdiConfig(p=cfg.p, beta=cfg.beta, eps=cfg.eps_list[0],
-                     horizon=cfg.horizon)
+    base = OdiConfig(p=cfg.p, beta=cfg.beta, horizon=cfg.horizon)
     traces, fit = odi_scaling_fit(base, cfg.eps_list)
     out = _ensure_out(cfg)
     marched = list(zip(cfg.eps_list, traces))
@@ -419,7 +420,7 @@ def run_odi(cfg: ExperimentConfig):
         fh.write("eps,blowup_time,steps\n")
         for e, tr in marched:
             fh.write(f"{e:.17g},{tr.blowup_time:.17g},{tr.steps}\n")
-    record = {"p": cfg.p, "beta": cfg.beta}
+    record = {"p": cfg.p, "beta": cfg.beta, "config": _config_record(cfg)}
     reason = None
     if fit is None:
         censored = cfg.eps_list[len(traces)]
@@ -563,22 +564,23 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--config", metavar="FILE", default=None,
                     help="INI file with one section per command")
     ap.add_argument("--p", type=float, default=None,
-                    help="nonlinearity exponent (norm index for decay)")
+                    help="nonlinearity exponent (norm index for decay); "
+                         "not read by verify-propagators")
     ap.add_argument("--eps-list", metavar="a,b,c", default=None,
                     help="comma-separated amplitudes, descending")
     ap.add_argument("--out", metavar="DIR", default=None,
                     help="output directory")
     ap.add_argument("--workers", type=int, default=None,
-                    help="parallel worker processes")
+                    help="parallel worker processes (lifespan and sweep)")
     return ap
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     overrides = {"p": args.p, "out_dir": args.out, "workers": args.workers}
-    if args.eps_list is not None:
-        overrides["eps_list"] = _parse_eps_list(args.eps_list)
     try:
+        if args.eps_list is not None:
+            overrides["eps_list"] = _parse_eps_list(args.eps_list)
         cfg = load_config(args.command, path=args.config,
                           overrides=overrides)
         verdict, lines = _RUNNERS[args.command](cfg)

@@ -3,7 +3,7 @@
 Marches
 
     v(t) = eps + int_{t-1}^t (t - tau) f(tau) dtau
-               + int_{t0}^{t-1}  f(tau) dtau,
+               + int_{T0}^{t-1}  f(tau) dtau,
     f(tau) = v(tau)^p * tau^{-beta},
 
 on an adaptive mesh (``_kernels.odi_march``): f is a cubic Hermite on
@@ -34,15 +34,15 @@ __all__ = [
 ]
 
 BLOW_FACTOR = 1e8
+T0 = 4.0  # the march starts here, at v(T0) = eps
 
 
 @dataclass(frozen=True)
 class OdiConfig:
-    """Parameters of one inequality march; eps is the march's seed v(t0)."""
+    """Parameters of one inequality march; eps is the march's seed v(T0)."""
 
     p: float
     beta: float
-    t0: float = 4.0
     eps: float = 1e-3
     horizon: float = 1e5
 
@@ -51,13 +51,11 @@ class OdiConfig:
             raise ValueError(f"p must exceed 1, got {self.p}")
         if not (0.0 <= self.beta < 1.0):
             raise ValueError(f"beta must lie in [0, 1), got {self.beta}")
-        if not self.t0 >= 4.0:
-            raise ValueError(f"t0 must be >= 4, got {self.t0}")
         if not (self.eps >= 0.0 and math.isfinite(self.eps)):
             raise ValueError(f"eps must be finite and non-negative, "
                              f"got {self.eps}")
-        if not self.horizon > self.t0:
-            raise ValueError("horizon must exceed t0")
+        if not self.horizon > T0:
+            raise ValueError(f"horizon must exceed T0 = {T0:g}")
         if not math.isfinite(self.horizon):
             raise ValueError(f"horizon must be finite, got {self.horizon}")
 
@@ -118,12 +116,12 @@ def simulate_odi(cfg: OdiConfig) -> OdiTrace:
     fixed point and returns a two-node zero trace.
     """
     if cfg.eps == 0.0:
-        return OdiTrace(np.array([cfg.t0, cfg.horizon]), np.zeros(2))
+        return OdiTrace(np.array([T0, cfg.horizon]), np.zeros(2))
     # the kernel takes Python floats: float ** float raises OverflowError
     # where a numpy scalar would return inf
     seed = float(cfg.eps)
     nodes, n, blow = odi_march(
-        seed, float(cfg.p), float(cfg.beta), float(cfg.t0),
+        seed, float(cfg.p), float(cfg.beta), T0,
         float(cfg.horizon), BLOW_FACTOR * seed)
     t, v = nodes.T
     return OdiTrace(t, v, t[blow] if blow >= 0 else None)
@@ -140,10 +138,10 @@ def odi_scaling_fit(cfg_base: OdiConfig, eps_list):
     """March each eps in order, then fit blow-up time against eps.
 
     Returns (traces, fit): the traces of the eps that blew up, in list
-    order, and the log-log fit of their blow-up times over every eps.  The march stops at the first eps that survives to
-    cfg_base.horizon, since its time is censored; fit is then None and
-    traces holds the eps before it.
-    Compare the slope with odi_target_slope(cfg_base.p, cfg_base.beta).
+    order, and the log-log fit of their blow-up times over every eps.  The
+    march stops at the first eps that survives to cfg_base.horizon, since
+    its time is censored; fit is then None and traces holds the eps before
+    it.  Compare the slope with odi_target_slope(cfg_base.p, cfg_base.beta).
     """
     eps_arr = np.asarray(eps_list, dtype=float)
     if eps_arr.ndim != 1 or len(eps_arr) < 3:

@@ -14,9 +14,23 @@ from dwlab.odi import OdiConfig, simulate_odi
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
-# the fields every command's `config` record holds, no more
-CONFIG_FIELDS = {"command", "p", "moment_class", "eps_list", "points",
-                 "half_width", "horizon", "beta"}
+# the INI keys each command reads; every other key is unknown to it
+READS = {
+    "decay": {"p", "horizon", "half_width", "points", "out"},
+    "lifespan": {"eps_list", "class", "p", "horizon", "half_width", "points",
+                 "workers", "out"},
+    "odi": {"eps_list", "p", "horizon", "beta", "out"},
+    "predict": {"eps_list", "p", "out"},
+    "verify-propagators": {"half_width", "points", "out"},
+}
+READS["sweep"] = READS["lifespan"]
+INI_KEYS = set().union(*READS.values())
+# the fields each command's `config` record holds, no more: the keys it
+# reads, less the execution details workers and out
+CONFIG_FIELDS = {
+    command: {"command"} | {"moment_class" if key == "class" else key
+                            for key in keys - {"workers", "out"}}
+    for command, keys in READS.items()}
 
 
 def _strict_json(path):
@@ -65,10 +79,15 @@ def test_cli_import_defers_pool_and_config_parser():
 def test_builtin_defaults_per_command():
     decay = load_config("decay")
     assert decay.p == 2.0 and decay.points == 32768
+    # a setting the command does not read has no value
+    assert decay.eps_list is None and decay.moment_class is None
     sweep = load_config("sweep")
     assert sweep.p == 1.25
     assert sweep.moment_class == "M0_zero_M1_nonzero"
     assert sweep.eps_list[0] > sweep.eps_list[-1]
+    verify = load_config("verify-propagators")
+    assert (verify.points, verify.half_width) == (4096, 64.0)
+    assert (verify.p, verify.horizon, verify.workers) == (None, None, None)
 
 
 def test_config_file_and_overrides(tmp_path):
@@ -83,12 +102,24 @@ def test_config_file_and_overrides(tmp_path):
     assert cfg.points == 1024
     over = load_config("sweep", path=str(ini), overrides={"p": 2.5})
     assert over.p == 2.5
+    # values are literal: a % is no interpolation
+    ini.write_text("[sweep]\nout = runs%1\n")
+    assert load_config("sweep", path=str(ini)).out_dir == "runs%1"
 
 
 def test_default_section_applies_to_all_commands(tmp_path):
     ini = tmp_path / "lab.ini"
-    ini.write_text("[DEFAULT]\nhorizon = 77\n")
+    ini.write_text("[DEFAULT]\nhorizon = 77\nbeta = 0.5\n")
     assert load_config("sweep", path=str(ini)).horizon == 77.0
+    # a [DEFAULT] key a command does not read is dropped, not refused
+    out = tmp_path / "o"
+    assert main(["predict", "--config", str(ini), "--out", str(out)]) == 0
+    assert set(_strict_json(out / "predict.json")["config"]) == \
+        CONFIG_FIELDS["predict"]
+    # the command's own section is checked apart from [DEFAULT]
+    ini.write_text("[DEFAULT]\npoints = 1024\n[predict]\npoints = 1024\n")
+    with pytest.raises(ConfigError, match="unknown config key 'points'"):
+        load_config("predict", path=str(ini))
 
 
 def test_config_rejections(tmp_path):
@@ -118,11 +149,12 @@ def test_config_rejections(tmp_path):
 
 
 def test_embedded_record_drops_execution_details():
-    rec = _config_record(load_config("predict"))
+    rec = _config_record(load_config("sweep"))
     assert "workers" not in rec and "out_dir" not in rec
-    assert rec["command"] == "predict"
+    assert rec["command"] == "sweep"
     for command in COMMANDS:
-        assert set(_config_record(load_config(command))) == CONFIG_FIELDS
+        assert set(_config_record(load_config(command))) == \
+            CONFIG_FIELDS[command]
 
 
 def test_verdict_thresholds_are_the_gates():
@@ -142,16 +174,35 @@ _REMOVED_KEYS = {
 }
 
 
-@pytest.mark.parametrize("key", sorted(_REMOVED_KEYS))
-def test_removed_settings_are_unknown_config_keys(tmp_path, capsys, key):
+# a valid value for each INI key, and the flag that also sets it
+_KEY_VALUES = {"eps_list": "0.5,0.1", "class": "M0_nonzero", "out": "x",
+               "p": "2", "horizon": "100", "half_width": "32",
+               "points": "1024", "workers": "2", "beta": "0.5"}
+_FLAGS = {"p": "--p", "eps_list": "--eps-list", "workers": "--workers"}
+_UNREAD = [pytest.param(command, key, _KEY_VALUES[key], via,
+                        id=f"{command}-{key}-{via}")
+           for command in COMMANDS for key in sorted(INI_KEYS - READS[command])
+           for via in ("ini", "flag") if via == "ini" or key in _FLAGS]
+
+
+@pytest.mark.parametrize(
+    "command, key, value, via",
+    [pytest.param(command, key, value, "ini", id=key)
+     for key, (command, value) in sorted(_REMOVED_KEYS.items())] + _UNREAD)
+def test_removed_settings_are_unknown_config_keys(tmp_path, capsys, command,
+                                                  key, value, via):
     # the verdict thresholds are the gates', the laws carry no constant,
     # the ODI and the march use their own defaults, and the INI spells
-    # the class and the output directory `class` and `out`
-    command, value = _REMOVED_KEYS[key]
-    ini = tmp_path / "lab.ini"
-    ini.write_text(f"[{command}]\n{key} = {value}\n")
+    # the class and the output directory `class` and `out`.  A command
+    # refuses a key it does not read, from its section or from a flag.
     out = tmp_path / "o"
-    assert main([command, "--config", str(ini), "--out", str(out)]) == 2
+    if via == "flag":
+        argv = [command, _FLAGS[key], value]
+    else:
+        ini = tmp_path / "lab.ini"
+        ini.write_text(f"[{command}]\n{key} = {value}\n")
+        argv = [command, "--config", str(ini)]
+    assert main(argv + ["--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(
         f"error: unknown config key '{key}'")
     assert not out.exists()
@@ -161,11 +212,13 @@ def test_removed_settings_are_unknown_config_keys(tmp_path, capsys, key):
 @pytest.mark.parametrize("command", COMMANDS)
 def test_non_finite_eps_is_refused_before_the_output_directory(
         tmp_path, capsys, command, bad):
+    # decay and verify-propagators read no eps_list: it is refused as such
     out = tmp_path / "o"
     code = main([command, "--eps-list", f"{bad},0.4,0.1", "--out", str(out)])
     assert code == 2
     assert capsys.readouterr().err.startswith(
-        "error: eps_list entries must be finite")
+        "error: eps_list entries must be finite" if "eps_list" in
+        READS[command] else "error: unknown config key 'eps_list'")
     assert not out.exists()
 
 
@@ -285,7 +338,11 @@ def test_odi_report_schema(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert marched == [1e-2, 3e-3, 1e-3]
     fitrec = json.loads((tmp_path / "o" / "odi_fit.json").read_text())
-    assert set(fitrec) == {"p", "beta", "slope", "target_slope", "r2"}
+    assert set(fitrec) == {"p", "beta", "slope", "target_slope", "r2",
+                           "config"}
+    assert fitrec["config"] == {"command": "odi", "p": 2.0, "beta": 0.0,
+                                "eps_list": [1e-2, 3e-3, 1e-3],
+                                "horizon": 1e4}
     csv = (tmp_path / "o" / "odi.csv").read_text().splitlines()
     assert csv[0] == "eps,blowup_time,steps"
     assert len(csv) == 4
@@ -325,6 +382,7 @@ def test_odi_censored_run_is_unconverged(tmp_path, capsys):
         "verdict: unconverged (censored blow-up time)"]
     assert (out / "odi.csv").read_text() == "eps,blowup_time,steps\n"
     fitrec = json.loads((out / "odi_fit.json").read_text())
+    del fitrec["config"]
     assert fitrec == {"p": 2.0, "beta": 0.0, "censored_eps": 0.01,
                       "horizon": 50.0}
 
@@ -352,6 +410,7 @@ def test_odi_censored_run_keeps_what_it_marched(tmp_path, capsys):
         f"0.0030000000000000001,{blown[1].blowup_time:.17g},"
         f"{blown[1].steps}"]
     fitrec = json.loads((out / "odi_fit.json").read_text())
+    del fitrec["config"]
     assert fitrec == {"p": 2.0, "beta": 0.0, "censored_eps": 0.001,
                       "horizon": 1000.0}
 
@@ -530,12 +589,15 @@ def test_every_command_runs_at_its_defaults(tmp_path, capsys, command):
     for name in names:
         if name.endswith(".json"):
             rec = _strict_json(out / name)
-            if "config" in rec:
-                assert set(rec["config"]) == CONFIG_FIELDS
-                assert rec["config"]["command"] == command
+            assert set(rec["config"]) == CONFIG_FIELDS[command]
+            assert rec["config"]["command"] == command
 
 
 def test_main_reports_config_errors(tmp_path, capsys):
     code = main(["sweep", "--eps-list", "0.1,0.2", "--out", str(tmp_path)])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+    out = tmp_path / "o"
+    assert main(["sweep", "--eps-list", "0.4,x", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: bad eps_list entry")
+    assert not out.exists()

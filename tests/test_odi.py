@@ -8,8 +8,8 @@ from numpy.polynomial import Polynomial
 import dwlab._kernels
 from dwlab._kernels import _W_FULL, _hermite_weights, odi_march
 from dwlab.cli import load_config
-from dwlab.odi import (OdiConfig, OdiTrace, odi_scaling_fit, odi_target_slope,
-                       simulate_odi)
+from dwlab.odi import (T0, OdiConfig, OdiTrace, odi_scaling_fit,
+                       odi_target_slope, simulate_odi)
 
 
 def blow_time(cfg):
@@ -28,7 +28,6 @@ def test_config_validation():
     OdiConfig(**good)
     for bad in (dict(p=1.0, beta=0.0), dict(p=2.0, beta=1.0),
                 dict(p=2.0, beta=-0.1),
-                dict(p=2.0, beta=0.0, t0=3.9),
                 dict(p=2.0, beta=0.0, eps=-1e-3),
                 dict(p=2.0, beta=0.0, eps=math.inf),
                 dict(p=2.0, beta=0.0, eps=math.nan),
@@ -96,7 +95,7 @@ def test_blowup_is_the_last_node_at_the_level():
     # the line through the two nodes; the steps before it are the same
     k = len(tr.t) - 10
     level = math.sqrt(tr.v[k - 1] * tr.v[k])
-    nodes, n, blow = odi_march(cfg.eps, cfg.p, cfg.beta, cfg.t0,
+    nodes, n, blow = odi_march(cfg.eps, cfg.p, cfg.beta, T0,
                                cfg.horizon, level)
     assert n == k + 1 and np.array_equal(nodes[:k, 0], tr.t[:k])
     z0, z1, zl = tr.v[k - 1] ** -0.5, tr.v[k] ** -0.5, level ** -0.5
