@@ -45,8 +45,7 @@ from .odi import OdiConfig, odi_scaling_fit, odi_target_slope
 from .propagators import (HEAT_EXPANSION_SLOPES, KernelRangeError, apply_S,
                           apply_S_kernel, apply_dtS, decay_scan,
                           linear_pair_matrix, residual_scan)
-from .solver import (BLOWN_UP, TRUNCATION_ABORT, SolverControls,
-                     solve_lifespan)
+from .solver import BLOWN_UP, BOUNDARY_TOL, TRUNCATION_ABORT, solve_lifespan
 from .special import (HorizonError, M0_ZERO_M1_NONZERO, MOMENT_CLASSES,
                       gaussian_derivative, make_data_family,
                       predict_lifespan, predicted_exponent, tilde_T2p)
@@ -167,7 +166,13 @@ def load_config(command: str, path=None, overrides=None) -> ExperimentConfig:
         # yields the section's own keys only; values are taken literally
         parser = configparser.ConfigParser(default_section="",
                                            interpolation=None)
-        if not parser.read(path):
+        try:
+            found = parser.read(path)
+        except configparser.Error as exc:
+            # its text names the file and the line; keep it to one line
+            raise ConfigError(f"bad config file: {' '.join(str(exc).split())}"
+                              ) from exc
+        if not found:
             raise ConfigError(f"cannot read config file {path!r}")
         for section in [s for s in ("DEFAULT", command) if s in parser]:
             for key, raw in parser[section].items():
@@ -204,7 +209,11 @@ def _config_record(cfg: ExperimentConfig) -> dict:
 
 
 def _ensure_out(cfg: ExperimentConfig) -> str:
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    try:
+        os.makedirs(cfg.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use {cfg.out_dir!r} as the output "
+                          f"directory: {exc.strerror or exc}") from exc
     return cfg.out_dir
 
 
@@ -231,11 +240,14 @@ def _run_all_lifespans(cfg: ExperimentConfig, out: str):
     """Run every eps, in input order, write one run_NNN.json each, and
     return the records."""
     worker = functools.partial(_lifespan_worker, cfg)
-    if cfg.workers > 1 and len(cfg.eps_list) > 1:
+    # the pool starts all its processes at once: no more than there are
+    # runs or CPUs
+    workers = min(cfg.workers, len(cfg.eps_list), os.cpu_count() or 1)
+    if workers > 1:
         # deferred: the pool pulls in multiprocessing, which one worker
         # never needs
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(worker, cfg.eps_list))
     else:
         results = [worker(e) for e in cfg.eps_list]
@@ -247,10 +259,10 @@ def _run_all_lifespans(cfg: ExperimentConfig, out: str):
 
 def _abort_note(record) -> str:
     """What tripped a truncation abort: the time, and the edge ratio that
-    passed the guard's boundary_tol.  Printed only, never written to the
+    passed the guard's BOUNDARY_TOL.  Printed only, never written to the
     output files."""
     return (f"t={record['T_low']:.6g} edge_ratio={record['edge_ratio']:.3g}"
-            f" > boundary_tol={SolverControls.boundary_tol:g}")
+            f" > boundary_tol={BOUNDARY_TOL:g}")
 
 
 def run_lifespan(cfg: ExperimentConfig):
@@ -571,7 +583,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--out", metavar="DIR", default=None,
                     help="output directory")
     ap.add_argument("--workers", type=int, default=None,
-                    help="parallel worker processes (lifespan and sweep)")
+                    help="parallel worker processes, at most one per eps "
+                         "and per CPU (lifespan and sweep)")
     return ap
 
 

@@ -35,7 +35,7 @@ controller of Hairer, Norsett & Wanner (Solving ODEs I, II.4), fac =
 min(2, max(0.2, 0.9 (tol/err)^(1/4))), after an accepted step and after
 a rejection for tolerance; dt does not grow on the first accept after a
 rejection, and a doubling sup norm or a non-finite candidate halves it.
-dt lives on the ladder dt_init 2^(k/4), clamped to [dt_min, dt_max]: the
+dt lives on the ladder dt_init 2^(k/4), clamped to [DT_MIN, dt_max]: the
 controller moves the integer k by 4 log2 fac rounded to the nearest
 integer, so a run meets only a few dozen distinct step sizes and their
 linear pairs stay cached.  The stage operators, complex copies built from
@@ -57,13 +57,15 @@ skips no step that could stop.  The march then reports the bracket
 [t, T].  Overflow past u_cap, or to inf with dt at its floor, ends it
 too, with T clamped to the same window.
 
-On a truncated line (the truncation guard on) the march starts on the
-smallest centred sub-grid of the family's grid, at the same h, whose
-initial edge is quiet, and grows it one size up whenever a candidate's
-edge ratio passes boundary_tol/30: the FFTs cover the solution's support,
-not the whole domain, until the support reaches the family's grid.  The
-sizes are 2^k and 3 2^k (16, 24, 32, 48, ...), so each move is x3/2 or
-x4/3 and a grid holds at most 3/2 of the points its support needs.
+On a truncated line (the truncation guard on) the march walks one list
+of grids, _grid_ladder: the centred sub-grids of the family's grid that
+keep its h, smallest first, then the family's grid.  It starts on the
+first whose initial edge is quiet and moves to the next whenever a
+candidate's edge ratio passes BOUNDARY_TOL/30: the FFTs cover the
+solution's support, not the whole domain, until the support reaches the
+family's grid.  The sizes are 2^k and 3 2^k (16, 24, 32, 48, ...), so
+each move is x3/2 or x4/3 and a grid holds at most 3/2 of the points its
+support needs.
 """
 
 from __future__ import annotations
@@ -85,6 +87,9 @@ __all__ = [
     "SURVIVED_HORIZON",
     "TRUNCATION_ABORT",
     "STATUSES",
+    "DT_MIN",
+    "BOUNDARY_TOL",
+    "MAX_ATTEMPTS",
     "BlowupSignal",
     "SamplingError",
     "SolverControls",
@@ -122,61 +127,50 @@ class SamplingError(ValueError):
     """Trajectory too sparse for the requested quadrature."""
 
 
+# the floor of the step ladder; an attempt at it is accepted whatever its
+# error (a forced accept)
+DT_MIN = 1e-12
+# the truncation guard aborts once an accepted step's edge amplitude of u
+# exceeds BOUNDARY_TOL max|u|.  With the guard off at step_tol 1e-9 on half
+# and quarter domains at the same h, edge ratios up to 1e-2 moved T_high by
+# at most 3.0e-7, and the smallest edge ratio that moved it by more than
+# 1e-6 was 3.8e-2: 1e-6 sits more than four decades below it (README table)
+BOUNDARY_TOL = 1e-6
+# step attempts, rejected ones included, before a march gives up
+MAX_ATTEMPTS = 2_000_000
+
+
 @dataclass(frozen=True)
 class SolverControls:
-    """Tolerances and limits for the adaptive lifespan march.
+    """Step-size settings and the truncation guard of the lifespan march.
 
     step_tol bounds the relative RMS, over (u, v) in Fourier space, of the
     embedded gap dt/10 (k4 - k5) against the new state; the elementary
     controller aims dt at 0.9 of it and moves to the nearest ladder level.
     Every attempted dt is a level dt_init 2^(k/4) of the step ladder,
-    clamped to [dt_min, dt_max], or the remainder up to the horizon.  An
+    clamped to [DT_MIN, dt_max], or the remainder up to the horizon.  An
     attempt costs two batched nonlinear calls, four rows, plus one row
-    when its dt differs from the previous attempt's.  max_steps counts
-    step attempts, rejected ones included, not accepted steps.  No field
-    sets the stop: that is the cubic root's window _ROOT_WINDOW, 0.9%,
-    behind the line's trigger window _TRIGGER_WINDOW, 2% (module
-    docstring).
+    when its dt differs from the previous attempt's.  No field sets the
+    stop: that is the cubic root's window _ROOT_WINDOW, 0.9%, behind the
+    line's trigger window _TRIGGER_WINDOW, 2% (module docstring).
 
     check_boundary turns on the truncation guard: a run aborts once the
-    edge amplitude of u on an accepted step exceeds boundary_tol max|u|.
-    It also lets the march run on sub-grids of the family's grid, sized
-    2^k or 3 2^k (see solve_lifespan), each accepted step on one keeping
-    the edge ratio at most boundary_tol/30.
-
-    The defaults, step_tol 3e-7 and boundary_tol 1e-6, were 3e-8 and 1e-8.
-    On the gate ladders (criteria 06, 07, 08, 10) and the default sweep
-    they take 25-45% fewer attempts and move T_high by at most 1.4e-5
-    relative (default sweep 2.0e-6, criterion 06 1.1e-5, criterion 08
-    1.4e-5, criterion 10 2.8e-7).  T_high then lies 2.7e-7 to 2.1e-5 from
-    a step_tol 1e-9 run, against 2.6e-8 to 7.7e-6 at 3e-8.  On the whole
-    grid the largest edge ratio on those ladders was 5.1e-9, 190x below
-    boundary_tol (on sub-grids it now reaches boundary_tol/30); the
-    old 1e-8 sat on the step error's own contribution to the edge, which
-    at step_tol 1e-6 lifts it past 1e-8.  The guard's calibration: with
-    the guard off at step_tol 1e-9 on half and quarter domains at the same
-    h, edge ratios up to 1e-2 moved T_high by at most 3.0e-7, and the
-    smallest edge ratio that moved it by more than 1e-6 was 3.8e-2, so
-    boundary_tol sits more than four decades below it (README table).
+    edge amplitude of u on an accepted step exceeds BOUNDARY_TOL max|u|.
+    It also lets the march run on the sub-grids of the family's grid in
+    _grid_ladder (see solve_lifespan), each accepted step on one keeping
+    the edge ratio at most BOUNDARY_TOL/30.
     """
 
     dt_init: float = 0.02
-    dt_min: float = 1e-12
     dt_max: float = 0.25
     step_tol: float = 3e-7
     check_boundary: bool = True
-    boundary_tol: float = 1e-6
-    max_steps: int = 2_000_000
 
     def __post_init__(self):
-        if not (0.0 < self.dt_min <= self.dt_init <= self.dt_max):
-            raise ValueError("need 0 < dt_min <= dt_init <= dt_max")
+        if not (DT_MIN <= self.dt_init <= self.dt_max):
+            raise ValueError("need DT_MIN <= dt_init <= dt_max")
         if not self.step_tol > 0.0:
             raise ValueError("step_tol must be positive")
-        if not self.boundary_tol > 0.0:
-            raise ValueError("boundary_tol must be positive")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -186,10 +180,10 @@ class MarchStats:
     Every field is deterministic for given inputs.  Rejections are counted
     by cause: err over step_tol, a sup norm more than doubling, or a
     non-finite candidate.  forced_accepts counts the steps accepted with
-    dt at dt_min that any of those causes would otherwise have rejected.
+    dt at DT_MIN that any of those causes would otherwise have rejected.
     regrids counts the attempts not accepted because the candidate's edge
-    ratio passed boundary_tol/30 on a sub-grid; each moved the march one
-    size up the sub-grid ladder (_grow).  So attempts = accepted steps +
+    ratio passed BOUNDARY_TOL/30 on a sub-grid; each moved the march to
+    the next grid of _grid_ladder.  So attempts = accepted steps +
     rejections + regrids.  points is the node count of the grid the march
     ended on, 2^k or 3 2^k: a sub-grid's, or the family's N.
     nl_rows counts the nonlinear evaluations, the rows of the _nl_hat
@@ -197,7 +191,7 @@ class MarchStats:
     and the two ratios cover accepted steps only; accepted_dt_min/max are
     None when none was accepted.  edge_ratio is the largest
     _edge_amplitude(u) / max|u|, the quantity the truncation guard
-    compares with boundary_tol.  tail_ratio is the largest (2/N) sum |u_k|
+    compares with BOUNDARY_TOL.  tail_ratio is the largest (2/N) sum |u_k|
     over the top third k >= N/3 of the rfft modes of u, a bound on what
     those modes add to any grid value, over max|u|.
     termination is one of ROOT, U_CAP, DT_FLOOR, HORIZON, TRUNCATION.
@@ -240,7 +234,6 @@ class LifespanEstimate:
     status: str
     T_low: float
     T_high: float
-    grid: GridSpec
     stats: MarchStats = None  # type: ignore[assignment]
 
     def __post_init__(self):
@@ -634,53 +627,23 @@ def _edge_amplitude(values: np.ndarray) -> float:
                      abs(values[-1])))
 
 
-# a sub-grid's edge ratio stays this factor below boundary_tol
+# a sub-grid's edge ratio stays this factor below BOUNDARY_TOL
 _GROW_MARGIN = 30.0
 
 
-def _next_points(n: int) -> int:
-    """The size after n on the sub-grid ladder 16, 24, 32, 48, 64, ...:
-    x3/2 from 2^k, x4/3 from 3 2^k."""
-    return n * 3 // 2 if n & (n - 1) == 0 else n * 4 // 3
-
-
-def _sub_grid(spec: GridSpec, n: int):
-    """The centred n-point sub-grid of spec at the same h, or None when
-    no such grid keeps spec's h to the bit.  Its nodes are those of spec
-    from index (N - n)/2 on.  When n/N is a power of two h always
-    survives; at other ratios it may not: L = 64, N = 2048 keeps it at
-    every ladder size, L = 25.6, N = 1024 at no 3 2^k size."""
-    if n == spec.points:
-        return spec
-    sub = GridSpec(spec.half_width * (n / spec.points), n)
-    return sub if sub.h == spec.h else None
-
-
-def _grow(spec: GridSpec, n: int) -> GridSpec:
-    """The next sub-grid of spec past n points: the next ladder size that
-    keeps h, which is at most 2n, and spec itself at the top."""
-    while True:
-        n = _next_points(n)
-        sub = _sub_grid(spec, n)
-        if sub is not None:
-            return sub
-
-
-def _start_grid(spec: GridSpec, u: np.ndarray, v: np.ndarray, limit: float):
-    """The smallest centred sub-grid of spec on the ladder, at least 16
-    points, whose edge amplitudes of u and v are at most
-    limit max(|u|, |v|); returns it with u and v restricted to it."""
-    scale = max(float(np.abs(u).max()), float(np.abs(v).max()))
-    n = 16
-    while n < spec.points:
-        sub = _sub_grid(spec, n)
-        lo = (spec.points - n) // 2
-        cu, cv = u[lo:lo + n], v[lo:lo + n]
-        if sub is not None and \
-                max(_edge_amplitude(cu), _edge_amplitude(cv)) <= limit * scale:
-            return sub, cu, cv
-        n = _next_points(n)
-    return spec, u, v
+def _grid_ladder(spec: GridSpec) -> list:
+    """The grids a march with the guard on may run on, smallest first: the
+    centred sub-grids of spec of 2^k and 3 2^k points, at least 16, that
+    keep spec's h to the bit, then spec itself.  A sub-grid of n points
+    has the nodes of spec from index (N - n)/2 on.  When n/N is a power of
+    two h always survives, so each entry is at most twice the one before;
+    at other ratios it may not: L = 64, N = 2048 keeps it at every size,
+    L = 25.6, N = 1024 at no 3 2^k size."""
+    n_top = spec.points
+    sizes = sorted(m << k for m in (1, 3) for k in range(n_top.bit_length())
+                   if 16 <= m << k < n_top)
+    subs = (GridSpec(spec.half_width * (n / n_top), n) for n in sizes)
+    return [sub for sub in subs if sub.h == spec.h] + [spec]
 
 
 def _embed(y: np.ndarray, n: int, n_new: int) -> np.ndarray:
@@ -699,11 +662,11 @@ _LADDER = tuple(2.0 ** (j / 4.0) for j in range(4))
 
 def _ladder_dt(ctrl: SolverControls, k: int) -> float:
     """Level k of the step ladder, dt_init 2^(k/4), clamped to
-    [dt_min, dt_max].  Levels k and k - 4 are exactly a factor 2 apart,
+    [DT_MIN, dt_max].  Levels k and k - 4 are exactly a factor 2 apart,
     so the dt/2 stage operators of one level are the dt operators of
     another."""
     dt = math.ldexp(ctrl.dt_init * _LADDER[k % 4], k // 4)
-    return min(max(dt, ctrl.dt_min), ctrl.dt_max)
+    return min(max(dt, DT_MIN), ctrl.dt_max)
 
 
 def _ladder_move(err: float, tol: float) -> int:
@@ -730,14 +693,14 @@ def solve_lifespan(data: DataFamily, p: float, horizon: float = 200.0,
     A blow-up stops on the root window (module docstring), with T_low the
     last accepted t and T_high the cubic's root.
 
-    With the guard on, the family's grid is a ceiling.  The march starts
-    on the smallest centred sub-grid at the same h, at least 16 points,
-    whose edge amplitudes of u0 and u1 are at most boundary_tol/30
-    max(|u0|, |u1|).  An attempt on a sub-grid whose candidate passes the
-    tolerance with an edge ratio above boundary_tol/30 is not accepted:
-    the accepted state moves, among zeros, to the next sub-grid of the
-    ladder (x3/2 or x4/3, see _grow) and the same dt is retaken there.  On
-    the family's grid the guard aborts as usual.
+    With the guard on, the family's grid is a ceiling: the march runs on
+    the list of grids _grid_ladder(spec).  It starts on the first entry
+    whose edge amplitudes of u0 and u1 are at most BOUNDARY_TOL/30
+    max(|u0|, |u1|), the family's grid when no sub-grid's are.  An attempt
+    on a sub-grid whose candidate passes the tolerance with an edge ratio
+    above BOUNDARY_TOL/30 is not accepted: the accepted state moves, among
+    zeros (_embed), to the next entry and the same dt is retaken there.
+    On the family's grid the guard aborts as usual.
     """
     if ctrl is None:
         ctrl = SolverControls()
@@ -752,30 +715,34 @@ def solve_lifespan(data: DataFamily, p: float, horizon: float = 200.0,
     if maxu == 0.0 and not np.any(v_phys):
         stats = MarchStats(0, 0, 0, 0, 0, 0, 0, None, None, 0.0, 0.0,
                            spec.points, HORIZON, "none", None)
-        est = LifespanEstimate(SURVIVED_HORIZON, horizon, horizon, spec,
-                               stats)
+        est = LifespanEstimate(SURVIVED_HORIZON, horizon, horizon, stats)
         return est, MarchTrace(np.empty(0))
 
     p = float(p)
     u_cap = 1e250 ** (1.0 / p)
-    # the march runs on grid, a centred sub-grid of spec or spec itself
-    grow_tol = ctrl.boundary_tol / _GROW_MARGIN
-    grid = spec
-    if ctrl.check_boundary:
-        grid, u_phys, v_phys = _start_grid(spec, u_phys, v_phys, grow_tol)
+    # the march runs on grids[i], the first entry with a quiet initial edge
+    grow_tol = BOUNDARY_TOL / _GROW_MARGIN
+    grids = _grid_ladder(spec) if ctrl.check_boundary else [spec]
+    quiet = grow_tol * max(maxu, float(np.abs(v_phys).max()))
+    for i, grid in enumerate(grids):
+        lo = (spec.points - grid.points) // 2
+        u_phys = u0.values[lo:lo + grid.points]
+        v_phys = u1.values[lo:lo + grid.points]
+        if grid is spec or \
+                max(_edge_amplitude(u_phys), _edge_amplitude(v_phys)) <= quiet:
+            break
     yu = np.fft.rfft(u_phys)
     yv = np.fft.rfft(v_phys)
     t = 0.0
     # dt is level k of the step ladder; past k_lo and k_hi the clamp holds
     k = 0
-    k_lo = math.floor(4.0 * math.log2(ctrl.dt_min / ctrl.dt_init))
+    k_lo = math.floor(4.0 * math.log2(DT_MIN / ctrl.dt_init))
     k_hi = math.ceil(4.0 * math.log2(ctrl.dt_max / ctrl.dt_init))
     dt = _ladder_dt(ctrl, k)
     attempts = rej_tol = rej_growth = rej_nonfinite = forced = rebuilds = 0
     regrids = 0
     dt_lo, dt_hi = math.inf, 0.0
     edge_max = tail_max = 0.0
-    tail0 = math.ceil(grid.points / 3)   # modes k >= N/3: the top third
     rejected = False
     # the accepted samples: t and z = max|u|^(-(p-1)/2) for the stop fit
     n_acc = 0
@@ -791,13 +758,13 @@ def solve_lifespan(data: DataFamily, p: float, horizon: float = 200.0,
         w3_dt = min(dt, horizon)
         w1, w3 = _head(yu, yv, p, _stage_ops(grid, w3_dt))
         while True:
-            if attempts >= ctrl.max_steps:
+            if attempts >= MAX_ATTEMPTS:
                 raise RuntimeError(
                     f"step budget exceeded before a verdict: {attempts} "
                     f"attempts, t = {t:.9g}, dt = {dt:.3g}, "
                     f"max|u| = {maxu:.3g}")
             remaining = horizon - t
-            if remaining <= ctrl.dt_min:
+            if remaining <= DT_MIN:
                 status, cause = SURVIVED_HORIZON, HORIZON
                 T_low = T_high = horizon
                 break
@@ -816,7 +783,7 @@ def solve_lifespan(data: DataFamily, p: float, horizon: float = 200.0,
             nonfinite = not (math.isfinite(err) and math.isfinite(cand_max))
             growth = cand_max > 2.0 * max(maxu, 1e-300)
             if (nonfinite or growth or err > ctrl.step_tol) \
-                    and dt > ctrl.dt_min * 1.0000001:
+                    and dt > DT_MIN * 1.0000001:
                 if nonfinite:
                     rej_nonfinite += 1
                 elif growth:
@@ -837,16 +804,16 @@ def solve_lifespan(data: DataFamily, p: float, horizon: float = 200.0,
             scale = max(cand_max, 1e-300)
             if grid is not spec and edge > grow_tol * scale:
                 # the support nears the sub-grid's edge: retake dt on the
-                # next grid up
+                # next grid of the ladder
                 n = grid.points
-                grid = _grow(spec, n)
+                i += 1
+                grid = grids[i]
                 yu, yv = _embed(yu, n, grid.points), _embed(yv, n, grid.points)
                 w1, w3 = _head(yu, yv, p, _stage_ops(grid, dt_eff))
                 w3_dt = dt_eff
-                tail0 = math.ceil(grid.points / 3)
                 regrids += 1
                 continue
-            # accept (at dt_min even an out-of-tolerance step is taken)
+            # accept (at DT_MIN even an out-of-tolerance step is taken)
             forced += nonfinite or growth or err > ctrl.step_tol
             t += dt_eff
             dt_lo = min(dt_lo, dt_eff)
@@ -865,9 +832,11 @@ def solve_lifespan(data: DataFamily, p: float, horizon: float = 200.0,
             z **= z_exp
             n_acc += 1
             edge_max = max(edge_max, edge / scale)
+            # modes k >= N/3: the top third
+            tail0 = math.ceil(grid.points / 3)
             tail = (2.0 / grid.points) * float(np.abs(gu[tail0:]).sum())
             tail_max = max(tail_max, tail / scale)
-            if ctrl.check_boundary and edge > ctrl.boundary_tol * scale:
+            if ctrl.check_boundary and edge > BOUNDARY_TOL * scale:
                 status, cause = TRUNCATION_ABORT, TRUNCATION
                 T_low = T_high = t
                 break
@@ -909,7 +878,7 @@ def solve_lifespan(data: DataFamily, p: float, horizon: float = 200.0,
                        dt_lo if n_acc else None, dt_hi if n_acc else None,
                        edge_max, tail_max, grid.points, cause, bracket,
                        root_gap)
-    est = LifespanEstimate(status, T_low, T_high, spec, stats)
+    est = LifespanEstimate(status, T_low, T_high, stats)
     return est, MarchTrace(t_buf[:n_acc])
 
 

@@ -601,3 +601,69 @@ def test_main_reports_config_errors(tmp_path, capsys):
     assert main(["sweep", "--eps-list", "0.4,x", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: bad eps_list entry")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["no_section_header", "duplicate_key",
+                                  "out_is_a_file"])
+def test_bad_config_file_or_out_exits_2(tmp_path, capsys, case):
+    # a malformed INI file, or an --out that cannot be a directory, is a
+    # configuration error: exit 2, one error line, no traceback, and no
+    # output directory made
+    ini, out = tmp_path / "f.ini", tmp_path / "o"
+    argv = ["predict", "--out", str(out)]
+    if case == "out_is_a_file":
+        out.write_text("kept\n")
+    else:
+        ini.write_text("p = 2\n" if case == "no_section_header" else
+                       "[predict]\np = 2\np = 2.5\n")
+        argv += ["--config", str(ini)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    if case == "out_is_a_file":
+        assert repr(str(out)) in captured.err
+        assert out.read_text() == "kept\n"
+    else:
+        assert str(ini) in captured.err
+        assert not out.exists()
+
+
+class _FakePool:
+    """Stands in for ProcessPoolExecutor: records the pool size asked for
+    and runs the work in this process, starting none."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("workers,cpus,pool", [
+    (5000, 64, 5), (5000, 2, 2), (3, 64, 3), (5000, 1, None),
+    (5000, None, None), (1, 64, None)])
+def test_worker_pool_is_bounded_by_runs_and_cpus(tmp_path, monkeypatch,
+                                                 workers, cpus, pool):
+    # the pool starts all its processes at once, so it gets no more than
+    # the five default eps or the CPUs; one worker runs without a pool
+    import concurrent.futures
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _FakePool)
+    monkeypatch.setattr(_FakePool, "sizes", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(dwlab.cli, "_lifespan_worker",
+                        lambda cfg, eps: {"eps": eps})
+    cfg = load_config("lifespan", overrides={"workers": workers})
+    records = dwlab.cli._run_all_lifespans(cfg, str(tmp_path))
+    assert [r["eps"] for r in records] == list(cfg.eps_list)
+    assert len(cfg.eps_list) == 5
+    assert _FakePool.sizes == ([] if pool is None else [pool])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import threading
@@ -13,10 +14,10 @@ import dwlab.solver as solver
 from dwlab.grid import GridError, GridFunction, GridSpec, lp_norm
 from dwlab.propagators import (apply_dtS, apply_S, damped_symbol,
                                linear_pair_matrix)
-from dwlab.solver import (BLOWN_UP, SURVIVED_HORIZON, TRUNCATION_ABORT,
-                          BlowupSignal, LifespanEstimate, SamplingError,
-                          SolverControls, _cubic_spline, duhamel_residual,
-                          integrate, solve_lifespan)
+from dwlab.solver import (BLOWN_UP, BOUNDARY_TOL, SURVIVED_HORIZON,
+                          TRUNCATION_ABORT, BlowupSignal, LifespanEstimate,
+                          SamplingError, SolverControls, _cubic_spline,
+                          duhamel_residual, integrate, solve_lifespan)
 from dwlab.special import DataFamily, make_data_family
 
 SPEC = GridSpec(32.0, 1024)
@@ -492,7 +493,7 @@ def test_controller_stays_on_the_dt_ladder(monkeypatch, dt_init, step_tol):
     for i, (_, dt, _) in enumerate(calls):
         level = 4.0 * math.log2(dt / dt_init)
         assert (abs(level - round(level)) < 1e-9
-                or dt in (ctrl.dt_min, ctrl.dt_max)
+                or dt in (solver.DT_MIN, ctrl.dt_max)
                 or dt == pytest.approx(horizon - t, abs=1e-12))
         if i < len(rejected) and not rejected[i]:
             t += dt
@@ -639,10 +640,11 @@ def test_cubic_root_recovers_the_blowup_time(p):
     assert abs(line - T) >= 1e-5 * T
 
 
-def test_step_budget_error_reports_the_state():
+def test_step_budget_error_reports_the_state(monkeypatch):
     # at the default step_tol: one step of dt_init 0.02, one of 0.04, then
     # one of 0.04 2^(3/4), the dt of the next attempt
-    ctrl = SolverControls(check_boundary=False, max_steps=3)
+    monkeypatch.setattr(solver, "MAX_ATTEMPTS", 3)
+    ctrl = SolverControls(check_boundary=False)
     msg = r"3 attempts, t = 0\.127271713, dt = 0\.0673, max\|u\| = "
     with pytest.raises(RuntimeError, match=msg):
         solve_lifespan(torus_family(), 2.0, horizon=20.0, ctrl=ctrl)
@@ -734,7 +736,8 @@ def test_march_stats_name_every_termination(monkeypatch):
         m.setattr(solver, "_fit_root", lambda t, z, degree=3: None)
         for dt_min, cause, T_low in ((1e-3, solver.DT_FLOOR, 3.5159660),
                                      (1e-4, solver.U_CAP, 3.5131658)):
-            ctrl = SolverControls(check_boundary=False, dt_min=dt_min)
+            m.setattr(solver, "DT_MIN", dt_min)
+            ctrl = SolverControls(check_boundary=False)
             est, _ = solve_lifespan(fam, 2.0, horizon=20.0, ctrl=ctrl)
             assert est.status == BLOWN_UP
             assert (est.stats.termination, est.stats.bracket) == (cause,
@@ -753,7 +756,7 @@ def test_march_stats_name_every_termination(monkeypatch):
                             2.2, horizon=100.0)
     assert est.status == TRUNCATION_ABORT
     assert est.stats.termination == solver.TRUNCATION
-    assert est.stats.edge_ratio > SolverControls().boundary_tol
+    assert est.stats.edge_ratio > BOUNDARY_TOL
     assert est.stats.root_gap is None
     est, _ = solve_lifespan(make_data_family("M0_nonzero", 0.0, SPEC), 2.0,
                             horizon=5.0)
@@ -767,25 +770,24 @@ def test_march_stats_name_every_termination(monkeypatch):
 def test_guard_margin_at_the_default_tolerance():
     # criterion 07's M0_M1_zero eps 0.2 run, the gate-ladder run with the
     # largest edge ratio: at the default controls it must blow up with the
-    # edge ratio 30x below boundary_tol
-    ctrl = SolverControls()
+    # edge ratio 30x below BOUNDARY_TOL
     fam = make_data_family("M0_M1_zero", 0.2, GridSpec(64.0, 2048))
-    est, _ = solve_lifespan(fam, 1.25, horizon=200.0, ctrl=ctrl)
+    est, _ = solve_lifespan(fam, 1.25, horizon=200.0)
     assert est.status == BLOWN_UP
-    assert est.stats.edge_ratio <= ctrl.boundary_tol / 30.0
+    assert est.stats.edge_ratio <= BOUNDARY_TOL / 30.0
     assert est.stats.forced_accepts == 0
 
 
 def test_guard_lets_a_loose_tolerance_blow_up():
     # the same run at step_tol 1e-6: the step error alone lifts the edge
-    # ratio past 1e-8, where the old boundary_tol 1e-8 aborted it at
-    # t = 1.13; at the default boundary_tol it blows up
+    # ratio past 1e-8, where the old guard tolerance 1e-8 aborted it at
+    # t = 1.13; at BOUNDARY_TOL it blows up
     ctrl = SolverControls(step_tol=1e-6)
     fam = make_data_family("M0_M1_zero", 0.2, GridSpec(64.0, 2048))
     est, _ = solve_lifespan(fam, 1.25, horizon=200.0, ctrl=ctrl)
     assert est.status == BLOWN_UP
     assert est.stats.termination == solver.ROOT
-    assert 1e-8 < est.stats.edge_ratio <= ctrl.boundary_tol / 30.0
+    assert 1e-8 < est.stats.edge_ratio <= BOUNDARY_TOL / 30.0
 
 
 def test_guard_aborts_a_developing_truncation():
@@ -796,24 +798,28 @@ def test_guard_aborts_a_developing_truncation():
     assert est.status == TRUNCATION_ABORT
     assert est.stats.termination == solver.TRUNCATION
     assert est.T_low == est.T_high > 5.0
-    assert est.stats.edge_ratio > SolverControls().boundary_tol
+    assert est.stats.edge_ratio > BOUNDARY_TOL
 
 
-def test_forced_accepts_at_dt_min_clamp_the_bracket(ode_blowup_time):
-    # dt_min 1e-2 and 3e-3 accept steps out of tolerance near blow-up; the
-    # bracket does not cover their error, so it is not called extrapolated
-    # even where it holds the ODE's blow-up time, as at dt_min 1e-2
+def test_forced_accepts_at_dt_min_clamp_the_bracket(monkeypatch,
+                                                    ode_blowup_time):
+    # a DT_MIN of 1e-2 or 3e-3 accepts steps out of tolerance near blow-up;
+    # the bracket does not cover their error, so it is not called
+    # extrapolated even where it holds the ODE's blow-up time, as at 1e-2
     T_ref = ode_blowup_time(1.0, 2.0)
-    for dt_min in (1e-2, 3e-3):
-        ctrl = SolverControls(check_boundary=False, dt_min=dt_min)
-        est, _ = solve_lifespan(torus_family(), 2.0, horizon=20.0, ctrl=ctrl)
-        assert est.status == BLOWN_UP
-        assert est.stats.forced_accepts > 0
-        assert est.stats.bracket == "clamped"
-        if dt_min == 1e-2:
-            assert est.T_low < T_ref < est.T_high
+    with monkeypatch.context() as m:
+        for dt_min in (1e-2, 3e-3):
+            m.setattr(solver, "DT_MIN", dt_min)
+            ctrl = SolverControls(check_boundary=False)
+            est, _ = solve_lifespan(torus_family(), 2.0, horizon=20.0,
+                                    ctrl=ctrl)
+            assert est.status == BLOWN_UP
+            assert est.stats.forced_accepts > 0
+            assert est.stats.bracket == "clamped"
+            if dt_min == 1e-2:
+                assert est.T_low < T_ref < est.T_high
     assert est.T_low < est.T_high
-    # the default dt_min forces nothing
+    # DT_MIN itself forces nothing
     est, _ = solve_lifespan(torus_family(), 2.0, horizon=20.0,
                             ctrl=SolverControls(check_boundary=False))
     assert est.stats.forced_accepts == 0
@@ -909,10 +915,25 @@ def test_p3_blow_up_ends_on_the_root_not_on_truncation():
         assert est.status == BLOWN_UP
         assert (est.stats.termination, est.stats.bracket) == (solver.ROOT,
                                                              "extrapolated")
-        assert est.stats.edge_ratio <= SolverControls().boundary_tol / 30.0
+        assert est.stats.edge_ratio <= BOUNDARY_TOL / 30.0
         highs.append(est.T_high)
     assert highs[0] == pytest.approx(3.3092036, rel=1e-6)
     assert highs[1] == pytest.approx(highs[0], rel=1e-7)
+
+
+def _quiet_start(fam):
+    """The first entry of the family's grid ladder whose initial edge
+    amplitudes are at most BOUNDARY_TOL/30 max(|u0|, |u1|), and the number
+    of entries before it."""
+    spec = fam.f0.spec
+    u0, u1 = (g.values for g in fam.initial_data())
+    quiet = BOUNDARY_TOL / 30.0 * max(np.abs(u0).max(), np.abs(u1).max())
+    for i, grid in enumerate(solver._grid_ladder(spec)):
+        lo = (spec.points - grid.points) // 2
+        cu, cv = u0[lo:lo + grid.points], u1[lo:lo + grid.points]
+        edge = max(solver._edge_amplitude(cu), solver._edge_amplitude(cv))
+        if grid is spec or edge <= quiet:
+            return grid, i
 
 
 def test_march_grows_its_grid_with_the_support(monkeypatch):
@@ -935,26 +956,26 @@ def test_march_grows_its_grid_with_the_support(monkeypatch):
     monkeypatch.setattr(solver, "_nl_hat", nl_hat)
     spec = GridSpec(64.0, 2048)
     fam = make_data_family("M0_zero_M1_nonzero", 0.4, spec)
-    ctrl = SolverControls()
-    est, trace = solve_lifespan(fam, 1.25, horizon=200.0, ctrl=ctrl)
+    est, trace = solve_lifespan(fam, 1.25, horizon=200.0)
     st = est.stats
-    assert est.status == BLOWN_UP and est.grid == spec
+    assert est.status == BLOWN_UP
     assert st.points == 768 and st.regrids >= 1
-    assert st.edge_ratio <= ctrl.boundary_tol / 30.0
+    assert st.edge_ratio <= BOUNDARY_TOL / 30.0
     assert st.attempts == len(trace.times) + st.rejected_tol \
         + st.rejected_growth + st.rejected_nonfinite + st.regrids
-    # every grid is centred at the family's h; a regrid moves it one
-    # ladder size up (x3/2 or x4/3) and retakes the same dt
-    assert calls[0][0].points == 384
+    # the march starts on the first quiet entry of the ladder; a regrid
+    # moves it to the next entry and retakes the same dt
+    ladder = solver._grid_ladder(spec)
+    start, _ = _quiet_start(fam)
+    assert calls[0][0] == start and start.points == 384
     moves = 0
     for (a, dt_a), (b, dt_b) in zip(calls, calls[1:]):
-        assert b.h == spec.h
         if b != a:
             moves += 1
-            assert b.points == solver._next_points(a.points)
-            assert b.points in (3 * a.points // 2, 4 * a.points // 3)
+            assert ladder.index(b) == ladder.index(a) + 1
             assert dt_b == dt_a
     assert moves == st.regrids
+    assert calls[-1][0] == ladder[ladder.index(start) + st.regrids]
     # a regrid rebuilds w1 and w3 in one 2-row call
     assert st.nl_rows == sum(rows)
     whole, _ = solve_lifespan(fam, 1.25, horizon=200.0,
@@ -963,59 +984,90 @@ def test_march_grows_its_grid_with_the_support(monkeypatch):
     assert est.T_high == pytest.approx(whole.T_high, rel=1e-6)
 
 
+@pytest.mark.parametrize("cls,eps,spec,points", [
+    ("M0_zero_M1_nonzero", 0.4, GridSpec(64.0, 2048), 384),
+    ("M0_M1_zero", 0.2, GridSpec(48.0, 1536), 384),
+    ("M0_nonzero", 0.5, GridSpec(20.0, 1536), 768),
+    ("M0_nonzero", 0.5, GridSpec(8.0, 256), 256)])
+def test_march_starts_on_the_first_quiet_entry(monkeypatch, cls, eps, spec,
+                                                points):
+    # the first attempt runs on the first ladder entry with a quiet initial
+    # edge, from the family's centred values there, bit for bit; every
+    # entry before it has a loud edge, and an undersized box starts on the
+    # family's grid itself
+    first = []
+
+    def attempt(yu, yv, w1, w3, p, grid, dt):
+        if not first:
+            first.extend((grid, yu, yv))
+        raise RuntimeError("stop after the first attempt")
+
+    monkeypatch.setattr(solver, "_attempt", attempt)
+    fam = make_data_family(cls, eps, spec)
+    with pytest.raises(RuntimeError, match="first attempt"):
+        solve_lifespan(fam, 1.25, horizon=200.0)
+    grid, yu, yv = first
+    start, i = _quiet_start(fam)
+    assert grid == start and grid.points == points
+    assert solver._grid_ladder(spec)[i] == start
+    lo = (spec.points - grid.points) // 2
+    u0, u1 = (g.values[lo:lo + grid.points] for g in fam.initial_data())
+    assert np.array_equal(yu, np.fft.rfft(u0))
+    assert np.array_equal(yv, np.fft.rfft(u1))
+    # the guard off runs on the family's grid from the start
+    first.clear()
+    with pytest.raises(RuntimeError, match="first attempt"):
+        solve_lifespan(fam, 1.25, horizon=200.0,
+                       ctrl=SolverControls(check_boundary=False))
+    assert first[0] is spec
+
+
 def test_embed_centres_the_sub_grid_values():
     # a field on n nodes lands on the centred n nodes of the doubled grid,
     # among zeros, at the same positions x
     rng = np.random.default_rng(11)
     fine = GridSpec(16.0, 256)
-    sub = solver._sub_grid(fine, 128)
-    assert sub.h == fine.h and solver._sub_grid(fine, 256) is fine
+    sub = {g.points: g for g in solver._grid_ladder(fine)}[128]
     vals = rng.standard_normal(128)
     got = np.fft.irfft(solver._embed(np.fft.rfft(vals), 128, 256), 256)
     assert_allclose(got[64:192], vals, rtol=0.0, atol=1e-14)
     assert np.max(np.abs(got[:64])) < 1e-14
     assert np.max(np.abs(got[192:])) < 1e-14
     assert_allclose(fine.nodes[64:192], sub.nodes, rtol=0.0, atol=1e-12)
-    # the start grid is the smallest centred one with a quiet edge
-    u = np.exp(-0.25 * fine.nodes ** 2)
-    grid, cu, cv = solver._start_grid(fine, u, np.zeros(256), 1e-6)
-    assert grid.points == 128
-    assert np.array_equal(cu, u[64:192]) and not np.any(cv)
-    assert solver._edge_amplitude(cu) <= 1e-6
-    assert solver._edge_amplitude(u[96:160]) > 1e-6
 
 
 def test_sub_grid_ladder_keeps_h_and_the_family_nodes():
-    # 16 up to 4096 through every 2^k and 3 2^k size, each move x3/2 or
-    # x4/3; every sub-grid of a dyadic family keeps h to the bit and its
-    # nodes are the family's centred slice
-    sizes = [16]
-    while sizes[-1] < 4096:
-        sizes.append(solver._next_points(sizes[-1]))
-    assert sizes == sorted(m << k for m in (1, 3) for k in range(13)
-                           if 16 <= m << k <= 4096)
+    # 16 up to the family's N through every 2^k and 3 2^k size, each move
+    # x3/2 or x4/3; every sub-grid of these families keeps h to the bit,
+    # its nodes are the family's centred slice, and the family's grid
+    # itself closes the list
     for spec in (GridSpec(64.0, 2048), GridSpec(48.0, 1536),
                  GridSpec(128.0, 4096), GridSpec(16.0, 256)):
-        n = 16
-        while n < spec.points:
-            sub = solver._sub_grid(spec, n)
-            lo = (spec.points - n) // 2
-            assert sub.points == n and sub.h == spec.h
-            assert np.array_equal(sub.nodes, spec.nodes[lo:lo + n])
-            assert solver._grow(spec, n).points == solver._next_points(n)
-            n = solver._next_points(n)
-        assert solver._sub_grid(spec, n) is spec
-    assert solver._grow(GridSpec(64.0, 2048), 1536) == GridSpec(64.0, 2048)
+        ladder = solver._grid_ladder(spec)
+        sizes = [g.points for g in ladder]
+        assert sizes == sorted(m << k for m in (1, 3) for k in range(13)
+                               if 16 <= m << k <= spec.points)
+        assert all(b in (3 * a // 2, 4 * a // 3)
+                   for a, b in zip(sizes, sizes[1:]))
+        assert ladder[-1] is spec
+        for sub in ladder:
+            lo = (spec.points - sub.points) // 2
+            assert sub.h == spec.h
+            assert np.array_equal(sub.nodes, spec.nodes[lo:lo + sub.points])
+    # a family of the smallest size has no sub-grid
+    assert solver._grid_ladder(GridSpec(1.0, 16)) == [GridSpec(1.0, 16)]
 
 
 @pytest.mark.parametrize("n,n_new", [(128, 192), (96, 128), (512, 768),
                                      (768, 1024)])
 def test_embed_into_the_next_ladder_size(n, n_new):
     # x3/2 and x4/3: the n values land centred among zeros, at the nodes
-    # of the same x on the larger sub-grid
+    # of the same x on the next entry of the ladder
     rng = np.random.default_rng(n)
-    spec = GridSpec(64.0, 2048)
-    small, large = solver._sub_grid(spec, n), solver._sub_grid(spec, n_new)
+    ladder = solver._grid_ladder(GridSpec(64.0, 2048))
+    sizes = [g.points for g in ladder]
+    small, large = ladder[sizes.index(n)], ladder[sizes.index(n) + 1]
+    assert large.points == n_new
     vals = rng.standard_normal(n)
     got = np.fft.irfft(solver._embed(np.fft.rfft(vals), n, n_new), n_new)
     lo = (n_new - n) // 2
@@ -1026,16 +1078,19 @@ def test_embed_into_the_next_ladder_size(n, n_new):
 
 def test_ladder_skips_sizes_that_would_change_h(monkeypatch):
     # a 3 2^k sub-grid of L = 25.6, N = 1024 cannot keep h = 0.05 to the
-    # bit, so the ladder doubles past it; a 3 2^k family (L = 10,
-    # N = 1536) skips its 2^k sizes the same way
+    # bit, so the ladder leaves it out and doubles; a 3 2^k family (L = 10,
+    # N = 1536) leaves out its 2^k sizes the same way
     spec = GridSpec(25.6, 1024)
-    assert solver._sub_grid(spec, 384) is None
-    assert solver._grow(spec, 256) == solver._sub_grid(spec, 512)
-    assert solver._grow(spec, 512) is spec
+    ladder = solver._grid_ladder(spec)
+    assert [g.points for g in ladder] == [16, 32, 64, 128, 256, 512, 1024]
+    assert GridSpec(25.6 * (384 / 1024), 384).h != spec.h
     tri = GridSpec(10.0, 1536)
-    assert solver._sub_grid(tri, 512) is None
-    assert solver._grow(tri, 384).points == 768
-    # the march on such a family grows by doubling and keeps h throughout
+    assert [g.points for g in solver._grid_ladder(tri)] == [
+        24, 48, 96, 192, 384, 768, 1536]
+    assert GridSpec(10.0 * (512 / 1536), 512).h != tri.h
+    assert all(g.h == tri.h for g in solver._grid_ladder(tri))
+    # the march on such a family grows by doubling, one entry at a time,
+    # and keeps h throughout
     grids = []
     real_attempt = solver._attempt
 
@@ -1047,18 +1102,18 @@ def test_ladder_skips_sizes_that_would_change_h(monkeypatch):
     fam = make_data_family("M0_zero_M1_nonzero", 0.4, spec)
     est, _ = solve_lifespan(fam, 1.25, horizon=12.0)
     assert est.status == SURVIVED_HORIZON and est.stats.regrids >= 1
-    points = sorted({g.points for g in grids})
-    assert all(b == 2 * a for a, b in zip(points, points[1:]))
+    visited = [ladder.index(g) for g in dict.fromkeys(grids)]
+    assert visited == list(range(visited[0], visited[0] + len(visited)))
     assert all(g.h == spec.h for g in grids)
 
 
 def test_lifespan_estimate_invariants():
     with pytest.raises(ValueError):
-        LifespanEstimate(BLOWN_UP, 10.0, 9.0, SPEC)
+        LifespanEstimate(BLOWN_UP, 10.0, 9.0)
     with pytest.raises(ValueError):
         # blown_up bracket wider than 1 percent of T_high
-        LifespanEstimate(BLOWN_UP, 5.0, 9.0, SPEC)
-    ok = LifespanEstimate(BLOWN_UP, 9.92, 10.0, SPEC)
+        LifespanEstimate(BLOWN_UP, 5.0, 9.0)
+    ok = LifespanEstimate(BLOWN_UP, 9.92, 10.0)
     assert ok.T_high == 10.0
 
 
@@ -1185,16 +1240,16 @@ def test_controls_validation():
     with pytest.raises(ValueError):
         SolverControls(dt_init=-0.1)
     with pytest.raises(ValueError):
-        SolverControls(dt_min=0.1, dt_max=0.01)
+        SolverControls(dt_init=0.5 * solver.DT_MIN)
+    with pytest.raises(ValueError):
+        SolverControls(dt_init=0.1, dt_max=0.01)
     with pytest.raises(ValueError):
         SolverControls(step_tol=0.0)
-    for tol in (0.0, -1e-6, math.nan):
-        with pytest.raises(ValueError):
-            SolverControls(boundary_tol=tol)
-    for n in (0, -3):
-        with pytest.raises(ValueError):
-            SolverControls(max_steps=n)
-    assert SolverControls(max_steps=1).max_steps == 1
+    # the four settings a caller varies, and no other
+    assert [f.name for f in dataclasses.fields(SolverControls)] == [
+        "dt_init", "dt_max", "step_tol", "check_boundary"]
+    ctrl = SolverControls(dt_init=solver.DT_MIN, dt_max=solver.DT_MIN)
+    assert ctrl.dt_init == ctrl.dt_max == 1e-12
 
 
 def test_integrate_rejects_mismatched_grids():
