@@ -3,8 +3,8 @@
 * Bessel I0: ``bessel_i0_kernel``, a vectorized fixed-length series /
   asymptotic sum.
 * light-cone convolution: ``kernel_convolve`` deposits the quadrature's
-  Simpson x cubic-Lagrange weights into one fine-grid stencil and applies
-  it with one circular FFT convolution.
+  Simpson x cubic-Lagrange weights into one fine-grid stencil and
+  multiplies f's spectrum by the stencil's first N/2 + 1 modes.
 * ODI march: ``odi_march``, an adaptive-mesh march on Python floats:
   F a cubic Hermite on each step, the kernel integrated exactly, O(1) per
   step, fourth order in the step constants, and steps that grow far past
@@ -72,20 +72,25 @@ def bessel_i0_kernel(y: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
-def kernel_convolve(fu, wk, mq, lag, R, n_out):
-    """Every R-th sample of the circular convolution of fu with the stencil.
+def kernel_convolve(f, wk, mq, lag, R, n_out):
+    """Every R-th sample of the circular convolution of the stencil with
+    fu, the band-limited R-fold upsampling of f, from f's n_out samples.
 
-    fu is the fine grid of R * n_out points.  Tap j of node q reads fu at
-    offset -(m_q - (j - 1)), so its weight wk[q] * lag[q, j] is deposited
-    at stencil index (m_q - (j - 1)) mod nf; one rfft/irfft pair then
-    applies all nodes at every fine point.
+    Tap j of node q reads fu at offset -(m_q - (j - 1)), so its weight
+    wk[q] * lag[q, j] is deposited at stencil index (m_q - (j - 1)) mod nf,
+    nf = R n_out.  fu has no mode past f's Nyquist index, where it splits
+    f's mode evenly between +-n_out/2, so the R-th samples are f's spectrum
+    times the stencil's first n_out/2 + 1 modes, the real part of the one
+    at the Nyquist index: one length-nf rfft and one length-n_out pair.
     """
-    nf = fu.shape[0]
+    nf = R * n_out
     idx = (mq[:, None] - np.arange(-1, 3)) % nf
     stencil = np.bincount(idx.ravel(), weights=(wk[:, None] * lag).ravel(),
                           minlength=nf)
-    full = np.fft.irfft(np.fft.rfft(stencil) * np.fft.rfft(fu), n=nf)
-    return full[: R * n_out : R]
+    # irfft reads only the real part of the mode at an even n_out's Nyquist
+    # index
+    mult = np.fft.rfft(stencil)[: n_out // 2 + 1]
+    return np.fft.irfft(np.fft.rfft(f) * mult, n=n_out)
 
 
 # ----------------------------------------------------------------------

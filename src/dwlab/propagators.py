@@ -203,14 +203,6 @@ def _cubic_lagrange_weights(r: np.ndarray) -> np.ndarray:
     return w
 
 
-def _upsample(values: np.ndarray, R: int) -> np.ndarray:
-    """Band-limited upsampling by an integer factor via rfft zero padding."""
-    n = len(values)
-    fh = np.fft.rfft(values)
-    fh[-1] *= 0.5  # split the coarse Nyquist bin across +/- modes
-    return np.fft.irfft(fh, n=R * n) * R
-
-
 def kernel_quadrature(t: float, h: float):
     """Simpson nodes and weights on [-t, t], spacing <= h/_NODES_PER_CELL.
 
@@ -235,7 +227,8 @@ def apply_S_kernel(t: float, f: GridFunction) -> GridFunction:
 
     Composite Simpson in y with at least _NODES_PER_CELL nodes per grid cell
     (endpoints land exactly on +/- t); f is evaluated off-grid by cubic
-    interpolation of its 8x band-limited upsampling.  Supported for
+    interpolation of its 8x band-limited upsampling, which
+    _kernels.kernel_convolve applies on f's own spectrum.  Supported for
     0 < t <= 50; beyond that the kernel dynamic range makes the quadrature
     pointless and KernelRangeError is raised.
     """
@@ -249,12 +242,11 @@ def apply_S_kernel(t: float, f: GridFunction) -> GridFunction:
 
     R = _UPSAMPLE
     hf = spec.h / R
-    fu = _upsample(f.values, R)
     s = y / hf                      # shift in fine-grid units
     mq = np.ceil(s).astype(np.int64)
     rho = mq - s                    # in [0, 1)
     lag = _cubic_lagrange_weights(rho)
-    out = _kernels.kernel_convolve(fu, wk, mq, lag, R, spec.points)
+    out = _kernels.kernel_convolve(f.values, wk, mq, lag, R, spec.points)
     return GridFunction(spec, out)
 
 

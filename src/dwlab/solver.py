@@ -50,12 +50,14 @@ T - t to first order at the ODE blow-up rate u ~ (T - t)^(-2/(p-1))
 (Merle & Zaag, Amer. J. Math. 125 (2003) 1147-1164) whatever max|u| is,
 so no sup-norm level gates the check, and the cubic takes up the
 curvature that biases a line's root late.  The cubic is fitted only once
-the root of the least-squares line through the same samples, computed
-after every accepted step, lies within 2% of itself past t; the line's
-root sits later than the cubic's on the gate ladders, so the trigger
-skips no step that could stop.  The march then reports the bracket
-[t, T].  Overflow past u_cap, or to inf with dt at its floor, ends it
-too, with T clamped to the same window.
+the root of the secant through the last two accepted samples, taken
+after every accepted step, lies within 2% of itself past t.  Replayed
+without the trigger on the gate ladders, the torus runs and the long
+runs at p = 1.5 and 1.75, the cubic's window first holds at the step
+where the march stops, so the trigger skips no step that could stop.
+The march then reports the bracket [t, T].  Overflow past u_cap, or to
+inf with dt at its floor, ends it too, with T clamped to the same
+window.
 
 On a truncated line (the truncation guard on) the march walks one list
 of grids, _grid_ladder: the centred sub-grids of the family's grid that
@@ -152,7 +154,7 @@ class SolverControls:
     attempt costs two batched nonlinear calls, four rows, plus one row
     when its dt differs from the previous attempt's.  No field sets the
     stop: that is the cubic root's window _ROOT_WINDOW, 0.9%, behind the
-    line's trigger window _TRIGGER_WINDOW, 2% (module docstring).
+    secant's trigger window _TRIGGER_WINDOW, 2% (module docstring).
 
     check_boundary turns on the truncation guard: a run aborts once the
     edge amplitude of u on an accepted step exceeds BOUNDARY_TOL max|u|.
@@ -489,39 +491,12 @@ def integrate(u0: GridFunction, v0: GridFunction, p: float, t_final: float,
 # ----------------------------------------------------------------------
 
 # the stop rule: a march ends once the cubic's root is within this fraction
-# of itself past t; the cubic is fitted once the line's root is within
-# _TRIGGER_WINDOW of itself past t
+# of itself past t; the cubic is fitted once the root of the secant through
+# the last two samples is within _TRIGGER_WINDOW of itself past t
 _ROOT_WINDOW = 0.009
 _TRIGGER_WINDOW = 0.02
 # the fits run through this many of the last accepted samples
 _FIT_SAMPLES = 20
-
-
-def _extrapolate_blowup(t: np.ndarray, z: np.ndarray):
-    """Root of the linear fit of z = sup-norm^(-(p-1)/2) over the last
-    20 samples.
-
-    t and z hold the accepted samples in order, as float arrays.  z
-    vanishes linearly in time for the generic u'' = u^p rate
-    u ~ C (T-t)^{-2/(p-1)}, so its t-intercept estimates T.  Returns None
-    while the fit does not yet predict divergence at a finite time.
-    """
-    k = min(_FIT_SAMPLES, len(t))
-    if k < 3:
-        return None
-    t = t[-k:]
-    z = z[-k:]
-    # least-squares line z = a t + b in centred form; its root is tm - zm/a
-    tm = float(t.sum()) / k
-    zm = float(z.sum()) / k
-    # z > 0, so its mean is finite exactly when every sample is
-    if not math.isfinite(zm):
-        return None
-    tc = t - tm
-    a = float(np.dot(tc, z - zm)) / float(np.dot(tc, tc))
-    if not a < 0.0:
-        return None
-    return max(tm - zm / a, float(t[-1]))
 
 
 def _horner(c, x: float) -> float:
@@ -593,12 +568,13 @@ def _fit_root(t: np.ndarray, z: np.ndarray, degree: int = 3):
     """The first root past the last sample of the least-squares polynomial
     of the given degree, 2 or 3, through the last 20 samples of z.
 
-    t and z are as in _extrapolate_blowup.  z = (T - t) (s + O(T - t)) near
-    the blow-up (Merle & Zaag), so the curvature the line leaves out sets
-    its bias; the cubic absorbs it.  The fit runs in x = (t - t_last)/span,
-    x in [-1, 0], by its normal equations.  Returns the last sample's t
-    when the fitted z there is not positive, and None when the fit has no
-    root past it or fewer than degree + 1 samples.
+    t and z hold the accepted samples in order, as float arrays.
+    z = (T - t) (s + O(T - t)) near the blow-up (Merle & Zaag), so the
+    curvature a line leaves out sets its bias; the cubic absorbs it.  The
+    fit runs in x = (t - t_last)/span, x in [-1, 0], by its normal
+    equations.  Returns the last sample's t when the fitted z there is not
+    positive, and None when the fit has no root past it or fewer than
+    degree + 1 samples.
     """
     k = min(_FIT_SAMPLES, len(t))
     if k <= degree:
@@ -844,9 +820,12 @@ def solve_lifespan(data: DataFamily, p: float, horizon: float = 200.0,
                 status, cause = BLOWN_UP, U_CAP
                 T_low = t
                 break
-            # the line triggers the cubic, whose root is the stop's
-            line = _extrapolate_blowup(t_buf[:n_acc], z_buf[:n_acc])
-            if line is not None and line - t <= _TRIGGER_WINDOW * line:
+            # the secant through the last two samples triggers the cubic,
+            # whose root is the stop's
+            z1, z0 = z_buf[n_acc - 1], z_buf[n_acc - 2]
+            secant = t + (t - t_buf[n_acc - 2]) * z1 / (z0 - z1) \
+                if n_acc > 1 and z1 < z0 else None
+            if secant is not None and secant - t <= _TRIGGER_WINDOW * secant:
                 root = _fit_root(t_buf[:n_acc], z_buf[:n_acc])
                 if root is not None and root - t <= _ROOT_WINDOW * root:
                     status, cause = BLOWN_UP, ROOT

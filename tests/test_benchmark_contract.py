@@ -162,18 +162,18 @@ def test_odi_hooks_read_march_length_and_config(monkeypatch):
 def test_kernel_convolve_hook_reads_positional_arguments(monkeypatch):
     tracing = _load_tracing()
     assert list(inspect.signature(dwlab._kernels.kernel_convolve).parameters) \
-        == ["fu", "wk", "mq", "lag", "R", "n_out"]
+        == ["f", "wk", "mq", "lag", "R", "n_out"]
     calls = _spy(monkeypatch, dwlab._kernels, "kernel_convolve")
     spec = GridSpec(16.0, 128)
     f = GridFunction(spec, np.exp(-spec.nodes ** 2))
     apply_S_kernel(1.0, f)
     assert len(calls) == 1
     args, kwargs, result = calls[0]
-    fu, wk, mq, lag, R, n_out = args
+    f, wk, mq, lag, R, n_out = args
     assert kwargs == {}
     assert len(wk) == len(mq) == len(lag)
     assert n_out == spec.points and len(result) == n_out
-    assert len(fu) == R * n_out
+    assert len(f) == n_out
     rec = tracing.Recorder()
     _hook(tracing, "dwlab._kernels", "kernel_convolve")(rec, args, result)
     assert rec.counts["kernels.kernel_convolve.madds"] == 4 * len(wk) * n_out

@@ -528,7 +528,10 @@ def test_truncation_abort_names_what_tripped(tmp_path, capsys):
         assert "boundary_tol" not in (out / "run_000.json").read_text()
 
 
-def test_sweep_outputs_match_across_worker_counts(tmp_path):
+def test_sweep_outputs_match_across_worker_counts(tmp_path, monkeypatch):
+    # the pool is capped at the CPU count: two CPUs let --workers 2 start
+    # one on any host
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     ini = tmp_path / "lab.ini"
     ini.write_text("[sweep]\np = 1.5\neps_list = 0.5 0.4 0.3\n")
     outs, codes = [], []

@@ -2,7 +2,6 @@ import dataclasses
 import math
 import sys
 import threading
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -506,69 +505,6 @@ def test_controller_stays_on_the_dt_ladder(monkeypatch, dt_init, step_tol):
         assert any(rejected)
 
 
-def _z(ms, p):
-    """The stop fit's samples z = max|u|^(-(p-1)/2), as the march forms
-    them."""
-    return np.asarray(ms) ** (-(p - 1.0) / 2.0)
-
-
-def _polyfit_root(ts, ms, p):
-    """The np.polyfit form of _extrapolate_blowup's line fit."""
-    t = np.asarray(ts[-20:])
-    z = np.asarray(ms[-20:]) ** (-(p - 1.0) / 2.0)
-    a, b = np.polyfit(t, z, 1)
-    return None if not a < 0.0 else max(float(-b / a), float(t[-1]))
-
-
-def _exact_root(ts, ms, p):
-    """The same least-squares root in rational arithmetic."""
-    t = [Fraction(x) for x in ts[-20:]]
-    z = [Fraction(x) for x in np.asarray(ms[-20:]) ** (-(p - 1.0) / 2.0)]
-    tm = sum(t) / len(t)
-    zm = sum(z) / len(z)
-    a = sum((x - tm) * (y - zm) for x, y in zip(t, z)) \
-        / sum((x - tm) ** 2 for x in t)
-    return None if not a < 0 else max(float(tm - zm / a), float(t[-1]))
-
-
-def test_extrapolate_blowup_matches_polyfit():
-    rng = np.random.default_rng(7)
-    for trial in range(400):
-        p = float(rng.choice([1.25, 1.5, 2.0, 2.5, 3.0]))
-        T = rng.uniform(2.0, 60.0)
-        k = int(rng.integers(3, 30))
-        if trial % 2:
-            # samples toward blow-up, noisy sup norms
-            gaps = np.sort(rng.uniform(1e-3, 1.0, k))[::-1]
-            noise = 1e-3
-        else:
-            # near-degenerate: k steps at the dt floor, a nearly exact line
-            d = 10.0 ** rng.uniform(-9.0, -5.0)
-            gaps = d * np.arange(k, 0, -1)
-            noise = 1e-6
-        ts = list(T - gaps)
-        ms = list((gaps ** (-2.0 / (p - 1.0)))
-                  * (1.0 + noise * rng.standard_normal(k)))
-        got = solver._extrapolate_blowup(np.array(ts), _z(ms, p))
-        want = _polyfit_root(ts, ms, p)
-        assert (got is None) == (want is None)
-        if want is not None:
-            assert got == pytest.approx(want, rel=1e-12)
-    # a nearly flat window puts the root far out, where np.polyfit loses
-    # digits: the closed form still matches the exact least-squares root
-    for trial in range(20):
-        ts = list(np.sort(rng.uniform(10.0, 11.0, 12)))
-        ms = list(1e4 * (1.0 + 1e-7 * (np.array(ts) - 10.0))
-                  * (1.0 + 1e-9 * rng.standard_normal(12)))
-        got = solver._extrapolate_blowup(np.array(ts), _z(ms, 2.0))
-        want = _exact_root(ts, ms, 2.0)
-        assert (got is None) == (want is None)
-        if want is not None:
-            assert got == pytest.approx(want, rel=1e-12)
-    assert solver._extrapolate_blowup(np.array([1.0, 2.0]),
-                                      _z([1.0, 2.0], 2.0)) is None
-
-
 def _np_fit_root(ts, zs, degree):
     """The first root past ts[-1] of np.polyfit's fit, by np.roots."""
     ts, zs = np.asarray(ts)[-20:], np.asarray(zs)[-20:]
@@ -613,8 +549,8 @@ def test_fit_root_matches_polyfit():
 def test_cubic_root_recovers_the_blowup_time(p):
     # on z exactly cubic in T - t the root is T; on the scalar ODE's own
     # profile y'' + y' = y^p, sampled as a march's last 20 steps before a
-    # 0.9% stop, the cubic lands within 1e-8 of T, where the line is off by
-    # about 3e-5
+    # 0.9% stop, the cubic lands within 1e-8 of T, where the least-squares
+    # line is off by about 3e-5
     T = 3.5
     tau = 0.009 * T * np.geomspace(1.15, 1.0, 20)
     z = tau * (0.3 + 2.0 * tau + 5.0 * tau * tau)
@@ -635,7 +571,8 @@ def test_cubic_root_recovers_the_blowup_time(p):
     tau = 0.009 * T * np.geomspace(1.15, 1.0, 20)
     z = sol.sol(T - tau)[0] ** (-(p - 1.0) / 2.0)
     cubic = solver._fit_root(T - tau, z)
-    line = solver._extrapolate_blowup(T - tau, z)
+    a, b = np.polyfit(T - tau, z, 1)
+    line = -b / a
     assert abs(cubic - T) <= 1e-8 * T
     assert abs(line - T) >= 1e-5 * T
 
@@ -732,7 +669,6 @@ def test_march_stats_name_every_termination(monkeypatch):
     # with no extrapolated root the march runs into u_cap, or into
     # overflow once dt sits at its floor; either clamps T_high to T_low
     with monkeypatch.context() as m:
-        m.setattr(solver, "_extrapolate_blowup", lambda t, z: None)
         m.setattr(solver, "_fit_root", lambda t, z, degree=3: None)
         for dt_min, cause, T_low in ((1e-3, solver.DT_FLOOR, 3.5159660),
                                      (1e-4, solver.U_CAP, 3.5131658)):
@@ -829,55 +765,59 @@ def test_forced_accepts_at_dt_min_clamp_the_bracket(monkeypatch,
 
 @pytest.mark.parametrize("p", [2.0, 2.5])
 def test_stop_rule_is_checked_on_every_accepted_step(monkeypatch, p):
-    # criterion 10's torus runs: the line's root is extrapolated after each
-    # accepted step from the first on, whatever max|u| is, and the cubic
-    # is fitted on exactly the steps where that root is within 2% of t
-    lines, cubics = [], []
-    line_fit, cubic_fit = solver._extrapolate_blowup, solver._fit_root
-    attempts, samples = [], []
+    # criterion 10's torus runs: whatever max|u| is, the cubic is fitted on
+    # exactly the accepted steps where the secant through the last two
+    # samples has its root within 2% of itself past t
+    cubics, samples, attempts = [], [], []
+    cubic_fit = solver._fit_root
     real_attempt = solver._attempt
-
-    def line_spy(t, z):
-        root = line_fit(t, z)
-        lines.append((len(t), root))
-        samples[:] = t.copy(), z.copy()
-        return root
 
     def cubic_spy(t, z, degree=3):
         if degree == 3:
             cubics.append(len(t))
+            samples[:] = t.copy(), z.copy()
         return cubic_fit(t, z, degree)
 
     def attempt(yu, yv, w1, w3, q, spec, dt):
         out = real_attempt(yu, yv, w1, w3, q, spec, dt)
         attempts.append((yu, out[0], float(np.abs(out[5]).max())))
         return out
-    monkeypatch.setattr(solver, "_extrapolate_blowup", line_spy)
     monkeypatch.setattr(solver, "_fit_root", cubic_spy)
     monkeypatch.setattr(solver, "_attempt", attempt)
     est, trace = solve_lifespan(torus_family(), p, horizon=20.0,
                                 ctrl=SolverControls(check_boundary=False))
     assert (est.stats.termination, est.stats.bracket) == (solver.ROOT,
                                                          "extrapolated")
-    n = len(trace.times)
-    assert [k for k, _ in lines] == list(range(1, n + 1))
-    triggered = [k for k, root in lines if root is not None
-                 and root - trace.times[k - 1] <= 0.02 * root]
-    assert cubics == triggered and triggered[-1] == n
-    # the fit's samples are every accepted t and, bit for bit, z as
-    # numpy's array power takes it from the accepted sup norms
+    # the stopping fit's samples are every accepted t and, bit for bit, z
+    # as numpy's array power takes it from the accepted sup norms
     sup = [m for (_, gu, m), nxt in zip(attempts, attempts[1:] + [None])
            if nxt is None or nxt[0] is gu]
-    assert np.array_equal(samples[0], trace.times)
-    assert np.array_equal(samples[1], np.array(sup) ** (-(p - 1.0) / 2.0))
+    t, z = samples
+    assert np.array_equal(t, trace.times)
+    assert np.array_equal(z, np.array(sup) ** (-(p - 1.0) / 2.0))
+    n = len(t)
+    triggered = []
+    for k in range(2, n + 1):
+        if z[k - 1] < z[k - 2]:
+            root = t[k - 1] + (t[k - 1] - t[k - 2]) * z[k - 1] \
+                / (z[k - 2] - z[k - 1])
+            if root - t[k - 1] <= solver._TRIGGER_WINDOW * root:
+                triggered.append(k)
+    assert cubics == triggered and triggered[-1] == n
+    assert len(cubics) < n // 2
 
 
-@pytest.mark.parametrize("p", [2.0, 2.5, 1.25],
-                         ids=["torus p=2", "torus p=2.5", "sweep eps 0.4"])
-def test_stop_replays_the_cubic_root_rule(monkeypatch, p):
-    # replayed on the run's own samples without the line's trigger, the
+@pytest.mark.parametrize("p,cls,eps", [
+    (2.0, None, None), (2.5, None, None),
+    (1.25, "M0_zero_M1_nonzero", 0.4), (1.5, "M0_zero_M1_nonzero", 0.5),
+    (3.0, "M0_nonzero", 0.9)],
+    ids=["torus p=2", "torus p=2.5", "sweep eps 0.4", "p=1.5 eps 0.5",
+         "p=3 eps 0.9"])
+def test_stop_replays_the_cubic_root_rule(monkeypatch, p, cls, eps):
+    # replayed on the run's own samples without the secant's trigger, the
     # rule stops at the same step: the first accepted step whose cubic root
-    # lies within _ROOT_WINDOW of itself past t, and T_high is that root
+    # lies within _ROOT_WINDOW of itself past t, and T_high is that root.
+    # The runs sit on both sides of p = 3/2.
     samples = []
     cubic_fit = solver._fit_root
 
@@ -885,11 +825,11 @@ def test_stop_replays_the_cubic_root_rule(monkeypatch, p):
         samples[:] = t.copy(), z.copy()
         return cubic_fit(t, z, degree)
     monkeypatch.setattr(solver, "_fit_root", cubic_spy)
-    if p > 1.25:
+    if cls is None:
         fam, horizon = torus_family(), 20.0
         ctrl = SolverControls(check_boundary=False)
     else:
-        fam = make_data_family("M0_zero_M1_nonzero", 0.4, GridSpec(64.0, 2048))
+        fam = make_data_family(cls, eps, GridSpec(64.0, 2048))
         horizon, ctrl = 200.0, SolverControls()
     est, trace = solve_lifespan(fam, p, horizon=horizon, ctrl=ctrl)
     t, z = samples
