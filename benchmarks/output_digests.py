@@ -8,11 +8,17 @@ each tree, every run below goes through a fresh interpreter with that
 tree's src/ first on sys.path: the six `lab` commands at their defaults,
 and `lab lifespan` on the grids (half_width 48, points 1536) and
 (25.6, 1024).  The runs of both trees use the same relative output
-directory, so the printed text does not name the tree.  The script
-hashes every output file, stdout and the exit code of each run, prints
-each difference (with the differing values of a JSON file), and exits 1
-when there is any, 0 when the trees agree.  It takes about ten seconds
-on two CPUs.
+directory, so the printed text does not name the tree.  One more
+interpreter per tree runs the API path of perfbench's `stepper_small`:
+`integrate` and `duhamel_residual` on a Gaussian of amplitude 0.3
+(L 32, N 1024, t 4) at (p, dt) = (2, 0.16), (2, 0.04), (1.5, 0.04), and
+`solve_lifespan` on constant data on the 64-point torus at p = 2 and 2.5,
+guard off, horizon 20.  It prints, as the JSON file `api.json`, the
+sha256 of the bytes of each trajectory's u and of its times, and the
+repr of every other number returned.  The script hashes every output
+file, stdout and the exit code of each run, prints each difference (with
+the differing values of a JSON file), and exits 1 when there is any, 0
+when the trees agree.  It takes about ten seconds on two CPUs.
 """
 from __future__ import annotations
 
@@ -34,6 +40,41 @@ RUNS = {**{command: (command, None) for command in COMMANDS},
                                  "points = 1024\n")}
 MAIN = "import sys; sys.path.insert(0, sys.argv[1]); " \
     "from dwlab.cli import main; sys.exit(main(sys.argv[2:]))"
+API_LABEL = "api stepper_small"
+API = """
+import hashlib, json, math, sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from dwlab.grid import GridFunction, GridSpec
+from dwlab.solver import (SolverControls, duhamel_residual, integrate,
+                          solve_lifespan)
+from dwlab.special import DataFamily
+
+spec = GridSpec(32.0, 1024)
+u = GridFunction(spec, 0.3 * np.exp(-0.25 * spec.nodes ** 2))
+v = GridFunction(spec, np.zeros(spec.points))
+out = {}
+for p, dt in ((2.0, 0.16), (2.0, 0.04), (1.5, 0.04)):
+    traj = integrate(u, v, p=p, t_final=4.0, dt=dt)
+    h = hashlib.sha256()
+    for s in traj.states:
+        h.update(s[0].values.tobytes())
+    out[f"integrate p={p} dt={dt}"] = {
+        "u_sha256": h.hexdigest(),
+        "times_sha256": hashlib.sha256(traj.times.tobytes()).hexdigest(),
+        "duhamel_residual": repr(duhamel_residual(traj, p))}
+torus = GridSpec(math.pi, 64)
+one = GridFunction(torus, np.ones(torus.points))
+zero = GridFunction(torus, np.zeros(torus.points))
+for p in (2.0, 2.5):
+    fam = DataFamily(one, zero, "M0_nonzero", "torus_constant", 1.0)
+    est, trace = solve_lifespan(fam, p, horizon=20.0,
+                                ctrl=SolverControls(check_boundary=False))
+    out[f"solve_lifespan torus p={p}"] = {
+        "estimate": repr(est),
+        "times_sha256": hashlib.sha256(trace.times.tobytes()).hexdigest()}
+print(json.dumps(out, indent=1, sort_keys=True))
+"""
 
 
 def _sha(data: bytes) -> str:
@@ -62,6 +103,11 @@ def run_tree(tree: str, workdir: str) -> dict:
                 files[name] = fh.read()
         results[label] = {"exit": proc.returncode,
                           "stdout": _sha(proc.stdout), "files": files}
+    # a failing API run is an error of the tree, not a difference
+    proc = subprocess.run([sys.executable, "-c", API, src], cwd=workdir,
+                          env=env, stdout=subprocess.PIPE, check=True)
+    results[API_LABEL] = {"exit": proc.returncode, "stdout": _sha(b""),
+                          "files": {"api.json": proc.stdout}}
     return results
 
 
@@ -92,7 +138,7 @@ def json_differences(a: bytes, b: bytes):
 def compare(parent: dict, change: dict) -> list:
     """One line per difference between two run_tree results."""
     lines = []
-    for label in RUNS:
+    for label in (*RUNS, API_LABEL):
         a, b = parent[label], change[label]
         for key in ("exit", "stdout"):
             if a[key] != b[key]:
@@ -129,7 +175,7 @@ def main(argv=None) -> int:
     for line in lines:
         print(line)
     n_files = sum(len(r["files"]) for r in results[0].values())
-    print(f"{len(RUNS)} runs, {n_files} files: "
+    print(f"{len(RUNS) + 1} runs, {n_files} files: "
           f"{'differences above' if lines else 'identical'}")
     return 1 if lines else 0
 

@@ -269,6 +269,17 @@ def test_predict_at_p3_writes_laws_past_the_float_range_as_null(tmp_path,
                and line.split()[3] == "inf" for line in lines)
 
 
+def test_predict_without_a_threshold_root_writes_null(tmp_path, capsys):
+    # tilde_T2p has no root at eps 2: a dash in the table, null in the file
+    out = tmp_path / "o"
+    assert main(["predict", "--eps-list", "2,0.5", "--out", str(out)]) == 0
+    rows = _strict_json(out / "predict.json")["rows"]
+    assert [r["T_threshold"] is None for r in rows] == [True] * 3 + [False] * 3
+    lines = capsys.readouterr().out.splitlines()[2:]
+    assert [line.split()[-1] == "-" for line in lines] == \
+        [True] * 3 + [False] * 3
+
+
 def test_verify_propagators_passes(tmp_path, capsys):
     code = main(["verify-propagators", "--out", str(tmp_path)])
     assert code == 0
@@ -574,6 +585,22 @@ def test_power_law_sweep_on_two_eps_writes_a_null_slope(tmp_path, capsys):
     fit = _strict_json(out / "fit.json")
     assert (fit["slope"], fit["r2"], fit["verdict"]) == (None, 0.0, "fail")
     assert capsys.readouterr().out.splitlines()[-1] == "verdict: fail"
+
+
+def test_sweep_without_a_pure_power_prediction_is_unconverged(tmp_path,
+                                                              capsys):
+    # M0_nonzero at p = 3 has no pure-power law to compare the slope with
+    ini = tmp_path / "lab.ini"
+    ini.write_text("[sweep]\np = 3.0\nclass = M0_nonzero\n"
+                   "eps_list = 0.9 0.8 0.7\nhorizon = 30\n")
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", str(ini), "--out", str(out)]) == 2
+    fit = _strict_json(out / "fit.json")
+    assert fit["predicted_slope"] is None
+    assert np.isfinite(fit["slope"])
+    assert fit["verdict"] == "unconverged"
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        "verdict: unconverged (no pure-power prediction for this regime)"
 
 
 # the documented exit code of each command at its built-in defaults: the

@@ -29,6 +29,20 @@ def gauss_state(amp=0.5, spec=SPEC):
     return u, v
 
 
+# an amplitude whose |u|^3 underflows to exactly 0, on the grid and on the
+# 2x grid alike: integrate and duhamel_residual then run the exact linear
+# flow.  At p = 2 it takes amplitudes near 1e-300, where the L2 norms the
+# Duhamel oracle divides by underflow too.
+TINY, P_TINY = 1e-120, 3.0
+
+
+def tiny_state(spec=SPEC):
+    u, v = gauss_state(TINY, spec)
+    assert np.abs(u.values).max() > 0.0
+    assert not np.any(np.abs(u.values) ** P_TINY)
+    return u, v
+
+
 def torus_family(amp=1.0):
     one = GridFunction(TORUS, np.full(TORUS.points, amp))
     zero = GridFunction(TORUS, np.zeros(TORUS.points))
@@ -41,16 +55,16 @@ def torus_family(amp=1.0):
 
 
 def test_linear_step_matches_exact_propagator():
-    u, v = gauss_state()
-    traj = integrate(u, v, p=2.0, t_final=0.35, dt=0.35, nonlinear=False)
+    u, v = tiny_state()
+    traj = integrate(u, v, p=P_TINY, t_final=0.35, dt=0.35)
     m11, m12, m21, m22 = linear_pair_matrix(0.35, SPEC)
     yu = np.fft.rfft(u.values)
     yv = np.fft.rfft(v.values)
     eu = np.fft.irfft(m11 * yu + m12 * yv, SPEC.points)
     ev = np.fft.irfft(m21 * yu + m22 * yv, SPEC.points)
     out_u, out_v = traj.states[-1]
-    assert np.max(np.abs(out_u.values - eu)) < 1e-13
-    assert np.max(np.abs(out_v.values - ev)) < 1e-13
+    assert np.max(np.abs(out_u.values - eu)) < 2e-13 * TINY
+    assert np.max(np.abs(out_v.values - ev)) < 2e-13 * TINY
     assert traj.times[-1] == pytest.approx(0.35)
 
 
@@ -107,14 +121,16 @@ def _ref_lawson_step(yu, yv, p, dt, spec, nonlinear):
 
 @pytest.mark.parametrize("spec", [TORUS, SPEC], ids=["N64", "N1024"])
 @pytest.mark.parametrize("p,nonlinear", [(2.0, True), (1.5, True),
-                                         (2.0, False)])
+                                         (P_TINY, False)],
+                         ids=["2.0-True", "1.5-True", "3.0-underflow"])
 def test_step_and_integrate_match_unbatched_reference(spec, p, nonlinear):
-    # the batched stages must not move a single bit of the fixed-step path
-    u0, v0 = gauss_state(amp=0.4, spec=spec)
+    # the batched stages must not move a single bit of the fixed-step path;
+    # where |u|^p underflows the path is the exact linear flow's, bit for bit
+    u0, v0 = gauss_state(amp=0.4, spec=spec) if nonlinear else tiny_state(spec)
     dt = 0.05
     yu = np.fft.rfft(u0.values)
     yv = np.fft.rfft(v0.values)
-    traj = integrate(u0, v0, p=p, t_final=0.5, dt=dt, nonlinear=nonlinear)
+    traj = integrate(u0, v0, p=p, t_final=0.5, dt=dt)
     assert len(traj.states) == 11
     for k in range(1, 11):
         yu, yv = _ref_lawson_step(yu, yv, p, dt, spec, nonlinear)
@@ -150,14 +166,14 @@ def test_integrate_trajectory_contract():
 
 
 def test_linear_l2_monotone_after_t1():
-    # with the nonlinearity off the L2 norm is non-increasing past t = 1
-    u, v = gauss_state(amp=1.0)
-    traj = integrate(u, v, p=2.0, t_final=6.0, dt=0.05, nonlinear=False)
+    # on the linear flow the L2 norm is non-increasing past t = 1
+    u, v = tiny_state()
+    traj = integrate(u, v, p=P_TINY, t_final=6.0, dt=0.05)
     norms = [lp_norm(u, 2.0) for (u, _) in traj.states]
     times = traj.times
     for i in range(1, len(times)):
         if times[i - 1] >= 1.0:
-            assert norms[i] <= norms[i - 1] + 1e-10
+            assert norms[i] <= norms[i - 1] + 1e-10 * TINY
 
 
 # ----------------------------------------------------------------------
@@ -543,6 +559,15 @@ def test_fit_root_matches_polyfit():
     # too few samples for the degree
     assert solver._fit_root(np.array([1.0, 2.0, 3.0]),
                             np.array([3.0, 2.0, 1.0])) is None
+    # a fitted z not positive at the last sample: that sample's t
+    t = np.arange(1.0, 6.0)
+    z = np.array([4.0, 3.0, 2.0, 1.0, -0.5])
+    assert solver._fit_root(t, z) == 5.0
+    # no span in t, or a non-finite sample: no fit
+    with np.errstate(invalid="ignore"):
+        assert solver._fit_root(np.full(5, 2.0), z) is None
+    z[3] = np.inf
+    assert solver._fit_root(t, z) is None
 
 
 @pytest.mark.parametrize("p", [2.0, 2.5])
@@ -662,6 +687,27 @@ def test_march_stats_record_the_run(kw, cause):
     # a second run gives the same record
     assert solve_lifespan(torus_family(), 2.0, horizon=20.0,
                           ctrl=ctrl)[0].stats == st
+
+
+@pytest.mark.parametrize("amp,cause,accepted", [
+    (1e80, solver.DT_FLOOR, 0), (1e30, solver.U_CAP, 1)])
+def test_non_finite_candidates_halve_dt_to_the_floor(amp, cause, accepted):
+    # at p = 3 the first candidates are not finite: each rejection halves
+    # dt, 35 of them from dt_init 0.02 to the clamp at DT_MIN.  At the
+    # floor the 1e80 candidate's field overflows; the 1e30 one's is finite,
+    # though its error estimate is not, so it is a forced accept past u_cap
+    ctrl = SolverControls(check_boundary=False)
+    est, trace = solve_lifespan(torus_family(amp), 3.0, horizon=20.0,
+                                ctrl=ctrl)
+    st = est.stats
+    assert est.status == BLOWN_UP
+    assert (st.termination, st.bracket) == (cause, "clamped")
+    assert (st.rejected_nonfinite, st.rejected_tol, st.rejected_growth) == (
+        35, 0, 0)
+    assert st.attempts == 36
+    assert st.forced_accepts == len(trace.times) == accepted
+    assert est.T_low == est.T_high == accepted * solver.DT_MIN
+    assert st.root_gap is None
 
 
 def test_march_stats_name_every_termination(monkeypatch):
@@ -1062,13 +1108,11 @@ def test_lifespan_estimate_invariants():
 # ----------------------------------------------------------------------
 
 
-def test_duhamel_residual_linear_run_tiny():
-    # the stepper is exact on the linear flow, so the integral form with
-    # the source dropped closes to roundoff
-    u, v = gauss_state(amp=0.3)
-    traj = integrate(u, v, p=2.0, t_final=4.0, dt=0.05, nonlinear=False)
-    res = duhamel_residual(traj, p=2.0, include_nonlinear=False)
-    assert res < 1e-11
+def test_duhamel_residual_linear_run_tiny(tiny_traj):
+    # the stepper is exact on the linear flow, so the integral form, whose
+    # source underflows to 0, closes to roundoff
+    res = duhamel_residual(tiny_traj, p=P_TINY)
+    assert 0.0 < res < 1e-11
 
 
 def test_duhamel_residual_nonlinear_small():
@@ -1118,16 +1162,23 @@ def small_traj():
     return integrate(u, v, p=2.0, t_final=4.0, dt=0.04)
 
 
-# the ids keep the names these cases had under a checkpoints parameter
+@pytest.fixture(scope="module")
+def tiny_traj():
+    u, v = tiny_state()
+    return integrate(u, v, p=P_TINY, t_final=4.0, dt=0.05)
+
+
+# the ids keep the names these cases had under a checkpoints parameter; the
+# linear reference, with the source dropped, checks the underflowing run
 @pytest.mark.parametrize("include_nonlinear", [True, False],
                          ids=["None-True", "None-False"])
-def test_duhamel_residual_matches_per_node_reference(small_traj,
+def test_duhamel_residual_matches_per_node_reference(small_traj, tiny_traj,
                                                      include_nonlinear):
-    got = duhamel_residual(small_traj, p=2.0,
-                           include_nonlinear=include_nonlinear)
-    ref = _ref_duhamel_residual(small_traj, p=2.0,
+    traj, p = (small_traj, 2.0) if include_nonlinear else (tiny_traj, P_TINY)
+    got = duhamel_residual(traj, p=p)
+    ref = _ref_duhamel_residual(traj, p=p,
                                 include_nonlinear=include_nonlinear)
-    assert got == ref
+    assert got == ref > 0.0
 
 
 def test_duhamel_residual_one_symbol_per_checkpoint(monkeypatch, small_traj):

@@ -35,7 +35,7 @@ def test_bessel_i0_against_scipy():
 
 
 def test_bessel_i0_series_asymptotic_seam():
-    # mpmath oracle right at the series/asymptotic switch
+    # mpmath oracle at y = 19.5 to 21
     for y in (19.5, 20.0, 20.5, 21.0):
         ref = float(mpmath.besseli(0, y))
         assert_allclose(bessel_i0_kernel(y), ref, rtol=1e-12)
