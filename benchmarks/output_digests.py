@@ -5,20 +5,25 @@
 
 Each tree is a source checkout (a `git archive` of a commit will do).  For
 each tree, every run below goes through a fresh interpreter with that
-tree's src/ first on sys.path: the six `lab` commands at their defaults,
-and `lab lifespan` on the grids (half_width 48, points 1536) and
-(25.6, 1024).  The runs of both trees use the same relative output
-directory, so the printed text does not name the tree.  One more
-interpreter per tree runs the API path of perfbench's `stepper_small`:
-`integrate` and `duhamel_residual` on a Gaussian of amplitude 0.3
-(L 32, N 1024, t 4) at (p, dt) = (2, 0.16), (2, 0.04), (1.5, 0.04), and
+tree's src/ first on sys.path: the six `lab` commands at their defaults;
+`lab lifespan` on the grids (half_width 48, points 1536) and
+(25.6, 1024); `lab sweep` at p = 1.5 with eps 0.5 0.3 0.2 (the borderline
+Lambert fit), and at p = 3 with M0_nonzero data, eps 0.9 0.8 0.7 and
+horizon 30 (a law with no exponent: unconverged, exit 2); and
+`lab predict` at p = 1.25, 2 and 3, which with its default p = 1.5 reach
+every regime and exponent of predict_lifespan.  The runs of both trees
+use the same relative output directory, so the printed text does not
+name the tree.  One more interpreter per tree runs the API path of
+perfbench's `stepper_small`: `integrate` and `duhamel_residual` on a
+Gaussian of amplitude 0.3 (L 32, N 1024, t 4) at (p, dt) = (2, 0.16),
+(2, 0.04), (1.5, 0.04), and
 `solve_lifespan` on constant data on the 64-point torus at p = 2 and 2.5,
 guard off, horizon 20.  It prints, as the JSON file `api.json`, the
 sha256 of the bytes of each trajectory's u and of its times, and the
 repr of every other number returned.  The script hashes every output
 file, stdout and the exit code of each run, prints each difference (with
 the differing values of a JSON file), and exits 1 when there is any, 0
-when the trees agree.  It takes about ten seconds on two CPUs.
+when the trees agree.  It takes about twelve seconds on two CPUs.
 """
 from __future__ import annotations
 
@@ -37,7 +42,13 @@ RUNS = {**{command: (command, None) for command in COMMANDS},
                                "[lifespan]\nhalf_width = 48\npoints = 1536\n"),
         "lifespan L25.6 N1024": ("lifespan",
                                  "[lifespan]\nhalf_width = 25.6\n"
-                                 "points = 1024\n")}
+                                 "points = 1024\n"),
+        "sweep p1.5": ("sweep", "[sweep]\np = 1.5\neps_list = 0.5 0.3 0.2\n"),
+        "sweep p3 M0_nonzero": ("sweep",
+                                "[sweep]\np = 3\nclass = M0_nonzero\n"
+                                "eps_list = 0.9 0.8 0.7\nhorizon = 30\n"),
+        **{f"predict p{p}": ("predict", f"[predict]\np = {p}\n")
+           for p in ("1.25", "2", "3")}}
 MAIN = "import sys; sys.path.insert(0, sys.argv[1]); " \
     "from dwlab.cli import main; sys.exit(main(sys.argv[2:]))"
 API_LABEL = "api stepper_small"

@@ -46,9 +46,9 @@ from .propagators import (HEAT_EXPANSION_SLOPES, KernelRangeError, apply_S,
                           apply_S_kernel, apply_dtS, decay_scan,
                           linear_pair_matrix, residual_scan)
 from .solver import BLOWN_UP, BOUNDARY_TOL, TRUNCATION_ABORT, solve_lifespan
-from .special import (HorizonError, M0_ZERO_M1_NONZERO, MOMENT_CLASSES,
-                      gaussian_derivative, make_data_family,
-                      predict_lifespan, predicted_exponent, tilde_T2p)
+from .special import (CRITICAL_M1, HorizonError, M0_ZERO_M1_NONZERO,
+                      MOMENT_CLASSES, gaussian_derivative, make_data_family,
+                      predict_lifespan, tilde_T2p)
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "main",
            "run_decay", "run_lifespan", "run_sweep", "run_odi",
@@ -291,24 +291,20 @@ def _sweep_csv(path, rows) -> None:
                      f"{r['T_high']:.17g},{r['status']}\n")
 
 
-def _is_critical_sweep(cfg: ExperimentConfig) -> bool:
-    return (abs(cfg.p - 1.5) < 1e-12
-            and cfg.moment_class == M0_ZERO_M1_NONZERO)
-
-
 def run_sweep(cfg: ExperimentConfig):
     """Lifespan ladder, exponent fit, and verdict.
 
-    The fitted slope of T_high against eps is compared with the predicted
-    regime exponent; pass needs agreement within SLOPE_RTOL of the target
-    and every run to blow up.  At the p = 3/2 borderline for the
-    M1-carrying class the predictor is not a pure power, so the
-    two-parameter form T = A eps^{-2/3} exp(2 W(B eps^{-1/2}) / 3) is
-    fitted instead and judged by its r^2.  Either fit needs at least
-    MIN_POINTS = 3 eps: with fewer the verdict is fail, and the power-law
-    path writes a null slope.  A truncation abort skips the fit and makes
-    the verdict unconverged.  Every path writes one run_NNN.json per eps,
-    sweep.csv, and fit.json with the verdict.
+    The fitted slope of T_high against eps is compared with the exponent
+    of predict_lifespan's law; pass needs agreement within SLOPE_RTOL of
+    the target and every run to blow up.  In its critical_M1 regime (the
+    p = 3/2 borderline for the M1-carrying class) the law is not a pure
+    power, so the two-parameter form T = A eps^{-2/3} exp(2 W(B eps^{-1/2})
+    / 3) is fitted instead and judged by its r^2.  Any other law without
+    an exponent (p = 3) makes the verdict unconverged.  Either fit needs
+    at least MIN_POINTS = 3 eps: with fewer the verdict is fail, and the
+    power-law path writes a null slope.  A truncation abort skips the fit
+    and makes the verdict unconverged.  Every path writes one run_NNN.json
+    per eps, sweep.csv, and fit.json with the verdict.
     """
     out = _ensure_out(cfg)
     rows = _run_all_lifespans(cfg, out)
@@ -324,12 +320,13 @@ def run_sweep(cfg: ExperimentConfig):
     fit_record = {"p": cfg.p, "class": cfg.moment_class,
                   "config": _config_record(cfg)}
     reason = None
+    pred = predict_lifespan(cfg.p, cfg.eps_list[0], cfg.moment_class)
     if TRUNCATION_ABORT in statuses:
         verdict = UNCONVERGED
         reason = "truncation abort: " + "; ".join(
             f"eps={r['eps']:.6g} {_abort_note(r)}"
             for r in rows if r["status"] == TRUNCATION_ABORT)
-    elif _is_critical_sweep(cfg):
+    elif pred.regime == CRITICAL_M1:
         A, B, r2 = fit_critical_lifespan(eps, T)
         ok = all_blown and r2 >= LAMBERT_R2_MIN
         verdict = PASS if ok else FAIL
@@ -338,7 +335,7 @@ def run_sweep(cfg: ExperimentConfig):
                            "lambert_r2_min": LAMBERT_R2_MIN})
         lines.append(f"lambert fit: A={A:.8g} B={B:.8g} r2={r2:.6f}")
     else:
-        target = predicted_exponent(cfg.p, cfg.moment_class)
+        target = pred.exponent
         fit = fit_loglog(eps, T)
         fit_record.update({"slope": _finite_or_none(fit.slope),
                            "r2": fit.r_squared,
@@ -380,8 +377,7 @@ def run_decay(cfg: ExperimentConfig):
     targets = HEAT_EXPANSION_SLOPES(cfg.p)
     rows, lines = [], []
     ok, converged = True, True
-    for k, kind in enumerate(("M0_nonzero", "M0_zero_M1_nonzero",
-                              "M0_M1_zero")):
+    for k, kind in enumerate(MOMENT_CLASSES):
         f = gaussian_derivative(k, spec)
         rep = decay_scan(f, cfg.p, times)
         res = residual_scan(f, cfg.p, times)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._kernels import odi_march
-from .fitting import fit_loglog
+from .fitting import MIN_POINTS, fit_loglog
 
 __all__ = [
     "OdiConfig",
@@ -144,8 +144,8 @@ def odi_scaling_fit(cfg_base: OdiConfig, eps_list):
     it.  Compare the slope with odi_target_slope(cfg_base.p, cfg_base.beta).
     """
     eps_arr = np.asarray(eps_list, dtype=float)
-    if eps_arr.ndim != 1 or len(eps_arr) < 3:
-        raise ValueError("need at least 3 eps values")
+    if eps_arr.ndim != 1 or len(eps_arr) < MIN_POINTS:
+        raise ValueError(f"need at least {MIN_POINTS} eps values")
     if not np.all((eps_arr > 0.0) & np.isfinite(eps_arr)):
         raise ValueError("eps values must be positive and finite")
     traces = []

@@ -25,7 +25,6 @@ __all__ = [
     "make_data_family",
     "LifespanPrediction",
     "predict_lifespan",
-    "predicted_exponent",
     "tilde_T2p",
     "tilde_T2p_closed_form",
 ]
@@ -141,8 +140,16 @@ GENERIC = "generic"
 
 @dataclass(frozen=True)
 class LifespanPrediction:
+    """The law's regime, its value at eps, and its log-log slope in eps:
+    None where the law is not a pure power of eps."""
+
     regime: str
     value: float
+    exponent: float | None
+
+
+def _is_cubic(p: float) -> bool:
+    return abs(p - 3.0) < 1e-12
 
 
 def _t1p(eta: float, p: float) -> float:
@@ -150,7 +157,7 @@ def _t1p(eta: float, p: float) -> float:
     math.inf where that passes the float range (at p = 3 already for
     eta = 1e-3, and near p = 3 for a larger eta)."""
     try:
-        if abs(p - 3.0) < 1e-12:
+        if _is_cubic(p):
             return math.exp(eta ** (-2.0))
         return eta ** (-2.0 * (p - 1.0) / (3.0 - p))
     except (OverflowError, ZeroDivisionError):  # the latter: eta == 0.0
@@ -170,7 +177,8 @@ def predict_lifespan(p: float, eps: float,
     eps^{-2/3} * exp(2 W(eps^{-1/2}) / 3); otherwise T_{1,p}(eps^p).
     Data with M0 != 0 follows the classical law T_p(eps) instead
     (same exponent family applied to eps rather than eps^p).  A law past
-    the float range is math.inf.
+    the float range is math.inf.  The exponent is None at p = 3/2 with
+    M1 != 0 and at p = 3, where the law is no pure power of eps.
     """
     p = float(p)
     eps = float(eps)
@@ -178,37 +186,27 @@ def predict_lifespan(p: float, eps: float,
         raise ValueError(f"p must lie in (1, 3], got {p}")
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-
-    if moment_class == M0_NONZERO:
-        return LifespanPrediction(GENERIC, _t1p(eps, p))
-    if moment_class == M0_M1_ZERO:
-        return LifespanPrediction(GENERIC, _t1p(eps ** p, p))
-    if moment_class != M0_ZERO_M1_NONZERO:
+    if moment_class not in MOMENT_CLASSES:
         raise ValueError(f"unknown moment class {moment_class!r}")
 
-    if _is_critical(p):
+    if moment_class == M0_ZERO_M1_NONZERO and _is_critical(p):
         val = eps ** (-2.0 / 3.0) * math.exp(2.0 * lambert_w0(1.0 / math.sqrt(eps)) / 3.0)
-        return LifespanPrediction(CRITICAL_M1, val)
-    if p < 1.5:
-        return LifespanPrediction(SUBCRITICAL_M1, eps ** (-(p - 1.0) / (2.0 - p)))
-    return LifespanPrediction(GENERIC, _t1p(eps ** p, p))
-
-
-def predicted_exponent(p: float, moment_class: str):
-    """log-log slope of the predicted lifespan in eps, or None when not a pure power."""
-    p = float(p)
-    if moment_class == M0_NONZERO:
-        if abs(p - 3.0) < 1e-12:
-            return None
-        return -2.0 * (p - 1.0) / (3.0 - p)
-    if moment_class == M0_ZERO_M1_NONZERO:
-        if _is_critical(p):
-            return None
-        if p < 1.5:
-            return -(p - 1.0) / (2.0 - p)
-    if abs(p - 3.0) < 1e-12:
-        return None
-    return -2.0 * p * (p - 1.0) / (3.0 - p)
+        return LifespanPrediction(CRITICAL_M1, val, None)
+    if moment_class == M0_ZERO_M1_NONZERO and p < 1.5:
+        exponent = -(p - 1.0) / (2.0 - p)
+        try:
+            val = eps ** exponent
+        except OverflowError:   # a subnormal eps near p = 3/2
+            val = math.inf
+        return LifespanPrediction(SUBCRITICAL_M1, val, exponent)
+    if _is_cubic(p):
+        exponent = None
+    elif moment_class == M0_NONZERO:
+        exponent = -2.0 * (p - 1.0) / (3.0 - p)
+    else:
+        exponent = -2.0 * p * (p - 1.0) / (3.0 - p)
+    eta = eps if moment_class == M0_NONZERO else eps ** p
+    return LifespanPrediction(GENERIC, _t1p(eta, p), exponent)
 
 
 # ----------------------------------------------------------------------
@@ -261,16 +259,13 @@ def tilde_T2p(p: float, eps: float) -> float:
 
 
 def tilde_T2p_closed_form(p: float, eps: float) -> float:
-    """Leading-order closed forms for the threshold root.
+    """Closed form of the threshold root, which exists at p = 3/2 only.
 
-    p > 3/2: eps^{-2(p-1)}; p < 3/2: eps^{-(p-1)/(2-p)}.  At p = 3/2 the
-    defining equation sqrt(T+1) log(T+1) = eps^{-1/2} is solved exactly by
-    T + 1 = exp(2 W(eps^{-1/2} / 2)); the factor 2 inside W is required for
-    the root to match (it is usually absorbed into a free constant).
+    There the defining equation sqrt(T+1) log(T+1) = eps^{-1/2} is solved
+    exactly by T + 1 = exp(2 W(eps^{-1/2} / 2)); the factor 2 inside W is
+    required for the root to match (it is usually absorbed into a free
+    constant).  Any other p raises ValueError.
     """
-    p = float(p)
-    if _is_critical(p):
-        return math.exp(2.0 * lambert_w0(0.5 * eps ** -0.5)) - 1.0
-    if p > 1.5:
-        return eps ** (-2.0 * (p - 1.0))
-    return eps ** (-(p - 1.0) / (2.0 - p))
+    if not _is_critical(float(p)):
+        raise ValueError(f"the closed form holds at p = 3/2 only, got {p}")
+    return math.exp(2.0 * lambert_w0(0.5 * eps ** -0.5)) - 1.0

@@ -203,6 +203,9 @@ def test_kernel_range_errors():
         apply_S_kernel(100.0, f)
     with pytest.raises(KernelRangeError):
         apply_S_kernel(0.0, f)
+    narrow = GridFunction(GridSpec(4.0, 128), np.zeros(128))
+    with pytest.raises(KernelRangeError, match="light cone wider"):
+        apply_S_kernel(5.0, narrow)
 
 
 def test_truncation_guard():

@@ -10,7 +10,7 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 
 import dwlab.solver as solver
-from dwlab.grid import GridError, GridFunction, GridSpec, lp_norm
+from dwlab.grid import GridError, GridFunction, GridSpec, Trajectory, lp_norm
 from dwlab.propagators import (apply_dtS, apply_S, damped_symbol,
                                linear_pair_matrix)
 from dwlab.solver import (BLOWN_UP, BOUNDARY_TOL, SURVIVED_HORIZON,
@@ -201,6 +201,19 @@ def test_ode_oracle_is_converged(ode_blowup_time, p):
     T = ode_blowup_time(1.0, p)
     for kw in (dict(level=1e6), dict(level=1e12), dict(rtol=1e-10)):
         assert abs(ode_blowup_time(1.0, p, **kw) - T) <= 1e-9 * T
+
+
+def test_ode_oracle_scales_its_level_and_names_a_missed_event(
+        ode_blowup_time):
+    # from a = 1e10 the default level, 1e9 * a, lies above the start.  The
+    # damping is then negligible, and y'' = y^2 blows up at
+    # sqrt(3/2) a^{-1/2} B(1/6, 1/2) / 3
+    beta = math.gamma(1.0 / 6.0) * math.gamma(0.5) / math.gamma(2.0 / 3.0)
+    assert ode_blowup_time(1e10, 2.0) == pytest.approx(
+        math.sqrt(1.5) * 1e-5 * beta / 3.0, rel=1e-5)
+    # from a = 1e-3, y stays below the level to t = 100
+    with pytest.raises(RuntimeError, match=r"a=0\.001, p=2\).*end of"):
+        ode_blowup_time(1e-3, 2.0)
 
 
 @pytest.mark.parametrize("p", [2.0, 1.5])
@@ -568,6 +581,10 @@ def test_fit_root_matches_polyfit():
         assert solver._fit_root(np.full(5, 2.0), z) is None
     z[3] = np.inf
     assert solver._fit_root(t, z) is None
+    # two distinct t among four samples: the cubic's Gram matrix is
+    # exactly singular, and the solve's LinAlgError gives no fit
+    assert solver._fit_root(np.array([1.0, 1.0, 2.0, 2.0]),
+                            np.array([4.0, 3.0, 2.0, 1.0])) is None
 
 
 @pytest.mark.parametrize("p", [2.0, 2.5])
@@ -652,6 +669,8 @@ def test_survival_and_zero_data():
     assert est0.status == SURVIVED_HORIZON
     assert est0.stats.attempts == 0
     assert len(trace0.times) == 0
+    with pytest.raises(ValueError, match="horizon must be positive"):
+        solve_lifespan(fam, 3.0, horizon=0.0)
 
 
 def test_truncation_abort_on_undersized_box():
@@ -1101,6 +1120,8 @@ def test_lifespan_estimate_invariants():
         LifespanEstimate(BLOWN_UP, 5.0, 9.0)
     ok = LifespanEstimate(BLOWN_UP, 9.92, 10.0)
     assert ok.T_high == 10.0
+    with pytest.raises(ValueError, match="unknown status"):
+        LifespanEstimate("bogus", 1.0, 2.0)
 
 
 # ----------------------------------------------------------------------
@@ -1213,6 +1234,17 @@ def test_cubic_spline_matches_scipy(knots):
     ref = CubicSpline(x, U, axis=0)(tq)
     assert np.max(np.abs(ours - ref)) <= 1e-12 * np.max(np.abs(U))
     assert_allclose(ours[:len(x)], U, rtol=0.0, atol=1e-14)
+
+
+def test_duhamel_residual_skips_a_zero_checkpoint():
+    # state 4 of 17 is the quarter-point checkpoint; zeroed, it has no norm
+    # to divide by, and the residual comes from the other three
+    u, v = gauss_state(amp=0.3)
+    traj = integrate(u, v, p=2.0, t_final=4.0, dt=0.25)
+    states = list(traj.states)
+    states[4] = (u * 0.0, states[4][1])
+    res = duhamel_residual(Trajectory(traj.times, tuple(states)), p=2.0)
+    assert math.isfinite(res) and res == pytest.approx(0.0409, rel=1e-3)
 
 
 def test_duhamel_sampling_errors():

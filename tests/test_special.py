@@ -9,10 +9,10 @@ from scipy.special import lambertw as scipy_lambertw
 
 from dwlab._kernels import bessel_i0_kernel
 from dwlab.grid import GridSpec, moment
-from dwlab.special import (DataFamily, HorizonError, M0_M1_ZERO, M0_NONZERO,
-                           M0_ZERO_M1_NONZERO, gaussian_derivative,
-                           lambert_w0, make_data_family, predict_lifespan,
-                           predicted_exponent, tilde_T2p,
+from dwlab.special import (MOMENT_CLASSES, DataFamily, HorizonError,
+                           M0_M1_ZERO, M0_NONZERO, M0_ZERO_M1_NONZERO,
+                           gaussian_derivative, lambert_w0, make_data_family,
+                           predict_lifespan, tilde_T2p,
                            tilde_T2p_closed_form)
 
 SPEC = GridSpec(40.0, 1024)
@@ -140,18 +140,31 @@ def test_predict_lifespan_past_the_float_range_is_inf():
     for p, eps, klass in ((3.0, 0.1, M0_M1_ZERO),
                           (3.0, 0.1, M0_ZERO_M1_NONZERO),
                           (2.99, 1e-3, M0_NONZERO),
-                          (3.0, 1e-120, M0_M1_ZERO)):
+                          (3.0, 1e-120, M0_M1_ZERO),
+                          (1.499, 1e-320, M0_ZERO_M1_NONZERO)):
         assert predict_lifespan(p, eps, klass).value == math.inf
     assert predict_lifespan(3.0, 0.1, M0_NONZERO).value == pytest.approx(
         math.exp(100.0), rel=1e-12)
 
 
 def test_predicted_exponent_table():
-    assert predicted_exponent(1.25, M0_ZERO_M1_NONZERO) == pytest.approx(-1.0 / 3.0)
-    assert predicted_exponent(2.0, M0_ZERO_M1_NONZERO) == pytest.approx(-4.0)
-    assert predicted_exponent(2.0, M0_NONZERO) == pytest.approx(-2.0)
-    assert predicted_exponent(1.5, M0_ZERO_M1_NONZERO) is None
-    assert predicted_exponent(3.0, M0_NONZERO) is None
+    # each law's log-log slope in eps, bit for bit: fit.json's
+    # predicted_slope and the sweep verdict read these exact values
+    for p in (1.1, 1.25, 1.4, 1.6, 2.0, 2.5, 2.9):
+        want = {M0_NONZERO: -2.0 * (p - 1.0) / (3.0 - p),
+                M0_ZERO_M1_NONZERO: (-(p - 1.0) / (2.0 - p) if p < 1.5
+                                     else -2.0 * p * (p - 1.0) / (3.0 - p)),
+                M0_M1_ZERO: -2.0 * p * (p - 1.0) / (3.0 - p)}
+        for klass in MOMENT_CLASSES:
+            assert predict_lifespan(p, 0.1, klass).exponent == want[klass]
+    assert predict_lifespan(1.25, 0.1, M0_ZERO_M1_NONZERO).exponent \
+        == pytest.approx(-1.0 / 3.0)
+    assert predict_lifespan(2.0, 0.1, M0_ZERO_M1_NONZERO).exponent == -4.0
+    assert predict_lifespan(2.0, 0.1, M0_NONZERO).exponent == -2.0
+    # no pure power: the Lambert law at p = 3/2 with M1 != 0, exp at p = 3
+    assert predict_lifespan(1.5, 0.1, M0_ZERO_M1_NONZERO).exponent is None
+    for klass in MOMENT_CLASSES:
+        assert predict_lifespan(3.0, 0.1, klass).exponent is None
 
 
 # ----------------------------------------------------------------------
@@ -189,6 +202,10 @@ def test_tilde_closed_form_critical_pointwise():
         root = tilde_T2p(1.5, float(eps))
         closed = tilde_T2p_closed_form(1.5, float(eps))
         assert abs(closed / root - 1.0) < 0.05
+    # no closed form off the borderline
+    for p in (1.25, 2.0):
+        with pytest.raises(ValueError, match="p = 3/2 only"):
+            tilde_T2p_closed_form(p, 1e-3)
 
 
 def test_tilde_slope_p2():
