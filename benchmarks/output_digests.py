@@ -16,7 +16,9 @@ use the same relative output directory, so the printed text does not
 name the tree.  One more interpreter per tree runs the API path of
 perfbench's `stepper_small`: `integrate` and `duhamel_residual` on a
 Gaussian of amplitude 0.3 (L 32, N 1024, t 4) at (p, dt) = (2, 0.16),
-(2, 0.04), (1.5, 0.04), and
+(2, 0.04), (1.5, 0.04), the same on a long trajectory (amplitude
+0.05, L 64, N 2048, p = 3, dt 0.05 to t 25: 501 states, so the oracle's
+spline and tau quadrature cross many knots and node blocks), and
 `solve_lifespan` on constant data on the 64-point torus at p = 2 and 2.5,
 guard off, horizon 20.  It prints, as the JSON file `api.json`, the
 sha256 of the bytes of each trajectory's u and of its times, and the
@@ -61,19 +63,27 @@ from dwlab.solver import (SolverControls, duhamel_residual, integrate,
                           solve_lifespan)
 from dwlab.special import DataFamily
 
-spec = GridSpec(32.0, 1024)
-u = GridFunction(spec, 0.3 * np.exp(-0.25 * spec.nodes ** 2))
-v = GridFunction(spec, np.zeros(spec.points))
 out = {}
-for p, dt in ((2.0, 0.16), (2.0, 0.04), (1.5, 0.04)):
-    traj = integrate(u, v, p=p, t_final=4.0, dt=dt)
+
+
+def oracle_case(label, half_width, points, amplitude, p, dt, t_final):
+    spec = GridSpec(half_width, points)
+    u = GridFunction(spec, amplitude * np.exp(-0.25 * spec.nodes ** 2))
+    v = GridFunction(spec, np.zeros(spec.points))
+    traj = integrate(u, v, p=p, t_final=t_final, dt=dt)
     h = hashlib.sha256()
     for s in traj.states:
         h.update(s[0].values.tobytes())
-    out[f"integrate p={p} dt={dt}"] = {
+    out[label] = {
         "u_sha256": h.hexdigest(),
         "times_sha256": hashlib.sha256(traj.times.tobytes()).hexdigest(),
         "duhamel_residual": repr(duhamel_residual(traj, p))}
+
+
+for p, dt in ((2.0, 0.16), (2.0, 0.04), (1.5, 0.04)):
+    oracle_case(f"integrate p={p} dt={dt}", 32.0, 1024, 0.3, p, dt, 4.0)
+oracle_case("integrate long L64 N2048 p=3.0 dt=0.05", 64.0, 2048, 0.05,
+            3.0, 0.05, 25.0)
 torus = GridSpec(math.pi, 64)
 one = GridFunction(torus, np.ones(torus.points))
 zero = GridFunction(torus, np.zeros(torus.points))

@@ -863,9 +863,16 @@ def solve_lifespan(data: DataFamily, p: float, horizon: float = 200.0,
 # ----------------------------------------------------------------------
 
 
-def _cubic_spline(x: np.ndarray, y: np.ndarray):
+# tau quadrature nodes evaluated at once: the oracle's temporaries are
+# O(_TAU_BLOCK N), beside the knot slopes, one trajectory-sized array
+_TAU_BLOCK = 16
+
+
+def _cubic_spline(x: np.ndarray, y):
     """Not-a-knot cubic spline through the rows of y at knots x (n >= 4).
 
+    y is any sequence of n equal-length 1-D rows, a 2-D array or a list of
+    a trajectory's states as they are; its rows are read, never stacked.
     The knot slopes solve the tridiagonal system of scipy's CubicSpline,
     not-a-knot end rows included, so the two agree to roundoff.  Returns
     a function of a 1-D array of query times; outside [x[0], x[-1]] the
@@ -877,41 +884,65 @@ def _cubic_spline(x: np.ndarray, y: np.ndarray):
     2 h[i-1] + h[i], and the last h[-2]^2 / (2 h[-2] + h[-1]).  So both LU
     factors are nonnegative, |L||U| = |A|, and the sweep is componentwise
     backward stable (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., section 9.6).
+    Algorithms, 2nd ed., section 9.6).  The forward sweep forms each
+    right-hand-side row from the two chord slopes it needs, so the knot
+    slopes are the only array of y's size that the spline holds.
     """
     n = len(x)
     h = np.diff(x)
-    slope = np.diff(y, axis=0) / h[:, None]
     d0, d1 = x[2] - x[0], x[-1] - x[-3]
     sub = np.concatenate([[0.0], h[1:], [d1]])
     piv = np.concatenate([[h[1]], 2.0 * (h[:-1] + h[1:]), [h[-2]]])
     sup = np.concatenate([[d0], h[:-1]])
-    b = np.empty_like(y)
-    b[1:-1] = 3.0 * (h[1:, None] * slope[:-1] + h[:-1, None] * slope[1:])
-    b[0] = ((h[0] + 2.0 * d0) * h[1] * slope[0] + h[0] ** 2 * slope[1]) / d0
-    b[-1] = (h[-1] ** 2 * slope[-2]
-             + (2.0 * d1 + h[-1]) * h[-2] * slope[-1]) / d1
-    # forward elimination, then back substitution, in place on piv and b
+
+    def chord(k):
+        return (y[k + 1] - y[k]) / h[k]
+
+    s = np.empty((n, len(y[0])))
+    a, b = chord(0), chord(1)       # the chords left and right of row i
+    s[0] = ((h[0] + 2.0 * d0) * h[1] * a + h[0] ** 2 * b) / d0
+    # forward elimination, then back substitution, in place on piv and s
     for i in range(1, n):
+        if i == n - 1:
+            s[i] = (h[-1] ** 2 * a + (2.0 * d1 + h[-1]) * h[-2] * b) / d1
+        else:
+            if i > 1:
+                a, b = b, chord(i)
+            s[i] = 3.0 * (h[i] * a + h[i - 1] * b)
         m = sub[i] / piv[i - 1]
         piv[i] -= m * sup[i - 1]
-        b[i] -= m * b[i - 1]
-    b[-1] /= piv[-1]
+        s[i] -= m * s[i - 1]
+    s[-1] /= piv[-1]
     for i in range(n - 2, -1, -1):
-        b[i] -= sup[i] * b[i + 1]
-        b[i] /= piv[i]
-    s = b
-    # per interval, the cubic Hermite interpolant of (y, s) in t - x_k
-    c3 = (s[:-1] + s[1:] - 2.0 * slope) / h[:, None]
-    c2 = (slope - s[:-1]) / h[:, None] - c3
-    c3 /= h[:, None]
+        s[i] -= sup[i] * s[i + 1]
+        s[i] /= piv[i]
 
     def evaluate(t):
+        # per query time, the cubic Hermite interpolant of (y, s) in t - x_k
+        # on its interval k; c3 and c2 are formed for the intervals hit
         k = np.clip(np.searchsorted(x, t, side="right") - 1, 0, n - 2)
         r = (t - x[k])[:, None]
-        return ((c3[k] * r + c2[k]) * r + s[k]) * r + y[k]
+        ks, row = np.unique(k, return_inverse=True)
+        hk = h[ks][:, None]
+        yk = np.stack([y[j] for j in ks])
+        slope = (np.stack([y[j + 1] for j in ks]) - yk) / hk
+        sk = s[ks]
+        c3 = (sk + s[ks + 1] - 2.0 * slope) / hk
+        c2 = (slope - sk) / hk - c3
+        c3 /= hk
+        return ((c3[row] * r + c2[row]) * r + sk[row]) * r + yk[row]
 
     return evaluate
+
+
+@lru_cache(maxsize=1)
+def _gauss_legendre():
+    """The 64-node Gauss-Legendre rule on [-1, 1], built at the first
+    oracle call: numpy.polynomial does not load with the package."""
+    rule = np.polynomial.legendre.leggauss(64)
+    for a in rule:
+        a.setflags(write=False)
+    return rule
 
 
 def duhamel_residual(traj: Trajectory, p: float) -> float:
@@ -925,6 +956,11 @@ def duhamel_residual(traj: Trajectory, p: float) -> float:
     trajectory; one whose u is zero is skipped.  On data so small that
     |u|^p underflows to 0 the source term is exactly 0, and the gap is
     that of the exact linear flow.
+
+    The working set is the spline's knot slopes, one array the size of
+    the u samples, plus O(_TAU_BLOCK N): the quadrature nodes go through
+    the spline, |u|^p, the rfft and the weighted symbol _TAU_BLOCK at a
+    time, and the source sums in node order.
     """
     times = traj.times
     if len(times) < 16:
@@ -933,28 +969,30 @@ def duhamel_residual(traj: Trajectory, p: float) -> float:
     u0, v0 = traj.states[0]
     idx = sorted({int(round(f * (len(times) - 1)))
                   for f in (0.25, 0.5, 0.75, 1.0)} - {0})
-    U = np.stack([s[0].values for s in traj.states])
-    spline = _cubic_spline(times, U)
-    xg, wg = np.polynomial.legendre.leggauss(64)
+    u = [state[0].values for state in traj.states]
+    spline = _cubic_spline(times, u)
+    xg, wg = _gauss_legendre()
     n = spec.points
     lin0h = np.fft.rfft((u0 + v0).values)
     u0h = np.fft.rfft(u0.values)
     worst = 0.0
     for i in idx:
         tc = float(times[i])
-        target = U[i]
+        target = u[i]
         sym = damped_symbol(tc, spec)
         rhs = np.fft.irfft(lin0h * sym.sigma, n=n) \
             + np.fft.irfft(u0h * sym.sigma_t, n=n)
         tau = 0.5 * tc * (xg + 1.0)
         wq = 0.5 * tc * wg
-        nl = np.abs(spline(tau)) ** p
-        nlh = np.fft.rfft(nl, axis=1)
-        # row q: sigma(tc - tau_q)
-        sig = _symbol_pair(tc - tau, spec.freqs, rate=False)[0]
         acc = np.zeros(n // 2 + 1, dtype=np.complex128)
-        for q in range(len(tau)):
-            acc += wq[q] * sig[q] * nlh[q]
+        for lo in range(0, len(tau), _TAU_BLOCK):
+            blk = slice(lo, lo + _TAU_BLOCK)
+            nlh = np.fft.rfft(np.abs(spline(tau[blk])) ** p, axis=1)
+            # row j: w_q sigma(tc - tau_q), q = lo + j
+            ws = wq[blk, None] * _symbol_pair(tc - tau[blk], spec.freqs,
+                                              rate=False)[0]
+            for j in range(len(nlh)):
+                acc += ws[j] * nlh[j]
         rhs = rhs + np.fft.irfft(acc, n)
         gap = np.linalg.norm(target - rhs)
         ref = np.linalg.norm(target)

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -1200,6 +1201,41 @@ def test_duhamel_residual_matches_per_node_reference(small_traj, tiny_traj,
     ref = _ref_duhamel_residual(traj, p=p,
                                 include_nonlinear=include_nonlinear)
     assert got == ref > 0.0
+
+
+# criterion 09's residuals to the bit: _ref_duhamel_residual builds its
+# spline through _cubic_spline, so only fixed values see the spline change
+@pytest.mark.parametrize("p, dt, want", [
+    (2.0, 0.16, "9.630239097813967e-07"),
+    (2.0, 0.04, "3.958631514434636e-09"),
+    (1.5, 0.04, "2.2259434727700253e-08")])
+def test_duhamel_residual_pinned_criterion_09_bits(p, dt, want):
+    u, v = gauss_state(amp=0.3)
+    traj = integrate(u, v, p=p, t_final=4.0, dt=dt)
+    assert repr(duhamel_residual(traj, p)) == want
+
+
+def test_duhamel_residual_working_set():
+    # the oracle holds one array of the trajectory's size, the spline's
+    # knot slopes, plus O(_TAU_BLOCK N) temporaries: 1.4 n N 8 bytes here,
+    # where stacking the samples and their spline coefficients took 6.0
+    spec = GridSpec(32.0, 1024)
+    times = np.linspace(0.0, 8.0, 400)
+    bump = np.exp(-0.25 * spec.nodes ** 2)
+    zero = GridFunction(spec, np.zeros(spec.points))
+    states = tuple((GridFunction(spec, 0.1 * np.cos(t) * bump), zero)
+                   for t in times)
+    # warm: the quadrature rule and the propagators' caches are per process
+    duhamel_residual(Trajectory(times[:16], states[:16]), 2.0)
+    traj = Trajectory(times, states)
+    tracemalloc.start()
+    try:
+        res = duhamel_residual(traj, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(res)
+    assert peak < 2.0 * len(times) * spec.points * 8
 
 
 def test_duhamel_residual_one_symbol_per_checkpoint(monkeypatch, small_traj):
