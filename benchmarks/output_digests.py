@@ -20,9 +20,13 @@ Gaussian of amplitude 0.3 (L 32, N 1024, t 4) at (p, dt) = (2, 0.16),
 0.05, L 64, N 2048, p = 3, dt 0.05 to t 25: 501 states, so the oracle's
 spline and tau quadrature cross many knots and node blocks), and
 `solve_lifespan` on constant data on the 64-point torus at p = 2 and 2.5,
-guard off, horizon 20.  It prints, as the JSON file `api.json`, the
-sha256 of the bytes of each trajectory's u and of its times, and the
-repr of every other number returned.  The script hashes every output
+guard off, horizon 20.  It also evaluates the oracle's `_cubic_spline`
+through 64 seeded rows on 40 seeded nonuniform knots, at the knots,
+between them and outside both ends: a one-ulp change inside the spline
+need not move a residual's repr, but it moves these bytes.  It prints,
+as the JSON file `api.json`, the sha256 of the bytes of each
+trajectory's u, v and times and of the spline's values, and the repr of
+every other number returned.  The script hashes every output
 file, stdout and the exit code of each run, prints each difference (with
 the differing values of a JSON file), and exits 1 when there is any, 0
 when the trees agree.  It takes about twelve seconds on two CPUs.
@@ -59,11 +63,15 @@ import hashlib, json, math, sys
 sys.path.insert(0, sys.argv[1])
 import numpy as np
 from dwlab.grid import GridFunction, GridSpec
-from dwlab.solver import (SolverControls, duhamel_residual, integrate,
-                          solve_lifespan)
+from dwlab.solver import (SolverControls, _cubic_spline, duhamel_residual,
+                          integrate, solve_lifespan)
 from dwlab.special import DataFamily
 
 out = {}
+
+
+def sha256(a):
+    return hashlib.sha256(a.tobytes()).hexdigest()
 
 
 def oracle_case(label, half_width, points, amplitude, p, dt, t_final):
@@ -71,12 +79,10 @@ def oracle_case(label, half_width, points, amplitude, p, dt, t_final):
     u = GridFunction(spec, amplitude * np.exp(-0.25 * spec.nodes ** 2))
     v = GridFunction(spec, np.zeros(spec.points))
     traj = integrate(u, v, p=p, t_final=t_final, dt=dt)
-    h = hashlib.sha256()
-    for s in traj.states:
-        h.update(s[0].values.tobytes())
     out[label] = {
-        "u_sha256": h.hexdigest(),
-        "times_sha256": hashlib.sha256(traj.times.tobytes()).hexdigest(),
+        "u_sha256": sha256(traj.u),
+        "v_sha256": sha256(traj.v),
+        "times_sha256": sha256(traj.times),
         "duhamel_residual": repr(duhamel_residual(traj, p))}
 
 
@@ -93,7 +99,15 @@ for p in (2.0, 2.5):
                                 ctrl=SolverControls(check_boundary=False))
     out[f"solve_lifespan torus p={p}"] = {
         "estimate": repr(est),
-        "times_sha256": hashlib.sha256(trace.times.tobytes()).hexdigest()}
+        "times_sha256": sha256(trace.times)}
+rng = np.random.default_rng(5)
+x = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 0.4, 39))])
+U = (np.sin(np.outer(x, np.linspace(0.5, 3.0, 64)))
+     + 0.1 * rng.standard_normal((40, 64)))
+mid = x[:-1] + rng.uniform(0.0, 1.0, 39) * np.diff(x)
+tq = np.concatenate([x, mid, [x[0] - 0.3, x[-1] + 0.3]])
+out["cubic_spline 40 nonuniform knots x 64"] = {
+    "sha256": sha256(_cubic_spline(x, U)(tq))}
 print(json.dumps(out, indent=1, sort_keys=True))
 """
 

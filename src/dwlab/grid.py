@@ -83,54 +83,45 @@ class GridFunction:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
-    # small amount of arithmetic sugar so data construction reads naturally
-    def __add__(self, other: "GridFunction") -> "GridFunction":
-        self._check_same_grid(other)
-        return GridFunction(self.spec, self.values + other.values)
-
-    def __sub__(self, other: "GridFunction") -> "GridFunction":
-        self._check_same_grid(other)
-        return GridFunction(self.spec, self.values - other.values)
-
-    def __mul__(self, c: float) -> "GridFunction":
-        return GridFunction(self.spec, self.values * float(c))
-
-    __rmul__ = __mul__
-
-    def _check_same_grid(self, other: "GridFunction") -> None:
-        if self.spec != other.spec:
-            raise GridError("operands live on different grids")
-
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled solution history: times[i] paired with states[i] = (u, du/dt)."""
+    """Sampled solution history on one grid: u[i] and v[i] = du/dt at times[i].
 
+    u and v are float64 arrays of shape (len(times), N).  The record holds
+    read-only views of the arrays it is given and copies none of them.
+    """
+
+    spec: GridSpec
     times: np.ndarray
-    states: tuple
+    u: np.ndarray
+    v: np.ndarray
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=np.float64)
-        if t.ndim != 1 or len(t) != len(self.states):
-            raise GridError("times and states length mismatch")
-        if len(t) == 0:
-            raise GridError("empty trajectory")
+        if t.ndim != 1 or len(t) == 0:
+            raise GridError("times must be a non-empty 1-D array")
         if t[0] != 0.0:
             raise GridError("trajectory must start at t = 0")
-        if np.any(np.diff(t) <= 0.0):
-            raise GridError("times must be strictly increasing")
-        spec = self.states[0][0].spec
-        for u, v in self.states:
-            if u.spec != spec or v.spec != spec:
-                raise GridError("all states must share one grid")
-        t = t.copy()
-        t.setflags(write=False)
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "states", tuple(tuple(s) for s in self.states))
+        if not (np.all(np.diff(t) > 0.0) and math.isfinite(t[-1])):
+            raise GridError("times must be finite and strictly increasing")
+        object.__setattr__(self, "times", _read_only(t))
+        for name in ("u", "v"):
+            a = np.asarray(getattr(self, name), dtype=np.float64)
+            if a.shape != (len(t), self.spec.points):
+                raise GridError(f"{name} shape {a.shape} is not "
+                                f"(len(times), N) = ({len(t)}, {self.spec.points})")
+            # min and max propagate NaN and +-inf without an n N temporary
+            if not (math.isfinite(a.min()) and math.isfinite(a.max())):
+                raise GridError(f"{name} must be finite")
+            object.__setattr__(self, name, _read_only(a))
 
-    @property
-    def spec(self) -> GridSpec:
-        return self.states[0][0].spec
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A read-only view of a; a itself stays writable."""
+    view = a.view()
+    view.setflags(write=False)
+    return view
 
 
 def lp_norm(f: GridFunction, p: float) -> float:
@@ -149,8 +140,8 @@ def lp_norm(f: GridFunction, p: float) -> float:
 
 
 def moment(f: GridFunction, k: int) -> float:
-    """M_k(f) = int x^k f dx, trapezoidal; k <= 4 only (x^k amplifies truncation)."""
-    if not (0 <= int(k) <= 4):
+    """M_k(f) = int x^k f dx, trapezoidal; integer k <= 4 only (x^k amplifies truncation)."""
+    if k not in range(5):
         raise MomentOrderError(f"moment order must be 0..4, got {k}")
     x = f.spec.nodes
     return float(f.spec.h * np.sum((x ** int(k)) * f.values))

@@ -459,28 +459,31 @@ def integrate(u0: GridFunction, v0: GridFunction, p: float, t_final: float,
     """
     if u0.spec != v0.spec:
         raise GridError("u0 and v0 live on different grids")
-    if not t_final > 0.0 or not dt > 0.0:
-        raise ValueError("t_final and dt must be positive")
+    # checked before the rows are allocated: t_final / dt sizes them
+    if not (0.0 < t_final < math.inf and 0.0 < dt < math.inf
+            and t_final / dt < math.inf):
+        raise ValueError("t_final and dt must be positive and finite, "
+                         "and t_final / dt finite")
     n = max(1, int(round(t_final / dt)))
     dt = t_final / n
     spec = u0.spec
+    u = np.empty((n + 1, spec.points))
+    v = np.empty((n + 1, spec.points))
+    u[0] = u0.values
+    v[0] = v0.values
     yu = np.fft.rfft(u0.values)
     yv = np.fft.rfft(v0.values)
     ops = _stage_ops(spec, dt)
     p = float(p)
-    times = [0.0]
-    states = [(u0, v0)]
     for k in range(1, n + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             w1, w3 = _head(yu, yv, p, ops)
             yu, yv, _ = _lawson_rk4(yu, yv, w1, w3, p, ops, dt)
-        u = np.fft.irfft(yu, spec.points)
-        v = np.fft.irfft(yv, spec.points)
-        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
+        np.fft.irfft(yu, spec.points, out=u[k])
+        np.fft.irfft(yv, spec.points, out=v[k])
+        if not (np.all(np.isfinite(u[k])) and np.all(np.isfinite(v[k]))):
             raise BlowupSignal((k - 1) * dt)
-        times.append(k * dt)
-        states.append((GridFunction(spec, u), GridFunction(spec, v)))
-    return Trajectory(np.array(times), tuple(states))
+    return Trajectory(spec, dt * np.arange(n + 1), u, v)
 
 
 # ----------------------------------------------------------------------
@@ -868,11 +871,10 @@ def solve_lifespan(data: DataFamily, p: float, horizon: float = 200.0,
 _TAU_BLOCK = 16
 
 
-def _cubic_spline(x: np.ndarray, y):
-    """Not-a-knot cubic spline through the rows of y at knots x (n >= 4).
+def _cubic_spline(x: np.ndarray, y: np.ndarray):
+    """Not-a-knot cubic spline through the rows of the (n, m) array y at
+    knots x (n >= 4).
 
-    y is any sequence of n equal-length 1-D rows, a 2-D array or a list of
-    a trajectory's states as they are; its rows are read, never stacked.
     The knot slopes solve the tridiagonal system of scipy's CubicSpline,
     not-a-knot end rows included, so the two agree to roundoff.  Returns
     a function of a 1-D array of query times; outside [x[0], x[-1]] the
@@ -898,7 +900,7 @@ def _cubic_spline(x: np.ndarray, y):
     def chord(k):
         return (y[k + 1] - y[k]) / h[k]
 
-    s = np.empty((n, len(y[0])))
+    s = np.empty(y.shape)
     a, b = chord(0), chord(1)       # the chords left and right of row i
     s[0] = ((h[0] + 2.0 * d0) * h[1] * a + h[0] ** 2 * b) / d0
     # forward elimination, then back substitution, in place on piv and s
@@ -924,8 +926,8 @@ def _cubic_spline(x: np.ndarray, y):
         r = (t - x[k])[:, None]
         ks, row = np.unique(k, return_inverse=True)
         hk = h[ks][:, None]
-        yk = np.stack([y[j] for j in ks])
-        slope = (np.stack([y[j + 1] for j in ks]) - yk) / hk
+        yk = y[ks]
+        slope = (y[ks + 1] - yk) / hk
         sk = s[ks]
         c3 = (sk + s[ks + 1] - 2.0 * slope) / hk
         c2 = (slope - sk) / hk - c3
@@ -966,15 +968,14 @@ def duhamel_residual(traj: Trajectory, p: float) -> float:
     if len(times) < 16:
         raise SamplingError("trajectory too sparse for the tau quadrature")
     spec = traj.spec
-    u0, v0 = traj.states[0]
+    u = traj.u
     idx = sorted({int(round(f * (len(times) - 1)))
                   for f in (0.25, 0.5, 0.75, 1.0)} - {0})
-    u = [state[0].values for state in traj.states]
     spline = _cubic_spline(times, u)
     xg, wg = _gauss_legendre()
     n = spec.points
-    lin0h = np.fft.rfft((u0 + v0).values)
-    u0h = np.fft.rfft(u0.values)
+    lin0h = np.fft.rfft(u[0] + traj.v[0])
+    u0h = np.fft.rfft(u[0])
     worst = 0.0
     for i in idx:
         tc = float(times[i])

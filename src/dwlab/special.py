@@ -108,7 +108,8 @@ class DataFamily:
         """Return (u0, u1) = epsilon * (f0, f1)."""
         if self.epsilon < 0.0:
             raise ValueError("epsilon must be >= 0")
-        return self.f0 * self.epsilon, self.f1 * self.epsilon
+        return (GridFunction(self.f0.spec, self.f0.values * self.epsilon),
+                GridFunction(self.f1.spec, self.f1.values * self.epsilon))
 
 
 def make_data_family(kind: str, epsilon: float, spec: GridSpec) -> DataFamily:

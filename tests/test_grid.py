@@ -62,27 +62,50 @@ def test_moments_closed_forms():
     assert m[1] == pytest.approx(0.0, abs=1e-14)
     assert m[3] == pytest.approx(0.0, abs=1e-13)
     assert_allclose(m[4], 24.0 * rt_pi, rtol=1e-12)
-    with pytest.raises(MomentOrderError):
-        moment(f, 5)
+    for k in (5, -1, 2.5, -0.5):    # too high, or not an integer order
+        with pytest.raises(MomentOrderError):
+            moment(f, k)
+    assert moment(f, 2.0) == m[2]
 
 
 def test_trajectory_validation():
-    f = gauss(SPEC)
-    z = GridFunction(SPEC, np.zeros(SPEC.points))
-    traj = Trajectory(np.array([0.0, 1.0]), ((f, z), (f, z)))
+    times = np.array([0.0, 0.5, 1.0])
+    u = np.outer([1.0, 0.9, 0.8], gauss(SPEC).values)
+    v = np.zeros_like(u)
+    traj = Trajectory(SPEC, times, u, v)
     assert traj.spec == SPEC
+    # read-only views of the caller's arrays: no copy, and theirs stay writable
+    for got, given in ((traj.times, times), (traj.u, u), (traj.v, v)):
+        assert np.shares_memory(got, given)
+        assert not got.flags.writeable and given.flags.writeable
+        with pytest.raises(ValueError):
+            got[0] = 1.0
+    u[1, 0] = 2.0
+    assert traj.u[1, 0] == 2.0
+    bad_times = ([0.5, 1.0, 1.5],      # must start at 0
+                 [0.0, 1.0, 1.0],      # not increasing
+                 [0.0, np.nan, 1.0],
+                 [0.0, 1.0, np.inf])
+    for t in bad_times:
+        with pytest.raises(GridError):
+            Trajectory(SPEC, np.array(t), u, v)
+    for t in (np.array([]), np.zeros((1, 1))):
+        with pytest.raises(GridError):
+            Trajectory(SPEC, t, u[:0], v[:0])
     with pytest.raises(GridError):
-        Trajectory(np.array([0.5, 1.0]), ((f, z), (f, z)))   # must start at 0
+        Trajectory(SPEC, times[:2], u, v)               # wrong n
     with pytest.raises(GridError):
-        Trajectory(np.array([0.0, 0.0]), ((f, z), (f, z)))   # not increasing
-    other = gauss(GridSpec(32.0, 256))
-    with pytest.raises(GridError):
-        Trajectory(np.array([0.0, 1.0]), ((f, z), (other, other)))
+        Trajectory(GridSpec(32.0, 256), times, u, v)    # wrong N
+    for bad in (np.nan, -np.inf):
+        w = u.copy()
+        w[2, 7] = bad
+        with pytest.raises(GridError):
+            Trajectory(SPEC, times, w, v)
+        with pytest.raises(GridError):
+            Trajectory(SPEC, times, u, w)
 
 
-def test_gridfunction_immutable_and_arith():
+def test_gridfunction_immutable():
     f = gauss(SPEC)
     with pytest.raises(ValueError):
         f.values[0] = 1.0
-    g = f * 2.0 - f
-    assert_allclose(g.values, f.values, rtol=0, atol=0)

@@ -63,9 +63,8 @@ def test_linear_step_matches_exact_propagator():
     yv = np.fft.rfft(v.values)
     eu = np.fft.irfft(m11 * yu + m12 * yv, SPEC.points)
     ev = np.fft.irfft(m21 * yu + m22 * yv, SPEC.points)
-    out_u, out_v = traj.states[-1]
-    assert np.max(np.abs(out_u.values - eu)) < 2e-13 * TINY
-    assert np.max(np.abs(out_v.values - ev)) < 2e-13 * TINY
+    assert np.max(np.abs(traj.u[-1] - eu)) < 2e-13 * TINY
+    assert np.max(np.abs(traj.v[-1] - ev)) < 2e-13 * TINY
     assert traj.times[-1] == pytest.approx(0.35)
 
 
@@ -77,7 +76,7 @@ def test_constant_mode_fourth_order():
 
     def endpoint(n):
         traj = integrate(fam.f0, fam.f1, p=2.0, t_final=t_end, dt=t_end / n)
-        return float(traj.states[-1][0].values[0])
+        return float(traj.u[-1, 0])
 
     def rhs(t, y):
         return [y[1], y[0] ** 2 - y[1]]
@@ -132,18 +131,20 @@ def test_step_and_integrate_match_unbatched_reference(spec, p, nonlinear):
     yu = np.fft.rfft(u0.values)
     yv = np.fft.rfft(v0.values)
     traj = integrate(u0, v0, p=p, t_final=0.5, dt=dt)
-    assert len(traj.states) == 11
+    assert traj.u.shape == traj.v.shape == (11, spec.points)
     for k in range(1, 11):
         yu, yv = _ref_lawson_step(yu, yv, p, dt, spec, nonlinear)
-        u, v = traj.states[k]
-        assert np.array_equal(u.values, np.fft.irfft(yu, spec.points))
-        assert np.array_equal(v.values, np.fft.irfft(yv, spec.points))
+        assert np.array_equal(traj.u[k], np.fft.irfft(yu, spec.points))
+        assert np.array_equal(traj.v[k], np.fft.irfft(yv, spec.points))
 
 
 def test_step_rejects_bad_dt_and_signals_blowup():
     u, v = gauss_state()
-    with pytest.raises(ValueError):
-        integrate(u, v, p=2.0, t_final=1.0, dt=0.0)
+    # a non-finite t_final, dt or t_final / dt cannot size the step rows
+    for t_final, dt in ((1.0, 0.0), (math.inf, 0.1), (1.0, math.nan),
+                        (1e300, 1e-300)):
+        with pytest.raises(ValueError):
+            integrate(u, v, p=2.0, t_final=t_final, dt=dt)
     hot = (GridFunction(TORUS, np.full(TORUS.points, 50.0)),
            GridFunction(TORUS, np.zeros(TORUS.points)))
     with pytest.raises(BlowupSignal) as info:
@@ -153,8 +154,7 @@ def test_step_rejects_bad_dt_and_signals_blowup():
     assert t_last > 0.0
     traj = integrate(*hot, p=2.0, t_final=t_last, dt=0.05)
     assert traj.times[-1] == pytest.approx(t_last)
-    assert all(np.all(np.isfinite(a.values)) and np.all(np.isfinite(b.values))
-               for a, b in traj.states)
+    assert np.all(np.isfinite(traj.u)) and np.all(np.isfinite(traj.v))
 
 
 def test_integrate_trajectory_contract():
@@ -166,11 +166,28 @@ def test_integrate_trajectory_contract():
     assert np.all(np.diff(traj.times) > 0.0)
 
 
+def test_integrate_holds_its_states_once():
+    # the states cost 2 n N 8 bytes, u and v, written in place: 1.015x that
+    # here.  A copy of them reads about 2x, an n N bool temporary 1.08x, and
+    # a GridFunction pair per state 1.04x.  The warm-up at the same dt
+    # builds the step's operators, so the test order cannot move the peak
+    u, v = gauss_state(amp=0.05)
+    integrate(u, v, p=2.0, t_final=0.4, dt=0.04)
+    tracemalloc.start()
+    try:
+        traj = integrate(u, v, p=2.0, t_final=16.0, dt=0.04)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.u.shape == (401, SPEC.points)
+    assert peak < 1.03 * traj.u.nbytes * 2
+
+
 def test_linear_l2_monotone_after_t1():
     # on the linear flow the L2 norm is non-increasing past t = 1
     u, v = tiny_state()
     traj = integrate(u, v, p=P_TINY, t_final=6.0, dt=0.05)
-    norms = [lp_norm(u, 2.0) for (u, _) in traj.states]
+    norms = [lp_norm(GridFunction(SPEC, row), 2.0) for row in traj.u]
     times = traj.times
     for i in range(1, len(times)):
         if times[i - 1] >= 1.0:
@@ -1148,13 +1165,13 @@ def _ref_duhamel_residual(traj, p, include_nonlinear=True):
     """The oracle as one apply_S, one apply_dtS and one damped_symbol per
     quadrature node at every checkpoint."""
     times, spec = traj.times, traj.spec
-    u0, v0 = traj.states[0]
+    U = traj.u
+    u0 = GridFunction(spec, U[0])
     idx = sorted({int(round(f * (len(times) - 1)))
                   for f in (0.25, 0.5, 0.75, 1.0)} - {0})
-    U = np.stack([s[0].values for s in traj.states])
     spline = _cubic_spline(times, U) if include_nonlinear else None
     xg, wg = np.polynomial.legendre.leggauss(64)
-    lin0 = u0 + v0
+    lin0 = GridFunction(spec, U[0] + traj.v[0])
     worst = 0.0
     for i in idx:
         tc = float(times[i])
@@ -1222,12 +1239,11 @@ def test_duhamel_residual_working_set():
     spec = GridSpec(32.0, 1024)
     times = np.linspace(0.0, 8.0, 400)
     bump = np.exp(-0.25 * spec.nodes ** 2)
-    zero = GridFunction(spec, np.zeros(spec.points))
-    states = tuple((GridFunction(spec, 0.1 * np.cos(t) * bump), zero)
-                   for t in times)
+    u = 0.1 * np.cos(times)[:, None] * bump
+    v = np.zeros_like(u)
     # warm: the quadrature rule and the propagators' caches are per process
-    duhamel_residual(Trajectory(times[:16], states[:16]), 2.0)
-    traj = Trajectory(times, states)
+    duhamel_residual(Trajectory(spec, times[:16], u[:16], v[:16]), 2.0)
+    traj = Trajectory(spec, times, u, v)
     tracemalloc.start()
     try:
         res = duhamel_residual(traj, 2.0)
@@ -1277,9 +1293,10 @@ def test_duhamel_residual_skips_a_zero_checkpoint():
     # to divide by, and the residual comes from the other three
     u, v = gauss_state(amp=0.3)
     traj = integrate(u, v, p=2.0, t_final=4.0, dt=0.25)
-    states = list(traj.states)
-    states[4] = (u * 0.0, states[4][1])
-    res = duhamel_residual(Trajectory(traj.times, tuple(states)), p=2.0)
+    zeroed = traj.u.copy()
+    zeroed[4] = u.values * 0.0
+    res = duhamel_residual(Trajectory(SPEC, traj.times, zeroed, traj.v),
+                           p=2.0)
     assert math.isfinite(res) and res == pytest.approx(0.0409, rel=1e-3)
 
 

@@ -8,7 +8,7 @@ from scipy.special import i0 as scipy_i0
 from scipy.special import lambertw as scipy_lambertw
 
 from dwlab._kernels import bessel_i0_kernel
-from dwlab.grid import GridSpec, moment
+from dwlab.grid import GridFunction, GridSpec, moment
 from dwlab.special import (MOMENT_CLASSES, DataFamily, HorizonError,
                            M0_M1_ZERO, M0_NONZERO, M0_ZERO_M1_NONZERO,
                            gaussian_derivative, lambert_w0, make_data_family,
@@ -81,11 +81,11 @@ def test_family_moment_classes():
     fam1 = make_data_family(M0_ZERO_M1_NONZERO, 0.1, SPEC)
     fam2 = make_data_family(M0_M1_ZERO, 0.1, SPEC)
     # profiles are unit scale: moments of f0 + f1 at profile level
-    s1 = fam1.f0 + fam1.f1
-    assert_allclose(moment(fam0.f0 + fam0.f1, 0), 2.0 * RT_PI, rtol=1e-13)
+    s0, s1, s2 = (GridFunction(SPEC, fam.f0.values + fam.f1.values)
+                  for fam in (fam0, fam1, fam2))
+    assert_allclose(moment(s0, 0), 2.0 * RT_PI, rtol=1e-13)
     assert moment(s1, 0) == pytest.approx(0.0, abs=1e-13)
     assert_allclose(moment(s1, 1), -2.0 * RT_PI, rtol=1e-13)
-    s2 = fam2.f0 + fam2.f1
     assert moment(s2, 0) == pytest.approx(0.0, abs=1e-13)
     assert moment(s2, 1) == pytest.approx(0.0, abs=1e-13)
     assert fam0.moment_class == M0_NONZERO
