@@ -8,9 +8,14 @@ BENCHMARK.json declares goes through perfbench/run.py twice, untraced and
 then traced.  The record holds the machine, the numba flag, per workload
 the end-to-end medians (setup_s, wall_s, peak_rss_mb) with the wall_s
 samples, the output sha256 and the benchmark's correctness verdict, and
-the stepper's traced solver.accepted_steps and solver.us_per_step.  It
-also holds the git commit, whether the tracked files differ from it, and
-a sha256 over src/dwlab/*.py that names the measured source.
+the stepper's traced solver.accepted_steps and solver.us_per_step, and
+the traced import layers setup.numpy_s and setup.dwlab_self_s.  It also
+holds the git commit, whether the tracked files differ from it, and a
+sha256 over src/dwlab/*.py that names the measured source.  The machine
+entry states the bytecode state: PYTHONDONTWRITEBYTECODE as the children
+inherit it, and whether src/dwlab/__pycache__ holds .pyc files: without
+cached bytecode every child compiles the package, which raises setup_s
+and peak_rss_mb.
 
 Wall times drift with the host; compare records made on one machine,
 and claim a gain only from alternated perfbench runs.
@@ -31,7 +36,8 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 RUNS_DIR = os.path.join(ROOT, ".perfbench_runs")
 END_TO_END = ("setup_s", "wall_s", "peak_rss_mb")
-TRACED = ("solver.accepted_steps", "solver.us_per_step")
+TRACED = ("solver.accepted_steps", "solver.us_per_step", "setup.numpy_s",
+          "setup.dwlab_self_s")
 
 
 def _git(*args) -> str:
@@ -95,7 +101,12 @@ def main(argv=None) -> int:
            "seed": args.seed, "seconds": args.seconds,
            "machine": {"platform": platform.platform(),
                        "cpu": cpu_model(), "nproc": os.cpu_count(),
-                       "python": platform.python_version()},
+                       "python": platform.python_version(),
+                       # the children inherit this process's environment
+                       "PYTHONDONTWRITEBYTECODE":
+                           os.environ.get("PYTHONDONTWRITEBYTECODE"),
+                       "dwlab_pyc_cached": bool(glob.glob(os.path.join(
+                           ROOT, "src", "dwlab", "__pycache__", "*.pyc")))},
            "workloads": {}}
     for workload in workloads:
         plain, record = run_workload(workload, args.seed, args.seconds, 0)

@@ -45,7 +45,6 @@ from .odi import OdiConfig, odi_scaling_fit, odi_target_slope
 from .propagators import (HEAT_EXPANSION_SLOPES, KernelRangeError, apply_S,
                           apply_S_kernel, apply_dtS, decay_scan,
                           linear_pair_matrix, residual_scan)
-from .solver import BLOWN_UP, BOUNDARY_TOL, TRUNCATION_ABORT, solve_lifespan
 from .special import (CRITICAL_M1, HorizonError, M0_ZERO_M1_NONZERO,
                       MOMENT_CLASSES, gaussian_derivative, make_data_family,
                       predict_lifespan, tilde_T2p)
@@ -223,6 +222,7 @@ def _ensure_out(cfg: ExperimentConfig) -> str:
 
 
 def _lifespan_worker(cfg: ExperimentConfig, eps: float):
+    from .solver import solve_lifespan
     fam = make_data_family(cfg.moment_class, eps, cfg.spec())
     est, trace = solve_lifespan(fam, cfg.p, horizon=cfg.horizon)
     record = {
@@ -261,6 +261,7 @@ def _abort_note(record) -> str:
     """What tripped a truncation abort: the time, and the edge ratio that
     passed the guard's BOUNDARY_TOL.  Printed only, never written to the
     output files."""
+    from .solver import BOUNDARY_TOL
     return (f"t={record['T_low']:.6g} edge_ratio={record['edge_ratio']:.3g}"
             f" > boundary_tol={BOUNDARY_TOL:g}")
 
@@ -268,6 +269,8 @@ def _abort_note(record) -> str:
 def run_lifespan(cfg: ExperimentConfig):
     """One record per eps; verdict is pass unless any run aborted on the
     truncation rule."""
+    # deferred: only a march needs the stepper; loaded before a pool forks
+    from .solver import TRUNCATION_ABORT
     records = _run_all_lifespans(cfg, _ensure_out(cfg))
     lines = []
     for record in records:
@@ -306,6 +309,7 @@ def run_sweep(cfg: ExperimentConfig):
     and makes the verdict unconverged.  Every path writes one run_NNN.json
     per eps, sweep.csv, and fit.json with the verdict.
     """
+    from .solver import BLOWN_UP, TRUNCATION_ABORT  # see run_lifespan
     out = _ensure_out(cfg)
     rows = _run_all_lifespans(cfg, out)
     _sweep_csv(os.path.join(out, "sweep.csv"), rows)

@@ -41,22 +41,24 @@ def _strict_json(path):
         return json.load(fh, parse_constant=refuse)
 
 
-def _modules_loaded_by_cli_import(*names):
-    """Import dwlab.cli in a fresh interpreter; the loaded modules that are
-    one of names or inside one of them, sorted."""
+def _modules_loaded_by_cli_import(*names, argv=None):
+    """Import dwlab.cli in a fresh interpreter, then run `lab argv` there if
+    argv is given; the loaded modules that are one of names or inside one
+    of them, sorted."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(dwlab.cli.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     code = ("import sys, dwlab.cli; "
             "print(dwlab.cli.__file__); "
-            f"names = {names!r}; "
+            + (f"dwlab.cli.main({argv!r}); " if argv is not None else "")
+            + f"names = {names!r}; "
             "print(sorted(m for m in sys.modules "
             "if m.split('.')[0] in names))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout.splitlines()
     assert out[0] == dwlab.cli.__file__
-    return out[1]
+    return out[-1]
 
 
 def test_cli_import_loads_no_scipy():
@@ -69,6 +71,22 @@ def test_cli_import_defers_pool_and_config_parser():
     # is covered by test_sweep_outputs_match_across_worker_counts
     assert _modules_loaded_by_cli_import("multiprocessing",
                                          "configparser") == "[]"
+
+
+def test_cli_import_defers_the_stepper():
+    # dwlab.solver loads with the first march (run_lifespan, run_sweep);
+    # every other module stays eager
+    loaded = _modules_loaded_by_cli_import("dwlab")
+    assert "'dwlab.solver'" not in loaded
+    assert "'dwlab.odi'" in loaded and "'dwlab.propagators'" in loaded
+
+
+def test_only_a_march_loads_the_stepper(tmp_path):
+    out = str(tmp_path / "out")
+    assert "'dwlab.solver'" not in _modules_loaded_by_cli_import(
+        "dwlab", argv=["predict", "--out", out])
+    assert "'dwlab.solver'" in _modules_loaded_by_cli_import(
+        "dwlab", argv=["lifespan", "--eps-list", "0.4", "--out", out])
 
 
 # ----------------------------------------------------------------------
