@@ -195,6 +195,16 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
+def _write_csv(path, header, rows) -> None:
+    """One line per row under header; a float is written with .17g, so it
+    reads back exactly, and anything else with str."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(f"{x:.17g}" if isinstance(x, float) else str(x)
+                              for x in row) + "\n")
+
+
 def _finite_or_none(x: float):
     """x, or None (JSON null) where it is NaN or infinite."""
     return x if math.isfinite(x) else None
@@ -286,14 +296,6 @@ def run_lifespan(cfg: ExperimentConfig):
     return verdict, lines
 
 
-def _sweep_csv(path, rows) -> None:
-    with open(path, "w") as fh:
-        fh.write("eps,T_low,T_high,status\n")
-        for r in rows:
-            fh.write(f"{r['eps']:.17g},{r['T_low']:.17g},"
-                     f"{r['T_high']:.17g},{r['status']}\n")
-
-
 def run_sweep(cfg: ExperimentConfig):
     """Lifespan ladder, exponent fit, and verdict.
 
@@ -312,7 +314,9 @@ def run_sweep(cfg: ExperimentConfig):
     from .solver import BLOWN_UP, TRUNCATION_ABORT  # see run_lifespan
     out = _ensure_out(cfg)
     rows = _run_all_lifespans(cfg, out)
-    _sweep_csv(os.path.join(out, "sweep.csv"), rows)
+    _write_csv(os.path.join(out, "sweep.csv"), "eps,T_low,T_high,status",
+               [(r["eps"], r["T_low"], r["T_high"], r["status"])
+                for r in rows])
 
     statuses = [r["status"] for r in rows]
     all_blown = all(s == BLOWN_UP for s in statuses)
@@ -383,22 +387,23 @@ def run_decay(cfg: ExperimentConfig):
     ok, converged = True, True
     for k, kind in enumerate(MOMENT_CLASSES):
         f = gaussian_derivative(k, spec)
-        rep = decay_scan(f, cfg.p, times)
-        res = residual_scan(f, cfg.p, times)
+        norms, fit = decay_scan(f, cfg.p, times)
+        res_fit = residual_scan(f, cfg.p, times)[1]
         row = {"family": kind, "norm_p": cfg.p,
-               "slope": _finite_or_none(rep.fit.slope), "target": targets[k],
-               "r2": rep.fit.r_squared, "accepted": rep.fit.accepted,
-               "residual_slope": _finite_or_none(res.fit.slope),
-               "residual_r2": res.fit.r_squared}
+               "slope": _finite_or_none(fit.slope), "target": targets[k],
+               "r2": fit.r_squared, "accepted": fit.accepted,
+               "residual_slope": _finite_or_none(res_fit.slope),
+               "residual_r2": res_fit.r_squared}
         rows.append(row)
-        rep.to_csv(os.path.join(out, f"decay_{kind}.csv"))
-        hit = abs(rep.fit.slope - targets[k]) <= DECAY_TOL
+        _write_csv(os.path.join(out, f"decay_{kind}.csv"), "t,norm",
+                   zip(times, norms))
+        hit = abs(fit.slope - targets[k]) <= DECAY_TOL
         ok &= hit
-        converged &= rep.fit.accepted
+        converged &= fit.accepted
         lines.append(
-            f"{kind}: slope={rep.fit.slope:+.4f} target={targets[k]:+.4f} "
-            f"r2={rep.fit.r_squared:.5f} residual_slope="
-            f"{res.fit.slope:+.4f} [{'ok' if hit else 'off'}]")
+            f"{kind}: slope={fit.slope:+.4f} target={targets[k]:+.4f} "
+            f"r2={fit.r_squared:.5f} residual_slope="
+            f"{res_fit.slope:+.4f} [{'ok' if hit else 'off'}]")
     verdict = PASS if (ok and converged) else (FAIL if converged
                                                else UNCONVERGED)
     _write_json(os.path.join(out, "decay.json"),
@@ -428,10 +433,8 @@ def run_odi(cfg: ExperimentConfig):
     marched = list(zip(cfg.eps_list, traces))
     lines = [f"eps={e:.6g} blowup_time={tr.blowup_time:.8g} "
              f"steps={tr.steps}" for e, tr in marched]
-    with open(os.path.join(out, "odi.csv"), "w") as fh:
-        fh.write("eps,blowup_time,steps\n")
-        for e, tr in marched:
-            fh.write(f"{e:.17g},{tr.blowup_time:.17g},{tr.steps}\n")
+    _write_csv(os.path.join(out, "odi.csv"), "eps,blowup_time,steps",
+               [(e, tr.blowup_time, tr.steps) for e, tr in marched])
     record = {"p": cfg.p, "beta": cfg.beta, "config": _config_record(cfg)}
     reason = None
     if fit is None:

@@ -18,25 +18,22 @@ heat multiplier e^{-t xi^2} on the same grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import _kernels
-from .fitting import ExponentFit, fit_loglog
+from .fitting import fit_loglog
 from .grid import GridFunction, GridSpec, lp_norm
 
 __all__ = [
     "TruncationError",
     "KernelRangeError",
-    "PropagatorSymbol",
     "damped_symbol",
     "linear_pair_matrix",
     "apply_S",
     "apply_dtS",
     "apply_S_kernel",
-    "DecayReport",
     "decay_scan",
     "residual_scan",
     "HEAT_EXPANSION_SLOPES",
@@ -125,16 +122,9 @@ def _symbol_pair(t, xi: np.ndarray, rate: bool = True):
     return sigma, sigma_t
 
 
-@dataclass(frozen=True)
-class PropagatorSymbol:
-    """sigma and d sigma/dt sampled on the real-FFT wavenumbers of a grid."""
-
-    sigma: np.ndarray
-    sigma_t: np.ndarray
-
-
-def damped_symbol(t: float, spec: GridSpec) -> PropagatorSymbol:
-    return PropagatorSymbol(*_symbol_pair(t, spec.freqs))
+def damped_symbol(t: float, spec: GridSpec):
+    """(sigma, d sigma/dt) on the real-FFT wavenumbers of a grid."""
+    return _symbol_pair(t, spec.freqs)
 
 
 def linear_pair_matrix(t: float, spec: GridSpec):
@@ -168,14 +158,14 @@ def _apply_multiplier(f: GridFunction, mult: np.ndarray) -> GridFunction:
 def apply_S(t: float, f: GridFunction) -> GridFunction:
     """S(t) f via the Fourier multiplier; f must vanish at the boundary."""
     _check_boundary(f)
-    return _apply_multiplier(f, damped_symbol(t, f.spec).sigma)
+    return _apply_multiplier(f, damped_symbol(t, f.spec)[0])
 
 
 def apply_dtS(t: float, f: GridFunction) -> GridFunction:
     """dS/dt (t) f via the Fourier multiplier; equals f at t = 0.  f must
     vanish at the boundary."""
     _check_boundary(f)
-    return _apply_multiplier(f, damped_symbol(t, f.spec).sigma_t)
+    return _apply_multiplier(f, damped_symbol(t, f.spec)[1])
 
 
 def _heat_symbol(t: float, xi: np.ndarray) -> np.ndarray:
@@ -261,19 +251,6 @@ def HEAT_EXPANSION_SLOPES(p: float):
     return (-a, -a - 0.5, -a - 1.0)
 
 
-@dataclass(frozen=True)
-class DecayReport:
-    times: np.ndarray
-    norms: np.ndarray
-    fit: ExponentFit
-
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("t,norm\n")
-            for t, v in zip(self.times, self.norms):
-                fh.write(f"{t:.17g},{v:.17g}\n")
-
-
 @lru_cache(maxsize=1)
 def _scan_sigmas(spec: GridSpec, times: tuple) -> tuple:
     """sigma(t) on spec for each scan time; the scans of one input share it."""
@@ -317,9 +294,9 @@ def _scan_norm(g: np.ndarray, spec: GridSpec, p: float) -> float:
     return lp_norm(GridFunction(spec, np.fft.irfft(g, n=spec.points)), p)
 
 
-def decay_scan(f: GridFunction, p: float, times) -> DecayReport:
-    """||S(t) f||_{L^p} over the given times with a log-log fit over all
-    of them.
+def decay_scan(f: GridFunction, p: float, times):
+    """(norms, fit): ||S(t) f||_{L^p} over the given times and a log-log
+    fit over all of them.
 
     One rfft(f) per scan; each norm comes from the spectrum rfft(f)*sigma(t),
     by Parseval at p = 2 and through one irfft per time otherwise.
@@ -327,11 +304,11 @@ def decay_scan(f: GridFunction, p: float, times) -> DecayReport:
     times = np.asarray(times, dtype=float)
     fh, sigmas = _scan_terms(f, times)
     norms = np.array([_scan_norm(fh * sig, f.spec, p) for sig in sigmas])
-    return DecayReport(times, norms, fit_loglog(times, norms))
+    return norms, fit_loglog(times, norms)
 
 
-def residual_scan(f: GridFunction, p: float, times) -> DecayReport:
-    """Decay of S(t)f minus its parabolic approximation,
+def residual_scan(f: GridFunction, p: float, times):
+    """(norms, fit) for the decay of S(t)f minus its parabolic approximation,
     ||S(t)f - e^{t Lap} f||_{L^p}, e^{t Lap} by the multiplier e^{-t xi^2},
     fitted as in decay_scan.
 
@@ -346,4 +323,4 @@ def residual_scan(f: GridFunction, p: float, times) -> DecayReport:
         g[:k] = fh[:k] * head
         norms.append(_scan_norm(g, f.spec, p))
     norms = np.array(norms)
-    return DecayReport(times, norms, fit_loglog(times, norms))
+    return norms, fit_loglog(times, norms)

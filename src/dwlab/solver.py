@@ -980,9 +980,9 @@ def duhamel_residual(traj: Trajectory, p: float) -> float:
     for i in idx:
         tc = float(times[i])
         target = u[i]
-        sym = damped_symbol(tc, spec)
-        rhs = np.fft.irfft(lin0h * sym.sigma, n=n) \
-            + np.fft.irfft(u0h * sym.sigma_t, n=n)
+        sigma, sigma_t = damped_symbol(tc, spec)
+        rhs = np.fft.irfft(lin0h * sigma, n=n) \
+            + np.fft.irfft(u0h * sigma_t, n=n)
         tau = 0.5 * tc * (xg + 1.0)
         wq = 0.5 * tc * wg
         acc = np.zeros(n // 2 + 1, dtype=np.complex128)

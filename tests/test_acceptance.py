@@ -97,8 +97,8 @@ def test_criterion_02_linear_decay_slopes():
     targets = (-0.25, -0.75, -1.25)
     devs = []
     for j in range(3):
-        rep = decay_scan(gaussian_derivative(j, spec), 2.0, times)
-        devs.append(abs(rep.fit.slope - targets[j]))
+        fit = decay_scan(gaussian_derivative(j, spec), 2.0, times)[1]
+        devs.append(abs(fit.slope - targets[j]))
     ok = max(devs) <= 0.05
     report(2, "L2 decay slopes -1/4,-3/4,-5/4", ok,
            f"max |slope-target| {max(devs):.4f} <= 0.05")
@@ -108,11 +108,11 @@ def test_criterion_02_linear_decay_slopes():
 def test_criterion_03_heat_residual_slope():
     spec = GridSpec(2000.0, 32768)
     times = np.geomspace(1e2, 1e4, 12)
-    rep = residual_scan(gaussian_derivative(0, spec), 2.0, times)
-    dev = abs(rep.fit.slope - (-1.25))
+    fit = residual_scan(gaussian_derivative(0, spec), 2.0, times)[1]
+    dev = abs(fit.slope - (-1.25))
     ok = dev <= 0.1
     report(3, "heat-approximation residual slope -5/4", ok,
-           f"slope {rep.fit.slope:+.4f}, |dev| {dev:.4f} <= 0.1")
+           f"slope {fit.slope:+.4f}, |dev| {dev:.4f} <= 0.1")
     assert ok
 
 

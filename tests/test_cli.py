@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,8 +10,12 @@ import pytest
 import dwlab.cli
 import dwlab.odi
 from dwlab.cli import (COMMANDS, ConfigError, ExperimentConfig,
-                       _config_record, load_config, main, run_predict)
+                       _config_record, _write_csv, load_config, main,
+                       run_predict)
+from dwlab.grid import GridSpec
 from dwlab.odi import OdiConfig, simulate_odi
+from dwlab.propagators import decay_scan
+from dwlab.special import MOMENT_CLASSES, gaussian_derivative
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -318,11 +323,58 @@ def test_verify_propagators_reports_failure(tmp_path):
     assert any(r["status"] == "fail" for r in payload["rows"])
 
 
+def test_csv_floats_read_back_exactly(tmp_path):
+    # a float is written with .17g, so float(text) returns its bits; an int
+    # and a string are written as given
+    xs = [0.1, 0.1 + 0.2, 1.0 / 3.0, 5e-324, 1.7976931348623157e308,
+          math.inf, np.float64(math.pi)]
+    path = tmp_path / "t.csv"
+    _write_csv(path, "x,steps,status", [(x, 12, "blown_up") for x in xs])
+    lines = path.read_text().splitlines()
+    assert lines[0] == "x,steps,status"
+    assert len(lines) == 1 + len(xs)
+    for x, line in zip(xs, lines[1:]):
+        text, steps, status = line.split(",")
+        assert float(text) == x
+        assert (steps, status) == ("12", "blown_up")
+
+
+def test_decay_csv_holds_the_scan_times_and_norms(tmp_path):
+    # the header of decay_<class>.csv, then one row per scan time, each
+    # value the scan's own to the bit (sweep.csv's and odi.csv's headers
+    # are checked with their commands)
+    ini = tmp_path / "lab.ini"
+    ini.write_text("[decay]\nhorizon = 50\nhalf_width = 64\npoints = 2048\n")
+    out = tmp_path / "o"
+    # too short a window for the fits to be accepted: the verdict is
+    # unconverged, and the files are written all the same
+    assert main(["decay", "--config", str(ini), "--out", str(out)]) == 2
+    spec = GridSpec(64.0, 2048)
+    times = np.geomspace(0.5, 50.0, 12)
+    for k, kind in enumerate(MOMENT_CLASSES):
+        lines = (out / f"decay_{kind}.csv").read_text().splitlines()
+        assert lines[0] == "t,norm"
+        rows = np.array([[float(x) for x in line.split(",")]
+                         for line in lines[1:]])
+        norms = decay_scan(gaussian_derivative(k, spec), 2.0, times)[0]
+        assert np.array_equal(rows, np.column_stack([times, norms]))
+
+
 def test_decay_requires_room_for_window(tmp_path):
     ini = tmp_path / "lab.ini"
     ini.write_text("[decay]\nhorizon = 5\n")
     code = main(["decay", "--config", str(ini), "--out", str(tmp_path / "o")])
     assert code == 2
+
+
+def test_zero_horizon_is_refused_before_the_output_directory(tmp_path,
+                                                              capsys):
+    ini = tmp_path / "lab.ini"
+    ini.write_text("[sweep]\nhorizon = 0\n")
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", str(ini), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: horizon must be positive\n"
+    assert not out.exists()
 
 
 def test_decay_infinite_horizon_is_a_config_error(tmp_path, capsys):

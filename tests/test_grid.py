@@ -105,6 +105,18 @@ def test_trajectory_validation():
             Trajectory(SPEC, times, u, w)
 
 
+def test_gridfunction_validation():
+    with pytest.raises(GridError, match="does not match"):
+        GridFunction(SPEC, np.zeros(SPEC.points - 1))
+    with pytest.raises(GridError, match="does not match"):
+        GridFunction(SPEC, np.zeros((2, SPEC.points)))
+    for bad in (np.nan, np.inf):
+        v = np.zeros(SPEC.points)
+        v[3] = bad
+        with pytest.raises(GridError, match="finite"):
+            GridFunction(SPEC, v)
+
+
 def test_gridfunction_immutable():
     f = gauss(SPEC)
     with pytest.raises(ValueError):

@@ -1184,7 +1184,7 @@ def _ref_duhamel_residual(traj, p, include_nonlinear=True):
             nlh = np.fft.rfft(nl, axis=1)
             acc = np.zeros(spec.points // 2 + 1, dtype=np.complex128)
             for q in range(len(tau)):
-                sig = damped_symbol(tc - tau[q], spec).sigma
+                sig = damped_symbol(tc - tau[q], spec)[0]
                 acc += wq[q] * sig * nlh[q]
             rhs = rhs + np.fft.irfft(acc, spec.points)
         gap = np.linalg.norm(target - rhs)

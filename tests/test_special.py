@@ -126,6 +126,11 @@ def test_predict_lifespan_reference_values():
         predict_lifespan(2.0, -0.1, M0_NONZERO)
 
 
+def test_predict_lifespan_rejects_an_unknown_class():
+    with pytest.raises(ValueError, match="unknown moment class 'M5'"):
+        predict_lifespan(1.5, 0.1, "M5")
+
+
 def test_predict_lifespan_class_ordering_small_eps():
     # M1-carrying data blows up sooner than moment-cancelled data
     for eps in (1e-2, 1e-3, 1e-4):
